@@ -25,7 +25,9 @@ from .energy import (
     extract_qe_curve,
 )
 from .entropy import CorruptStreamError, compression_ratio
+from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 from .pipeline import EncodeConfig, decode, encode
+from .quant import QUALITY_LEVELS
 from .raster import PnmError, RasterImage, parse_pnm, write_pnm
 from .tuner import TunerInput, TunerResult, tune
 
@@ -88,8 +90,8 @@ def _skip_level(text: str) -> int | None:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("skip level must be 'off' or 0..6")
-    if not 0 <= value <= 6:
+        value = None
+    if value not in SKIP_LEVELS:
         raise argparse.ArgumentTypeError("skip level must be 'off' or 0..6")
     return value
 
@@ -98,8 +100,8 @@ def _quality_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("quality must be an integer in [1, 99]")
-    if not 1 <= value <= 99:
+        value = None
+    if value not in QUALITY_LEVELS:
         raise argparse.ArgumentTypeError("quality must be an integer in [1, 99]")
     return value
 
@@ -113,10 +115,7 @@ def _load_qmatrix(path: str) -> np.ndarray:
         raise DataError(f"{path}: quantization file must hold 64 integers") from exc
     if len(entries) != 64:
         raise DataError(f"{path}: expected 64 entries, found {len(entries)}")
-    q = np.array(entries, dtype=np.int64).reshape(8, 8)
-    if np.any(q < 1) or np.any(q > 255):
-        raise DataError(f"{path}: entries must be in [1, 255]")
-    return q
+    return np.array(entries, dtype=np.int64).reshape(8, 8)
 
 
 def _config_from_args(args) -> EncodeConfig:
@@ -202,15 +201,12 @@ def _cmd_report(args) -> int:
         raise DataError(f"cannot read {args.config}: {exc}") from exc
     except (ValueError, KeyError) as exc:
         raise DataError(f"{args.config}: {exc}") from exc
-    try:
-        cfg = EncodeConfig(
-            quality=args.quality,
-            quant_mode=args.quant,
-            trunc_level=cfg_json.j,
-            skip_level=cfg_json.i,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    cfg = EncodeConfig(
+        quality=args.quality,
+        quant_mode=args.quant,
+        trunc_level=cfg_json.j,
+        skip_level=cfg_json.i,
+    )
     model = default_activity_model()
     rows = []
     for name, img in _corpus_images(args.corpus):
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--output", required=True)
     enc.add_argument("--quality", type=_quality_arg, default=50)
     enc.add_argument("--quant", choices=["shift", "div"], default="shift")
-    enc.add_argument("--truncate", type=int, choices=range(5), default=0)
+    enc.add_argument("--truncate", type=int, choices=TRUNC_LEVELS, default=0)
     enc.add_argument("--skip", type=_skip_level, default=None, metavar="off|0..6")
     enc.add_argument("--dc-exact", action="store_true")
     enc.add_argument("--qmatrix", help="file with 64 divisor entries")

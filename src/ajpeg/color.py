@@ -14,6 +14,15 @@ import numpy as np
 from .raster import RasterImage
 
 
+def plane_shapes(height: int, width: int, color: bool) -> list[tuple[int, int]]:
+    """(height, width) of each coded plane: the full-resolution luma or gray
+    plane, then for color the two 4:2:0 chroma planes, ceil(h/2) x ceil(w/2)."""
+    if not color:
+        return [(height, width)]
+    chroma = (-(-height // 2), -(-width // 2))
+    return [(height, width), chroma, chroma]
+
+
 @dataclass(frozen=True)
 class YcbcrPlanes:
     """Y/Cb/Cr planes; subsampling is "444" (full-res) or "420"."""
@@ -28,7 +37,7 @@ class YcbcrPlanes:
         if self.subsampling == "444":
             want = (h, w)
         elif self.subsampling == "420":
-            want = (-(-h // 2), -(-w // 2))
+            want = plane_shapes(h, w, color=True)[1]
         else:
             raise ValueError("subsampling must be '444' or '420'")
         if self.cb.shape != want or self.cr.shape != want:

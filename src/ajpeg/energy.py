@@ -18,11 +18,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fdct import fdct_2d
+from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 from .ops import OpCounter
 
 DATAPATH_WIDTH = 8
@@ -218,29 +219,11 @@ def extract_qe_curve(
         model = default_activity_model()
     base = base_config if base_config is not None else pipeline.EncodeConfig()
     if kind == "loop":
-        levels = list(range(7))
-        configs = [
-            pipeline.EncodeConfig(
-                quality=base.quality,
-                quant_mode=base.quant_mode,
-                trunc_level=base.trunc_level,
-                skip_level=lv,
-                dc_exact=base.dc_exact,
-            )
-            for lv in levels
-        ]
+        levels = SKIP_LEVELS
+        configs = [replace(base, skip_level=lv) for lv in levels]
     elif kind == "trunc":
-        levels = list(range(5))
-        configs = [
-            pipeline.EncodeConfig(
-                quality=base.quality,
-                quant_mode=base.quant_mode,
-                trunc_level=lv,
-                skip_level=base.skip_level,
-                dc_exact=base.dc_exact,
-            )
-            for lv in levels
-        ]
+        levels = TRUNC_LEVELS
+        configs = [replace(base, trunc_level=lv) for lv in levels]
     else:
         raise ValueError("knob kind must be 'loop' or 'trunc'")
 

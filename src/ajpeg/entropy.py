@@ -10,8 +10,8 @@ table per channel, built from the actual symbol frequencies of that
 channel (two-pass), with code lengths capped at 16 bits.
 
 Skipped blocks emit nothing; the container carries a per-channel skip
-bitmap and the decoder replicates the previous decoded block in their
-place.
+bitmap and the decoder gives each skipped block the result of its
+reference, the most recent coded block (knobs.reuse_index).
 
 Container layout (all integers big-endian):
 
@@ -32,6 +32,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .color import plane_shapes
+from .knobs import SKIP_LEVELS, TRUNC_LEVELS, reuse_index
+from .quant import QUALITY_LEVELS
 
 MAGIC = b"AJPG"
 VERSION = 1
@@ -257,7 +261,8 @@ def encode_channel(blocks: np.ndarray, skip_flags: np.ndarray, channel_id: int =
 
 
 def decode_channel(stream: ChannelStream) -> np.ndarray:
-    """Decode a channel back to quantized blocks, replicating skipped ones."""
+    """Decode a channel back to quantized blocks; skipped blocks carry their
+    reference's block."""
     n = stream.block_count
     if n == 0:
         return np.zeros((0, 8, 8), dtype=np.int64)
@@ -291,18 +296,14 @@ def decode_channel(stream: ChannelStream) -> np.ndarray:
             return bits - (1 << size) + 1
         return bits
 
-    out = np.zeros((n, 64), dtype=np.int64)
+    coded = np.zeros((n - np.count_nonzero(stream.skip_flags), 64), dtype=np.int64)
     pred = 0
-    prev = None
-    for k in range(n):
-        if stream.skip_flags[k]:
-            out[k] = prev
-            continue
+    for block in coded:
         size = read_symbol()
         if size > MAX_SIZE:
             raise CorruptStreamError("DC size category out of range")
         pred += read_amplitude(size)
-        out[k, 0] = pred
+        block[0] = pred
         pos = 1
         while pos < 64:
             sym = read_symbol()
@@ -319,12 +320,11 @@ def decode_channel(stream: ChannelStream) -> np.ndarray:
                 raise CorruptStreamError("AC size category out of range")
             if pos >= 64:
                 raise CorruptStreamError("AC run overflows the block")
-            out[k, pos] = read_amplitude(size)
+            block[pos] = read_amplitude(size)
             pos += 1
-        prev = out[k]
     if reader.pos != stream.bit_length:
         raise CorruptStreamError("payload underrun")
-    return inv_zigzag(out)
+    return inv_zigzag(coded)[reuse_index(stream.skip_flags)]
 
 
 @dataclass
@@ -408,11 +408,11 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
         raise CorruptStreamError("unsupported version")
     if flags & ~(FLAG_COLOR | FLAG_SHIFT_QUANT | FLAG_DC_EXACT):
         raise CorruptStreamError("unknown flag bits")
-    if not 1 <= quality <= 99:
+    if quality not in QUALITY_LEVELS:
         raise CorruptStreamError("quality out of range")
-    if trunc > 4:
+    if trunc not in TRUNC_LEVELS:
         raise CorruptStreamError("truncation level out of range")
-    if skip_byte != SKIP_DISABLED and skip_byte > 6:
+    if skip_byte != SKIP_DISABLED and skip_byte not in SKIP_LEVELS:
         raise CorruptStreamError("skip level out of range")
     if width == 0 or height == 0:
         raise CorruptStreamError("zero image dimension")
@@ -429,21 +429,9 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
         quant_payload=quant,
     )
 
-    def _nblocks(w: int, h: int) -> int:
-        return -(-w // 8) * -(-h // 8)
-
-    if meta.color:
-        cw, chh = -(-width // 2), -(-height // 2)
-        expected = [
-            (0, _nblocks(width, height)),
-            (1, _nblocks(cw, chh)),
-            (2, _nblocks(cw, chh)),
-        ]
-    else:
-        expected = [(0, _nblocks(width, height))]
-
     channels = []
-    for want_id, want_blocks in expected:
+    for want_id, (h, w) in enumerate(plane_shapes(height, width, meta.color)):
+        want_blocks = -(-h // 8) * -(-w // 8)
         cid, block_count = cur.unpack(">BI")
         if cid != want_id:
             raise CorruptStreamError("unexpected channel id")

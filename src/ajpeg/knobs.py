@@ -7,6 +7,11 @@ sample lies within a tolerance band the block's compression result is
 reused and the transform is skipped entirely. Tolerance is 5*L for skip
 level L in [0, 6]. Skip decisions read pixels only, never a block's own
 compression result, so they are made on the pre-truncation samples.
+
+This module owns that reference-chain rule for every consumer: skip_flags
+makes the decisions and reuse_index maps each block to the processed
+block whose result it carries. The encoder, perforate and the entropy
+decoder all expand results through the same index.
 """
 
 from __future__ import annotations
@@ -53,6 +58,31 @@ def skip_check(current, reference, epsilon: int, ops: IntOps = UNCOUNTED) -> boo
     return bool(np.all((cur <= ceil) & (cur >= floor)))
 
 
+def skip_flags(
+    blocks, epsilon: int, ops: IntOps = UNCOUNTED, check: Callable = skip_check
+) -> np.ndarray:
+    """Skip flag per block: block k skips when check passes against the most
+    recent block that was processed, not the most recent block seen. Block 0
+    always processes. check defaults to skip_check; a caller may pass its
+    own binding of it so that wrappers installed there see every call."""
+    n = len(blocks)
+    skipped = np.zeros(n, dtype=bool)
+    ref = 0
+    for k in range(1, n):
+        if check(blocks[k], blocks[ref], epsilon, ops):
+            skipped[k] = True
+        else:
+            ref = k
+    return skipped
+
+
+def reuse_index(skipped) -> np.ndarray:
+    """For each block, the position among the processed blocks (in order) of
+    the block whose result it carries: its own when processed, else that of
+    its reference."""
+    return np.cumsum(~np.asarray(skipped, dtype=bool)) - 1
+
+
 @dataclass
 class PerforationResult:
     results: list
@@ -66,25 +96,8 @@ def perforate(
     ops: IntOps = UNCOUNTED,
 ) -> PerforationResult:
     """Run compress over a block sequence, reusing results for blocks that
-    match the latest processed block within epsilon.
-
-    Block 0 is always compressed. The reference is the most recent block
-    that was actually processed, not the most recent block seen.
-    """
-    n = len(blocks)
-    if n == 0:
-        return PerforationResult([], np.zeros(0, dtype=bool))
-    results = []
-    skipped = np.zeros(n, dtype=bool)
-    ref = blocks[0]
-    ref_result = compress(blocks[0])
-    results.append(ref_result)
-    for k in range(1, n):
-        if skip_check(blocks[k], ref, epsilon, ops):
-            skipped[k] = True
-            results.append(ref_result)
-        else:
-            ref = blocks[k]
-            ref_result = compress(blocks[k])
-            results.append(ref_result)
-    return PerforationResult(results, skipped)
+    match the latest processed block within epsilon (see skip_flags).
+    Skipped blocks share their reference's result object."""
+    skipped = skip_flags(blocks, epsilon, ops)
+    processed = [compress(blocks[k]) for k in np.flatnonzero(~skipped)]
+    return PerforationResult([processed[i] for i in reuse_index(skipped)], skipped)

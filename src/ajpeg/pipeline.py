@@ -11,8 +11,9 @@ with the float reference IDCT, round, undo truncation by rescaling, then
 reassemble planes and convert back to RGB.
 
 reconstruct() runs the identical numeric path without the entropy layer,
-which is lossless; decode(encode(img)) equals reconstruct(img) bit for
-bit.
+which is lossless. It builds the container header and reassembles the
+planes with the same helpers as encode() and decode(), so
+decode(encode(img)) equals reconstruct(img) bit for bit.
 """
 
 from __future__ import annotations
@@ -22,12 +23,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy
-from .color import downsample_420, rgb_to_ycbcr, upsample_420, ycbcr_to_rgb, YcbcrPlanes
+from .color import (
+    YcbcrPlanes,
+    downsample_420,
+    plane_shapes,
+    rgb_to_ycbcr,
+    upsample_420,
+    ycbcr_to_rgb,
+)
 from .energy import EnergyStats
 from .fdct import fdct_2d, ref_idct_2d
-from .knobs import skip_check, skip_epsilon, truncate_block
+from .knobs import (
+    SKIP_LEVELS,
+    TRUNC_LEVELS,
+    reuse_index,
+    skip_check,
+    skip_epsilon,
+    skip_flags,
+    truncate_block,
+)
 from .ops import UNCOUNTED, IntOps
 from .quant import (
+    QUALITY_LEVELS,
     build_qmatrix,
     dequantize,
     quantize_dc_exact,
@@ -48,13 +65,13 @@ class EncodeConfig:
     qmatrix: np.ndarray | None = None  # overrides the quality-scaled table
 
     def __post_init__(self):
-        if not 1 <= self.quality <= 99:
+        if self.quality not in QUALITY_LEVELS:
             raise ValueError("quality must be in [1, 99]")
         if self.quant_mode not in ("shift", "div"):
             raise ValueError("quant_mode must be 'shift' or 'div'")
-        if not 0 <= self.trunc_level <= 4:
+        if self.trunc_level not in TRUNC_LEVELS:
             raise ValueError("trunc_level must be in [0, 4]")
-        if self.skip_level is not None and not 0 <= self.skip_level <= 6:
+        if self.skip_level is not None and self.skip_level not in SKIP_LEVELS:
             raise ValueError("skip_level must be in [0, 6] or None")
         if self.dc_exact and self.quant_mode != "shift":
             raise ValueError("exact-DC mode applies to shift quantization only")
@@ -69,20 +86,6 @@ class EncodeConfig:
         if self.qmatrix is not None:
             return np.asarray(self.qmatrix, dtype=np.int64)
         return build_qmatrix(self.quality)
-
-
-def _decide_skips(blocks: np.ndarray, epsilon: int, ops: IntOps) -> np.ndarray:
-    """Skip flags per Algorithm: compare pixels against the latest block
-    that will actually be processed. Block 0 always processes."""
-    n = len(blocks)
-    skipped = np.zeros(n, dtype=bool)
-    ref = 0
-    for k in range(1, n):
-        if skip_check(blocks[k], blocks[ref], epsilon, ops):
-            skipped[k] = True
-        else:
-            ref = k
-    return skipped
 
 
 def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps) -> np.ndarray:
@@ -103,27 +106,18 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
 def _encode_plane(
     plane: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (quantized blocks, skip flags) for one channel plane."""
+    """Returns (quantized blocks, skip flags) for one channel plane. Skipped
+    blocks carry their reference's result, as the decoder rebuilds them."""
     grid = tile_blocks(plane, level_shifted=True)
     blocks = grid.blocks.astype(np.int64)
     if cfg.skip_level is None:
         skipped = np.zeros(len(blocks), dtype=bool)
     else:
-        skipped = _decide_skips(blocks, skip_epsilon(cfg.skip_level), ops)
-
-    quantized = np.zeros((len(blocks), 8, 8), dtype=np.int64)
-    todo = ~skipped
-    if todo.any():
-        quantized[todo] = _compress_blocks(blocks[todo], cfg, smat, qmat, ops)
-    # Skipped blocks reuse the result of their reference (the most recent
-    # processed block), which the entropy layer encodes by replication.
-    last = 0
-    for k in range(1, len(blocks)):
-        if skipped[k]:
-            quantized[k] = quantized[last]
-        else:
-            last = k
-    return quantized, skipped
+        # Passing this module's skip_check, not relying on the default, lets
+        # a wrapper installed on pipeline.skip_check observe every comparison.
+        skipped = skip_flags(blocks, skip_epsilon(cfg.skip_level), ops, skip_check)
+    quantized = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
+    return quantized[reuse_index(skipped)], skipped
 
 
 def _planes_of(img: RasterImage) -> list[np.ndarray]:
@@ -134,32 +128,18 @@ def _planes_of(img: RasterImage) -> list[np.ndarray]:
 
 
 def _encode_channels(img: RasterImage, cfg: EncodeConfig, ops: IntOps):
+    """Quantized blocks and skip flags per plane, the container header
+    (with the quant payload), and the energy accounting."""
     qmat = cfg.divisor_matrix()
     smat = to_shift_matrix(qmat) if cfg.quant_mode == "shift" else None
-    channels = []
-    processed = skipped_total = 0
-    for cid, plane in enumerate(_planes_of(img)):
-        quantized, skipped = _encode_plane(plane, cfg, smat, qmat, ops)
-        channels.append((cid, plane.shape, quantized, skipped))
-        skipped_total += int(skipped.sum())
-        processed += int((~skipped).sum())
+    channels = [_encode_plane(plane, cfg, smat, qmat, ops) for plane in _planes_of(img)]
+    skipped_total = sum(int(skipped.sum()) for _, skipped in channels)
     stats = EnergyStats(
-        blocks_processed=processed,
+        blocks_processed=sum(len(skipped) for _, skipped in channels) - skipped_total,
         blocks_skipped=skipped_total,
         trunc_level=cfg.trunc_level,
         skip_enabled=cfg.skip_level is not None,
     )
-    return channels, qmat, smat, stats
-
-
-def encode(
-    img: RasterImage, cfg: EncodeConfig = EncodeConfig(), ops: IntOps = UNCOUNTED
-) -> tuple[bytes, EnergyStats]:
-    """Encode an image to an AJPG container."""
-    if img.width > 0xFFFF or img.height > 0xFFFF:
-        raise ValueError("image dimensions exceed the container limit")
-    channels, qmat, smat, stats = _encode_channels(img, cfg, ops)
-    quant_payload = (smat if cfg.quant_mode == "shift" else qmat).reshape(64)
     meta = entropy.ContainerMeta(
         color=img.channels == 3,
         shift_quant=cfg.quant_mode == "shift",
@@ -169,32 +149,39 @@ def encode(
         skip_level=cfg.skip_level,
         width=img.width,
         height=img.height,
-        quant_payload=quant_payload,
+        quant_payload=(qmat if smat is None else smat).reshape(64),
     )
+    return channels, meta, stats
+
+
+def encode(
+    img: RasterImage, cfg: EncodeConfig = EncodeConfig(), ops: IntOps = UNCOUNTED
+) -> tuple[bytes, EnergyStats]:
+    """Encode an image to an AJPG container."""
+    if img.width > 0xFFFF or img.height > 0xFFFF:
+        raise ValueError("image dimensions exceed the container limit")
+    channels, meta, stats = _encode_channels(img, cfg, ops)
     streams = [
         entropy.encode_channel(quantized, skipped, cid)
-        for cid, _, quantized, skipped in channels
+        for cid, (quantized, skipped) in enumerate(channels)
     ]
     return entropy.write_container(meta, streams), stats
 
 
-def _decode_divisors(
-    shift_quant: bool, dc_exact: bool, quality: int, quant_payload: np.ndarray,
-    decode_matrix: str,
-) -> np.ndarray:
+def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndarray:
     if decode_matrix not in ("matched", "standard"):
         raise ValueError("decode_matrix must be 'matched' or 'standard'")
     if decode_matrix == "standard":
-        return build_qmatrix(quality)
-    payload = np.asarray(quant_payload, dtype=np.int64).reshape(8, 8)
-    if not shift_quant:
+        return build_qmatrix(meta.quality)
+    payload = np.asarray(meta.quant_payload, dtype=np.int64).reshape(8, 8)
+    if not meta.shift_quant:
         return payload
     if np.any(payload > 7):
         raise entropy.CorruptStreamError("shift exponent out of range")
     divisors = np.int64(1) << payload
-    if dc_exact:
+    if meta.dc_exact:
         divisors = divisors.copy()
-        divisors[0, 0] = build_qmatrix(quality)[0, 0]
+        divisors[0, 0] = build_qmatrix(meta.quality)[0, 0]
     return divisors
 
 
@@ -210,20 +197,14 @@ def _decode_plane(
     return untile_blocks(grid, level_shifted=True)
 
 
-def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
-    """Decode an AJPG container."""
-    meta, streams = entropy.read_container(data)
-    divisors = _decode_divisors(
-        meta.shift_quant, meta.dc_exact, meta.quality, meta.quant_payload, decode_matrix
-    )
-    if meta.color:
-        cw, ch = -(-meta.width // 2), -(-meta.height // 2)
-        shapes = [(meta.height, meta.width), (ch, cw), (ch, cw)]
-    else:
-        shapes = [(meta.height, meta.width)]
+def _decode_image(meta: entropy.ContainerMeta, quantized, decode_matrix: str) -> RasterImage:
+    """Dequantize, invert and reassemble the quantized blocks of each plane.
+    quantized may be a lazy iterable: decode passes one, so it holds a
+    single plane's entropy-decoded coefficients at a time."""
+    divisors = _decode_divisors(meta, decode_matrix)
     planes = [
-        _decode_plane(entropy.decode_channel(s), shape, divisors, meta.trunc_level)
-        for s, shape in zip(streams, shapes)
+        _decode_plane(q, shape, divisors, meta.trunc_level)
+        for q, shape in zip(quantized, plane_shapes(meta.height, meta.width, meta.color))
     ]
     if not meta.color:
         return RasterImage(planes[0])
@@ -237,6 +218,12 @@ def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
     return ycbcr_to_rgb(full)
 
 
+def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
+    """Decode an AJPG container."""
+    meta, streams = entropy.read_container(data)
+    return _decode_image(meta, (entropy.decode_channel(s) for s in streams), decode_matrix)
+
+
 def reconstruct(
     img: RasterImage,
     cfg: EncodeConfig = EncodeConfig(),
@@ -244,22 +231,5 @@ def reconstruct(
     ops: IntOps = UNCOUNTED,
 ) -> tuple[RasterImage, EnergyStats]:
     """Encode + decode without the (lossless) entropy layer."""
-    channels, qmat, smat, stats = _encode_channels(img, cfg, ops)
-    quant_payload = (smat if cfg.quant_mode == "shift" else qmat).reshape(64)
-    divisors = _decode_divisors(
-        cfg.quant_mode == "shift", cfg.dc_exact, cfg.quality, quant_payload, decode_matrix
-    )
-    planes = [
-        _decode_plane(quantized, shape, divisors, cfg.trunc_level)
-        for _, shape, quantized, _s in channels
-    ]
-    if img.channels == 1:
-        return RasterImage(planes[0]), stats
-    y, cb, cr = planes
-    full = YcbcrPlanes(
-        y,
-        upsample_420(cb, img.height, img.width),
-        upsample_420(cr, img.height, img.width),
-        "444",
-    )
-    return ycbcr_to_rgb(full), stats
+    channels, meta, stats = _encode_channels(img, cfg, ops)
+    return _decode_image(meta, [quantized for quantized, _ in channels], decode_matrix), stats

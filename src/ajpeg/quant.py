@@ -17,6 +17,8 @@ import numpy as np
 
 from .ops import UNCOUNTED, IntOps
 
+QUALITY_LEVELS = range(1, 100)
+
 # Base luminance quantization table (quality 50).
 # fmt: off
 Q50 = np.array([
@@ -34,7 +36,7 @@ Q50 = np.array([
 
 def build_qmatrix(level: int) -> np.ndarray:
     """Scale the base table to a quality level in [1, 99], clamped to [1, 255]."""
-    if not 1 <= level <= 99:
+    if level not in QUALITY_LEVELS:
         raise ValueError("quality level must be in [1, 99]")
     if level >= 50:
         factor = (100 - level) / 50.0

@@ -156,9 +156,10 @@ def test_data_errors_exit_2(tmp_path, pgm, capsys):
                  "--out", out]) == 2
 
     qbad = tmp_path / "q.txt"
-    qbad.write_text("16 16 16")
-    assert main(["encode", "--input", str(pgm), "--output", out,
-                 "--qmatrix", str(qbad)]) == 2
+    for entries in ("16 16 16", " ".join(["0"] + ["16"] * 63)):
+        qbad.write_text(entries)
+        assert main(["encode", "--input", str(pgm), "--output", out,
+                     "--qmatrix", str(qbad)]) == 2
 
     empty = tmp_path / "empty"
     empty.mkdir()

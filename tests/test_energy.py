@@ -183,3 +183,13 @@ def test_extract_qe_curve_rejects_bad_input():
         extract_qe_curve("zoom", [RasterImage(np.zeros((8, 8), dtype=np.uint8))])
     with pytest.raises(ValueError, match="corpus"):
         extract_qe_curve("loop", [])
+
+
+def test_extract_qe_curve_keeps_base_qmatrix():
+    # each level's config derives from the base config, so a custom table
+    # must reach the sweep and move the curve off the default table's
+    rng = np.random.default_rng(9)
+    imgs = [RasterImage(rng.integers(0, 256, (32, 32), dtype=np.uint8))]
+    default, _ = extract_qe_curve("trunc", imgs)
+    flat, _ = extract_qe_curve("trunc", imgs, EncodeConfig(qmatrix=np.ones((8, 8))))
+    assert flat.points != default.points

@@ -1,0 +1,48 @@
+"""Byte-identical outputs: replays the benchmark's golden digests.
+
+bench/golden.json holds SHA-256 digests of the containers and decoded
+images of the codec-rgb-knobs workload and of the curves and tuner picks
+of the sweep-gray workload, for the golden seed. Every image of the codec
+workload and the middle image of the sweep workload are replayed here, so
+a refactor or speed-up that changes any coded byte or decoded pixel fails
+the suite. The bench modules are loaded read-only from their files.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+GOLDEN = json.loads((BENCH / "golden.json").read_text())
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+inputs = _load("inputs")
+workloads = _load("workloads")
+
+
+def _replay(name, index):
+    w = workloads.WORKLOADS[name]
+    op = workloads.make_op(name)
+    pnm = inputs.image(w.kind, GOLDEN["seed"], index, w.count)
+    return op.digests(op.run(pnm))
+
+
+@pytest.mark.parametrize("index", range(workloads.WORKLOADS["codec-rgb-knobs"].count))
+def test_codec_rgb_knobs_matches_golden(index):
+    assert _replay("codec-rgb-knobs", index) == GOLDEN["codec-rgb-knobs"][index]
+
+
+def test_sweep_gray_middle_image_matches_golden():
+    mid = workloads.WORKLOADS["sweep-gray"].count // 2
+    assert _replay("sweep-gray", mid) == GOLDEN["sweep-gray"][mid]
