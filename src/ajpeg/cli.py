@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics as met
 from .energy import (
     QECurve,
@@ -106,7 +104,7 @@ def _quality_arg(text: str) -> int:
     return value
 
 
-def _load_qmatrix(path: str) -> np.ndarray:
+def _load_qmatrix(path: str) -> tuple[tuple[int, ...], ...]:
     try:
         entries = [int(tok) for tok in Path(path).read_text().split()]
     except OSError as exc:
@@ -115,7 +113,10 @@ def _load_qmatrix(path: str) -> np.ndarray:
         raise DataError(f"{path}: quantization file must hold 64 integers") from exc
     if len(entries) != 64:
         raise DataError(f"{path}: expected 64 entries, found {len(entries)}")
-    return np.array(entries, dtype=np.int64).reshape(8, 8)
+    try:
+        return EncodeConfig(qmatrix=[entries[r : r + 8] for r in range(0, 64, 8)]).qmatrix
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _config_from_args(args) -> EncodeConfig:

@@ -13,6 +13,21 @@ Skipped blocks emit nothing; the container carries a per-channel skip
 bitmap and the decoder gives each skipped block the result of its
 reference, the most recent coded block (knobs.reuse_index).
 
+Both directions work on whole arrays. The encoder builds every symbol of
+a channel at once: DC differences from the shifted DC column, zero runs
+from the gaps between nonzero scan positions, ZRLs and EOBs placed from
+per-block symbol counts, and size categories from the magnitudes' bit
+lengths. It counts frequencies with np.bincount and writes each
+(code << size) | amplitude word at its cumulative bit offset through
+np.packbits. The decoder looks up the symbol and total length of the code
+at every bit position in a 16-bit lookahead table (as in ITU-T T.81
+Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A symbol's total length is
+its code length plus its low nibble in every context, since DC size
+categories and AC symbols share the amplitude rule and ZRL and EOB carry
+no amplitude, so one Python loop step per symbol follows the block
+structure and checks the stream. Amplitudes are then read in one array
+operation and DC values are a cumulative sum of the differences.
+
 Container layout (all integers big-endian):
 
     magic "AJPG" | version=1 | flags | quality | truncLevel | skipLevel
@@ -83,41 +98,6 @@ def inv_zigzag(vec: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape[:-1] + (8, 8))
 
 
-def _mag_size(v: int) -> int:
-    return int(v if v >= 0 else -v).bit_length()
-
-
-def _amp_bits(v: int, size: int) -> int:
-    return v if v >= 0 else v + (1 << size) - 1
-
-
-def _block_symbols(zz, dc_pred: int):
-    """Symbol stream for one block: list of (symbol, amplitude, nbits)."""
-    syms = []
-    diff = int(zz[0]) - dc_pred
-    size = _mag_size(diff)
-    if size > MAX_SIZE:
-        raise CorruptStreamError("DC difference out of range")
-    syms.append((size, _amp_bits(diff, size), size))
-    run = 0
-    for k in range(1, 64):
-        c = int(zz[k])
-        if c == 0:
-            run += 1
-            continue
-        while run > 15:
-            syms.append((ZRL, 0, 0))
-            run -= 16
-        size = _mag_size(c)
-        if size > MAX_SIZE:
-            raise CorruptStreamError("AC coefficient out of range")
-        syms.append(((run << 4) | size, _amp_bits(c, size), size))
-        run = 0
-    if run:
-        syms.append((EOB, 0, 0))
-    return syms
-
-
 def code_lengths(freqs: dict[int, int], limit: int = MAX_CODE_LEN) -> dict[int, int]:
     """Optimal length-limited prefix code lengths (package-merge)."""
     syms = sorted(s for s, f in freqs.items() if f > 0)
@@ -170,48 +150,6 @@ def _validate_table(table: list[tuple[int, int]]):
         raise CorruptStreamError("Huffman table violates the Kraft inequality")
 
 
-class _BitWriter:
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, nbits: int):
-        if nbits == 0:
-            return
-        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
-        self.nbits += nbits
-        while self.nbits >= 8:
-            self.nbits -= 8
-            self.out.append((self.acc >> self.nbits) & 0xFF)
-        self.acc &= (1 << self.nbits) - 1
-
-    def finish(self) -> bytes:
-        if self.nbits:
-            self.out.append((self.acc << (8 - self.nbits)) & 0xFF)
-        return bytes(self.out)
-
-
-class _BitReader:
-    def __init__(self, payload: bytes, nbits: int):
-        self.bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-        self.nbits = nbits
-        self.pos = 0
-
-    def read_bit(self) -> int:
-        if self.pos >= self.nbits:
-            raise CorruptStreamError("payload overrun")
-        b = int(self.bits[self.pos])
-        self.pos += 1
-        return b
-
-    def read(self, n: int) -> int:
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | self.read_bit()
-        return v
-
-
 @dataclass
 class ChannelStream:
     """One coded channel: table, skip flags, and the bit payload."""
@@ -224,6 +162,90 @@ class ChannelStream:
     payload: bytes
 
 
+def _size_category(values: np.ndarray) -> np.ndarray:
+    """JPEG size category: the bit length of |value|."""
+    return np.frexp(np.abs(values).astype(np.float64))[1].astype(np.int64)
+
+
+def _amplitude_bits(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """JPEG magnitude convention: negative values stored as value + 2**size - 1."""
+    return np.where(values < 0, values + (np.int64(1) << sizes) - 1, values)
+
+
+def _amplitude_values(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Inverse of _amplitude_bits: a value below 2**(size-1) is negative."""
+    top = np.int64(1) << sizes
+    return np.where(bits < top >> 1, bits - top + 1, bits)
+
+
+def _channel_symbols(coded: np.ndarray):
+    """Symbol stream of coded zigzag vectors (m, 64) in stream order, as
+    arrays (symbol, amplitude bits, amplitude size).
+
+    Each block is its DC symbol, then per nonzero AC coefficient run // 16
+    ZRLs and one (run % 16, size) symbol, then EOB unless its last
+    coefficient is nonzero. The positions of DC, coefficient and EOB symbols
+    follow from per-block symbol counts; every other slot holds a ZRL.
+    """
+    m = len(coded)
+    diff = np.diff(coded[:, 0], prepend=0)
+    dc_size = _size_category(diff)
+    rows, cols = np.nonzero(coded[:, 1:])
+    k = cols + 1  # scan position of each nonzero AC coefficient
+    ac = coded[rows, k]
+    ac_size = _size_category(ac)
+    bad_dc = np.flatnonzero(dc_size > MAX_SIZE)
+    bad_ac = rows[ac_size > MAX_SIZE]
+    if bad_dc.size and not (bad_ac.size and bad_ac[0] < bad_dc[0]):
+        raise CorruptStreamError("DC difference out of range")
+    if bad_ac.size:
+        raise CorruptStreamError("AC coefficient out of range")
+
+    first = np.ones(len(k), dtype=bool)  # first nonzero of its block
+    first[1:] = rows[1:] != rows[:-1]
+    last = np.ones(len(k), dtype=bool)
+    last[:-1] = first[1:]
+    gap = np.diff(k, prepend=0)
+    gap[first] = k[first]
+    run = gap - 1
+    per_coeff = (run >> 4) + 1  # symbols per coefficient, its ZRLs included
+    last_k = np.zeros(m, dtype=np.int64)
+    last_k[rows[last]] = k[last]
+    has_eob = last_k != 63
+    in_block = np.bincount(rows, weights=per_coeff, minlength=m).astype(np.int64)
+    total = 1 + in_block + has_eob
+    starts = np.cumsum(total) - total
+    earlier = np.cumsum(in_block) - in_block  # coefficient symbols of earlier blocks
+    coeff_at = starts[rows] + np.cumsum(per_coeff) - earlier[rows]
+
+    sym = np.full(int(total.sum()), ZRL, dtype=np.int64)
+    amp = np.zeros(len(sym), dtype=np.int64)
+    size = np.zeros(len(sym), dtype=np.int64)
+    sym[starts] = size[starts] = dc_size
+    amp[starts] = _amplitude_bits(diff, dc_size)
+    sym[coeff_at] = ((run & 15) << 4) | ac_size
+    size[coeff_at] = ac_size
+    amp[coeff_at] = _amplitude_bits(ac, ac_size)
+    sym[(starts + total - 1)[has_eob]] = EOB
+    return sym, amp, size
+
+
+_PACK_CHUNK = 1 << 15  # symbols per transient (chunk, 32) bit matrix
+_BIT_INDEX = np.arange(32)
+
+
+def _pack(words: np.ndarray, lengths: np.ndarray) -> bytes:
+    """Concatenate the low lengths[i] <= 32 bits of each words[i], most
+    significant first, zero-padded to a byte."""
+    bits = [np.zeros(0, dtype=np.uint8)]
+    for lo in range(0, len(words), _PACK_CHUNK):
+        ln = lengths[lo : lo + _PACK_CHUNK]
+        aligned = (words[lo : lo + _PACK_CHUNK] << (32 - ln)).astype(">u4")
+        matrix = np.unpackbits(aligned.view(np.uint8).reshape(-1, 4), axis=1)
+        bits.append(matrix[_BIT_INDEX < ln[:, None]])
+    return np.packbits(np.concatenate(bits)).tobytes()
+
+
 def encode_channel(blocks: np.ndarray, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
     """Entropy-code a channel's quantized blocks (skipped blocks emit nothing)."""
     n = len(blocks)
@@ -233,31 +255,91 @@ def encode_channel(blocks: np.ndarray, skip_flags: np.ndarray, channel_id: int =
     if n and skip_flags[0]:
         raise CorruptStreamError("block 0 cannot be skipped")
 
-    zz = zigzag(np.asarray(blocks, dtype=np.int64)) if n else np.zeros((0, 64))
-    symbol_stream = []
-    pred = 0
-    for k in range(n):
-        if skip_flags[k]:
-            continue
-        symbol_stream.append(_block_symbols(zz[k], pred))
-        pred = int(zz[k][0])
-
-    freqs: dict[int, int] = {}
-    for syms in symbol_stream:
-        for sym, _, _ in syms:
-            freqs[sym] = freqs.get(sym, 0) + 1
-    codes = canonical_codes(code_lengths(freqs))
-
-    writer = _BitWriter()
-    nbits = 0
-    for syms in symbol_stream:
-        for sym, amp, ampbits in syms:
-            code, ln = codes[sym]
-            writer.write(code, ln)
-            writer.write(amp, ampbits)
-            nbits += ln + ampbits
+    coded = zigzag(np.asarray(blocks, dtype=np.int64)[~skip_flags]) if n else np.zeros((0, 64), np.int64)
+    sym, amp, size = _channel_symbols(coded)
+    freqs = np.bincount(sym, minlength=256)
+    codes = canonical_codes(code_lengths({int(s): int(freqs[s]) for s in np.flatnonzero(freqs)}))
+    code_of = np.zeros(256, dtype=np.int64)
+    len_of = np.zeros(256, dtype=np.int64)
+    for s, (code, ln) in codes.items():
+        code_of[s], len_of[s] = code, ln
+    lengths = len_of[sym] + size
+    payload = _pack((code_of[sym] << size) | amp, lengths)
     table = sorted(((s, ln) for s, (_, ln) in codes.items()), key=lambda e: (e[1], e[0]))
-    return ChannelStream(channel_id, n, skip_flags, table, nbits, writer.finish())
+    return ChannelStream(channel_id, n, skip_flags, table, int(lengths.sum()), payload)
+
+
+# A symbol's total length, code plus amplitude bits, is at most 16 + 11.
+_LOOKAHEAD_PAD = 32
+_WINDOW_CHUNK = 1 << 16  # payload bytes per transient (chunk, 8) window matrix
+_WINDOW_SHIFTS = np.arange(16, 8, -1, dtype=np.uint32)
+
+
+def _lookahead(table: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol and total length (code + amplitude bits) for every 16-bit
+    window; length 0 marks a window that starts no code.
+
+    Canonical codes in (length, symbol) order tile the window space from 0
+    upward, code i covering 2**(16 - length_i) windows.
+    """
+    ordered = sorted(table, key=lambda e: (e[1], e[0]))
+    syms = np.array([s for s, _ in ordered], dtype=np.int64)
+    lens = np.array([ln for _, ln in ordered], dtype=np.int64)
+    widths = np.int64(1) << (MAX_CODE_LEN - lens)
+    lut_sym = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint8)
+    lut_len = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint8)
+    covered = int(widths.sum())
+    lut_sym[:covered] = np.repeat(syms, widths)
+    lut_len[:covered] = np.repeat(lens + (syms & 0x0F), widths)
+    return lut_sym, lut_len
+
+
+def _symbols_at(payload: bytes, nbits: int, table) -> tuple[bytearray, bytearray]:
+    """The symbol and total length of the code starting at each bit position
+    of the payload, one byte each, with _LOOKAHEAD_PAD zero lengths past the
+    end so that a read beyond it finds no code."""
+    lut_sym, lut_len = _lookahead(table)
+    sym_at = bytearray(nbits + _LOOKAHEAD_PAD)
+    len_at = bytearray(nbits + _LOOKAHEAD_PAD)
+    sym_view = np.frombuffer(sym_at, dtype=np.uint8)
+    len_view = np.frombuffer(len_at, dtype=np.uint8)
+    data = np.frombuffer(payload + bytes(3), dtype=np.uint8)
+    for lo in range(0, len(payload), _WINDOW_CHUNK):
+        hi = min(lo + _WINDOW_CHUNK, len(payload))
+        b = [data[lo + j : hi + j].astype(np.uint32) for j in range(4)]
+        word = (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
+        windows = (word[:, None] >> _WINDOW_SHIFTS) & 0xFFFF
+        sym_view[8 * lo : 8 * hi] = lut_sym[windows].ravel()
+        len_view[8 * lo : 8 * hi] = lut_len[windows].ravel()
+    sym_view[nbits:] = 0
+    len_view[nbits:] = 0
+    # A code running past the end is an overrun before its symbol is read.
+    tail = np.arange(max(nbits - MAX_CODE_LEN, 0), nbits)
+    code_len = len_view[tail].astype(np.int64) - (sym_view[tail] & 0x0F)
+    len_view[tail[tail + code_len > nbits]] = 0
+    return sym_at, len_at
+
+
+def _read_bits(payload: bytes, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The size[i] <= 11 payload bits starting at bit at[i], as integers."""
+    data = np.frombuffer(payload + bytes(3), dtype=np.uint8).astype(np.int64)
+    byte = at >> 3
+    word = (data[byte] << 16) | (data[byte + 1] << 8) | data[byte + 2]
+    return (word >> (24 - (at & 7) - size)) & ((np.int64(1) << size) - 1)
+
+
+def _no_code(pos: int, nbits: int) -> CorruptStreamError:
+    if pos + MAX_CODE_LEN > nbits:
+        return CorruptStreamError("payload overrun")
+    return CorruptStreamError("invalid Huffman code")
+
+
+# Scan positions an AC symbol advances the block by: run + 1 for a
+# coefficient, 16 for ZRL, 0 for a size category out of range.
+_AC_ADVANCE = [
+    16 if s == ZRL else (s >> 4) + 1 if 1 <= s & 0x0F <= MAX_SIZE else 0
+    for s in range(256)
+]
 
 
 def decode_channel(stream: ChannelStream) -> np.ndarray:
@@ -271,60 +353,66 @@ def decode_channel(stream: ChannelStream) -> np.ndarray:
     if stream.skip_flags[0]:
         raise CorruptStreamError("block 0 cannot be skipped")
     _validate_table(stream.table)
-    decode_map = {
-        (ln, code): sym
-        for sym, (code, ln) in canonical_codes(dict(stream.table)).items()
-    }
-    if len(stream.payload) != (stream.bit_length + 7) // 8:
+    nbits = stream.bit_length
+    if len(stream.payload) != (nbits + 7) // 8:
         raise CorruptStreamError("payload length does not match bit count")
-    reader = _BitReader(stream.payload, stream.bit_length)
+    m = n - int(np.count_nonzero(stream.skip_flags))
+    sym_at, len_at = _symbols_at(stream.payload, nbits, stream.table)
 
-    def read_symbol() -> int:
-        code = 0
-        for ln in range(1, MAX_CODE_LEN + 1):
-            code = (code << 1) | reader.read_bit()
-            sym = decode_map.get((ln, code))
-            if sym is not None:
-                return sym
-        raise CorruptStreamError("invalid Huffman code")
-
-    def read_amplitude(size: int) -> int:
-        if size == 0:
-            return 0
-        bits = reader.read(size)
-        if bits < 1 << (size - 1):
-            return bits - (1 << size) + 1
-        return bits
-
-    coded = np.zeros((n - np.count_nonzero(stream.skip_flags), 64), dtype=np.int64)
-    pred = 0
-    for block in coded:
-        size = read_symbol()
-        if size > MAX_SIZE:
+    # One pass per symbol: every symbol's length is known from the lookahead,
+    # so the loop only follows the block structure; 2 marks a DC symbol's
+    # start and 1 an AC symbol's.
+    starts = bytearray(nbits)
+    advance = _AC_ADVANCE
+    pos = 0
+    for _ in range(m):
+        t = len_at[pos]
+        if not t:
+            raise _no_code(pos, nbits)
+        if sym_at[pos] > MAX_SIZE:
             raise CorruptStreamError("DC size category out of range")
-        pred += read_amplitude(size)
-        block[0] = pred
-        pos = 1
-        while pos < 64:
-            sym = read_symbol()
-            if sym == EOB:
+        starts[pos] = 2
+        pos += t
+        k = 1
+        while k < 64:
+            t = len_at[pos]
+            if not t:
+                raise _no_code(pos, nbits)
+            s = sym_at[pos]
+            starts[pos] = 1
+            pos += t
+            if s == EOB:
                 break
-            if sym == ZRL:
-                pos += 16
-                if pos > 64:
-                    raise CorruptStreamError("AC run overflows the block")
-                continue
-            run, size = sym >> 4, sym & 0x0F
-            pos += run
-            if size == 0 or size > MAX_SIZE:
+            a = advance[s]
+            if not a:
                 raise CorruptStreamError("AC size category out of range")
-            if pos >= 64:
+            k += a
+            if k > 64:
                 raise CorruptStreamError("AC run overflows the block")
-            block[pos] = read_amplitude(size)
-            pos += 1
-    if reader.pos != stream.bit_length:
+    if pos > nbits:
+        raise CorruptStreamError("payload overrun")
+    if pos < nbits:
         raise CorruptStreamError("payload underrun")
-    return inv_zigzag(coded)[reuse_index(stream.skip_flags)]
+
+    marks = np.frombuffer(starts, dtype=np.uint8)
+    at = np.flatnonzero(marks)
+    is_dc = marks[at] == 2
+    sym = np.frombuffer(sym_at, dtype=np.uint8)[at].astype(np.int64)
+    del sym_at, len_at
+    size = sym & 0x0F
+    end = np.append(at[1:], nbits)  # symbols are contiguous
+    value = _amplitude_values(_read_bits(stream.payload, end - size, size), size)
+    value[is_dc] = np.cumsum(value[is_dc])
+    # Scan position: the running sum of run + 1 within the block, minus one
+    # (DC advances by 1 and ZRL by 16, so one rule covers every symbol).
+    step = (sym >> 4) + 1
+    reach = np.cumsum(step)
+    block = np.cumsum(is_dc) - 1
+    scan = reach - (reach - step)[is_dc][block] - 1
+    keep = is_dc | (size > 0)
+    coded = np.zeros((m, 64), dtype=np.int64)
+    coded.reshape(-1)[64 * block[keep] + ZIGZAG[scan[keep]]] = value[keep]
+    return coded.reshape(m, 8, 8)[reuse_index(stream.skip_flags)]
 
 
 @dataclass

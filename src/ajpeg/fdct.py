@@ -15,7 +15,11 @@ datapath (|x| < 2**22 is ample); callers enforce this via the pixel range.
 fdct_1d wires the kernels into the even/odd butterfly flowgraph of the
 8-point DCT; fdct_2d applies it to rows, transposes, and repeats. The
 float-matrix references ref_dct_2d/ref_idct_2d serve as oracles and as the
-decoder's inverse transform.
+decoder's inverse transform. The decoder's pixels are defined by rounding
+the einsum form of the inverse half away from zero; ref_idct_2d computes
+the faster matrix product and recomputes with the einsum only the blocks
+that have a sample within a proven float-error bound of a .5 tie, so the
+rounded pixels are the same.
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -151,7 +155,39 @@ def ref_dct_2d(block) -> np.ndarray:
     return np.einsum("ij,...jk,lk->...il", _T, m, _T)
 
 
+# Per unit of a block's sum of |coefficients|, a bound on how far the
+# matrix product and the einsum of ref_idct_2d can differ in any sample.
+# Each lies within gamma_n * (|T|^T |c| |T|) of the exact value (Higham,
+# Accuracy and Stability of Numerical Algorithms, 3.5), with n = 16 for two
+# 8-term products and n = 65 for the 64-term triple sum; as |T| <= 0.4904,
+# the gap is below (gamma_16 + gamma_65) * 0.2405 * sum|c| < 2.2e-15 * sum|c|.
+# 2**-47 (7.1e-15) keeps a 3x margin. The float steps of the decoder's
+# sign(x) * floor(|x| + 0.5) sit within an ulp of the ties, far inside it.
+_TIE_SLACK = 2.0**-47
+
+
 def ref_idct_2d(coeffs) -> np.ndarray:
-    """Float inverse 2-D DCT; exact inverse of ref_dct_2d up to float error."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    return np.einsum("ji,...jk,kl->...il", _T, c, _T)
+    """Float inverse 2-D DCT; exact inverse of ref_dct_2d up to float error.
+
+    Computed as _T.T @ c @ _T. A block with a sample within _TIE_SLACK *
+    sum|c| of a .5 tie is recomputed with the einsum that defines the
+    decoder's pixels, so rounding the result half away from zero gives the
+    einsum's integers in every block.
+    """
+    c = np.array(coeffs, dtype=np.float64)  # a private copy that becomes the result
+    if c.shape[-2:] != (8, 8):
+        raise ValueError("ref_idct_2d expects 8x8 blocks")
+    blocks = c.reshape(-1, 8, 8)
+    scratch = np.abs(blocks)
+    slack = scratch.reshape(-1, 64).sum(axis=1) * _TIE_SLACK
+    np.matmul(_T.T, blocks, out=scratch)
+    np.matmul(scratch, _T, out=blocks)
+    # Each sample's distance to the nearest integer; a tie is 0.5 away.
+    np.rint(blocks, out=scratch)
+    np.subtract(blocks, scratch, out=scratch)
+    np.abs(scratch, out=scratch)
+    near = np.flatnonzero(scratch.reshape(-1, 64).max(axis=1) >= 0.5 - slack)
+    if near.size:
+        exact = np.asarray(coeffs).reshape(-1, 8, 8)[near].astype(np.float64)
+        blocks[near] = np.einsum("ji,...jk,kl->...il", _T, exact, _T)
+    return c

@@ -62,7 +62,10 @@ class EncodeConfig:
     trunc_level: int = 0
     skip_level: int | None = None  # None disables perforation
     dc_exact: bool = False
-    qmatrix: np.ndarray | None = None  # overrides the quality-scaled table
+    # 8x8 divisors overriding the quality-scaled table. Any 8x8 array-like is
+    # accepted and stored as a tuple of rows, so a config stays immutable,
+    # comparable and hashable.
+    qmatrix: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.quality not in QUALITY_LEVELS:
@@ -78,13 +81,17 @@ class EncodeConfig:
         if self.dc_exact and self.qmatrix is not None:
             raise ValueError("exact-DC mode requires the quality-scaled table")
         if self.qmatrix is not None:
-            q = np.asarray(self.qmatrix, dtype=np.int64)
-            if q.shape != (8, 8) or np.any(q < 1) or np.any(q > 255):
+            try:
+                q = np.asarray(self.qmatrix, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                q = None
+            if q is None or q.shape != (8, 8) or np.any(q < 1) or np.any(q > 255):
                 raise ValueError("qmatrix must be 8x8 with entries in [1, 255]")
+            object.__setattr__(self, "qmatrix", tuple(map(tuple, q.tolist())))
 
     def divisor_matrix(self) -> np.ndarray:
         if self.qmatrix is not None:
-            return np.asarray(self.qmatrix, dtype=np.int64)
+            return np.array(self.qmatrix, dtype=np.int64)
         return build_qmatrix(self.quality)
 
 

@@ -156,7 +156,8 @@ def test_data_errors_exit_2(tmp_path, pgm, capsys):
                  "--out", out]) == 2
 
     qbad = tmp_path / "q.txt"
-    for entries in ("16 16 16", " ".join(["0"] + ["16"] * 63)):
+    for entries in ("16 16 16", " ".join(["0"] + ["16"] * 63),
+                    " ".join(["99999999999999999999"] + ["16"] * 63)):
         qbad.write_text(entries)
         assert main(["encode", "--input", str(pgm), "--output", out,
                      "--qmatrix", str(qbad)]) == 2

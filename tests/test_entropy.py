@@ -1,12 +1,17 @@
 """Zigzag scan, length-limited Huffman coding, channel codec, container."""
 
+import hashlib
 import heapq
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ajpeg.entropy import (
+    MAX_CODE_LEN,
+    ChannelStream,
     ContainerMeta,
     CorruptStreamError,
     ZIGZAG,
@@ -20,6 +25,8 @@ from ajpeg.entropy import (
     write_container,
     zigzag,
 )
+from ajpeg.pipeline import EncodeConfig, encode
+from ajpeg.raster import RasterImage
 
 
 def walk_zigzag_order():
@@ -166,6 +173,98 @@ def test_extreme_coefficients_round_trip():
     blocks[1, 0, 0] = 1023  # DC diff 2047, the widest legal size
     stream = encode_channel(blocks, np.zeros(2, dtype=bool))
     assert np.array_equal(decode_channel(stream), blocks)
+
+
+# A coded block: DC value and {zigzag position: nonzero AC value}.
+coded_block = st.tuples(
+    st.integers(-1024, 1023),
+    st.dictionaries(st.integers(1, 63), st.integers(-1023, 1023).filter(bool), max_size=8),
+)
+channel_spec = st.lists(st.tuples(coded_block, st.booleans()), min_size=1, max_size=8)
+
+# DC differences of +2047 and -2047, AC values of +-1023, zero runs of 16,
+# 31 and 62 (one, one and three ZRLs), a block ending on a nonzero last
+# coefficient (no EOB), and skipped blocks.
+EXTREME_CHANNEL = [
+    ((-1024, {63: 1023}), False),
+    ((1023, {17: -1023, 49: 1}), False),
+    ((0, {}), True),
+    ((-1024, {32: 7}), False),
+    ((0, {}), True),
+]
+
+
+def _channel(spec):
+    """Blocks and skip flags; a skipped block carries its reference's block."""
+    flags = np.array([skip for _, skip in spec])
+    flags[0] = False
+    vectors = np.zeros((len(spec), 64), dtype=np.int64)
+    for k, ((dc, ac), _) in enumerate(spec):
+        if flags[k]:
+            vectors[k] = vectors[k - 1]
+            continue
+        vectors[k, 0] = dc
+        for pos, value in ac.items():
+            vectors[k, pos] = value
+    return inv_zigzag(vectors), flags
+
+
+@given(channel_spec)
+@example(EXTREME_CHANNEL)
+def test_channel_round_trip_sparse(spec):
+    blocks, flags = _channel(spec)
+    assert np.array_equal(decode_channel(encode_channel(blocks, flags)), blocks)
+
+
+@given(st.one_of(st.just(EXTREME_CHANNEL), channel_spec), st.data())
+def test_mutated_channel_decodes_or_fails_structurally(spec, data):
+    blocks, flags = _channel(spec)
+    stream = encode_channel(blocks, flags)
+    payload, nbits, table = bytearray(stream.payload), stream.bit_length, list(stream.table)
+    kind = data.draw(st.sampled_from(["flip", "shorten", "lengthen code", "drop code"]))
+    if kind == "flip":
+        for i in data.draw(st.lists(st.integers(0, nbits - 1), min_size=1, max_size=4)):
+            payload[i >> 3] ^= 0x80 >> (i & 7)
+    elif kind == "shorten":
+        nbits = data.draw(st.integers(0, nbits - 1))
+        payload = payload[: (nbits + 7) // 8]
+    else:  # either leaves Kraft slack: some bit patterns start no code
+        j = data.draw(st.integers(0, len(table) - 1))
+        sym, ln = table.pop(j)
+        if kind == "lengthen code" and ln < MAX_CODE_LEN:
+            table.insert(j, (sym, data.draw(st.integers(ln + 1, MAX_CODE_LEN))))
+    mutated = ChannelStream(0, len(flags), flags, table, nbits, bytes(payload))
+    try:
+        out = decode_channel(mutated)
+    except CorruptStreamError:
+        return
+    assert out.shape == (len(flags), 8, 8)
+
+
+def _conftest_image(corpus, kind):
+    if kind == "gray":
+        return corpus[4]
+    return RasterImage(np.stack([corpus[i].pixels for i in (1, 6, 11)], axis=-1))
+
+
+# SHA-256 of encode() containers in div mode, beyond the bench's golden grid.
+ENCODE_DIGESTS = {
+    ("gray", 10, None): "afc9b3b8ab7e8b24afba6e9e7286bd7a5f25c00e335af08e52a95afb70f71a57",
+    ("gray", 10, 6): "1228f72ca6c2f480d2fbac06b4e1b416090e0e86020f0a138594a025e5d92af7",
+    ("gray", 90, None): "4cb7617dd2c9607d9ca8e2616137c12b7f7c97999eed0b881b30f72e410e2f41",
+    ("gray", 90, 6): "00471061c2bffd4452466ec01c3a84365d7b1769f54b4b31b1c66c16d35b0cf9",
+    ("rgb", 10, None): "d7421b7bd8229ad2070450567cf40681fcecb9c3f4c04563c3850fcc78462197",
+    ("rgb", 10, 6): "d18b2f25a9d229daeb1492d18b4929ca2297d136320ac7f931659defa5a0d259",
+    ("rgb", 90, None): "ea373dab77d7bfa3f8946fbf8daed799bba3278b534c8a333f944c9c47d9a842",
+    ("rgb", 90, 6): "c2291156b999b5311dd478248677c74338648e9673ad995b22989b34f1264e02",
+}
+
+
+@pytest.mark.parametrize("kind, quality, skip_level", list(ENCODE_DIGESTS))
+def test_encode_digests_pinned(corpus, kind, quality, skip_level):
+    cfg = EncodeConfig(quality=quality, quant_mode="div", skip_level=skip_level)
+    data, _ = encode(_conftest_image(corpus, kind), cfg)
+    assert hashlib.sha256(data).hexdigest() == ENCODE_DIGESTS[kind, quality, skip_level]
 
 
 def test_coefficient_overflow_rejected():

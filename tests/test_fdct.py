@@ -5,12 +5,17 @@ integer floor division. Transform accuracy is judged against the float
 orthonormal DCT matrix.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ajpeg.entropy import decode_channel, read_container
 from ajpeg.fdct import (
+    _T,
     dct_matrix,
     fdct_1d,
     fdct_2d,
@@ -22,6 +27,9 @@ from ajpeg.fdct import (
     ref_idct_2d,
 )
 from ajpeg.ops import OpCounter
+from ajpeg.pipeline import EncodeConfig, encode
+from ajpeg.quant import dequantize
+from ajpeg.raster import parse_pnm
 
 coord = st.integers(-4096, 4095)
 
@@ -150,3 +158,44 @@ def test_ref_dct_parseval():
     block = rng.normal(size=(8, 8))
     c = ref_dct_2d(block)
     assert np.sum(c * c) == pytest.approx(np.sum(block * block), rel=1e-12)
+
+
+def _round_half_away(x):
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _einsum_idct(c):
+    """The inverse transform that defines the decoder's pixels."""
+    return np.einsum("ji,...jk,kl->...il", _T, np.asarray(c, dtype=np.float64), _T)
+
+
+def _bench_image(kind, seed, index, count):
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return parse_pnm(module.image(kind, seed, index, count))
+
+
+def _dequantized_blocks(img, cfg):
+    """Each channel's dequantized coefficient blocks as the decoder sees them
+    (shift quantization: the divisors are 2**payload)."""
+    meta, streams = read_container(encode(img, cfg)[0])
+    divisors = np.int64(1) << meta.quant_payload.reshape(8, 8)
+    return [dequantize(decode_channel(s), divisors) for s in streams]
+
+
+def test_idct_rounding_matches_einsum_at_dc_ties():
+    # c00 = 8k + 4 puts all 64 samples of the block on the tie k + 1/2
+    c = np.zeros((260, 8, 8), dtype=np.int64)
+    c[:, 0, 0] = 8 * np.arange(-130, 130) + 4
+    assert np.array_equal(_round_half_away(ref_idct_2d(c)), _round_half_away(_einsum_idct(c)))
+
+
+def test_idct_rounding_matches_einsum_on_near_tie_image():
+    # a bare _T.T @ c @ _T rounds 32 samples of this image differently
+    img = _bench_image("rgb", 1, 6, 7)
+    for c in _dequantized_blocks(img, EncodeConfig(quality=90, trunc_level=2)):
+        assert np.array_equal(
+            _round_half_away(ref_idct_2d(c)), _round_half_away(_einsum_idct(c))
+        )

@@ -149,6 +149,18 @@ def test_custom_qmatrix_override():
     assert decode(data) == reconstruct(img, cfg)[0]
 
 
+def test_qmatrix_is_an_immutable_value():
+    q = np.full((8, 8), 16, dtype=np.int64)
+    cfg = EncodeConfig(qmatrix=q)
+    assert cfg == EncodeConfig(qmatrix=q.copy())
+    assert hash(cfg) == hash(EncodeConfig(qmatrix=q.tolist()))
+    with pytest.raises(TypeError):
+        cfg.qmatrix[0, 0] = 0
+    q[0, 0] = 0  # the caller's array is not shared with the config
+    cfg.divisor_matrix()[0, 0] = 0  # nor is the returned matrix
+    assert np.array_equal(cfg.divisor_matrix(), np.full((8, 8), 16))
+
+
 def test_shift_encode_uses_no_multiplies():
     rng = np.random.default_rng(32)
     img = _gray(rng, 32, 32)
