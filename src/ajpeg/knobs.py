@@ -12,6 +12,16 @@ This module owns that reference-chain rule for every consumer: skip_flags
 makes the decisions and reuse_index maps each block to the processed
 block whose result it carries. The encoder, perforate and the entropy
 decoder all expand results through the same index.
+
+skip_flags scans a plane one skip run at a time rather than one block at a
+time: it tests every block against its predecessor in one array compare,
+jumps to the next block inside its predecessor's band, then tests growing
+windows of the following blocks against that reference's band until one
+misses. The decisions are those of checking block by block with
+skip_check. The op census charges one band (an add and a sub per sample,
+128 lanes per 8x8 block) for every block that can act as a reference,
+blocks 0 .. n-2, which is what n-1 sequential skip_check calls charge;
+the comparisons themselves are not datapath ops, as in skip_check.
 """
 
 from __future__ import annotations
@@ -48,31 +58,62 @@ def truncate_block(block, level: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     return np.where(m < 0, -mag, mag)
 
 
+def _band(reference, epsilon: int, ops: IntOps) -> tuple[np.ndarray, np.ndarray]:
+    """(floor, ceil) of the tolerance band around reference: reference -+
+    epsilon clamped to the signed sample range. One add and one sub lane per
+    sample."""
+    ceil = np.minimum(ops.add(reference, epsilon), SAMPLE_MAX)
+    floor = np.maximum(ops.sub(reference, epsilon), SAMPLE_MIN)
+    return floor, ceil
+
+
 def skip_check(current, reference, epsilon: int, ops: IntOps = UNCOUNTED) -> bool:
     """True when every sample of current lies inside reference +- epsilon,
     with the band clamped to the signed sample range."""
     cur = np.asarray(current, dtype=np.int64)
-    ref = np.asarray(reference, dtype=np.int64)
-    ceil = np.minimum(ops.add(ref, epsilon), SAMPLE_MAX)
-    floor = np.maximum(ops.sub(ref, epsilon), SAMPLE_MIN)
+    floor, ceil = _band(np.asarray(reference, dtype=np.int64), epsilon, ops)
     return bool(np.all((cur <= ceil) & (cur >= floor)))
 
 
-def skip_flags(
-    blocks, epsilon: int, ops: IntOps = UNCOUNTED, check: Callable = skip_check
-) -> np.ndarray:
-    """Skip flag per block: block k skips when check passes against the most
-    recent block that was processed, not the most recent block seen. Block 0
-    always processes. check defaults to skip_check; a caller may pass its
-    own binding of it so that wrappers installed there see every call."""
+_FIRST_WINDOW = 16
+
+
+def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
+    """Skip flag per block: block k skips when it lies inside the band of the
+    most recent block that was processed, not the most recent block seen.
+    Block 0 always processes.
+
+    The scan steps once per skip run, not once per block. While every block
+    since the last reference has been processed, the reference of block k is
+    block k-1, so the next skip is the next block inside its predecessor's
+    band, found among all adjacent pairs at once. From that hit the
+    reference stays fixed, and windows of 16, 32, 64, ... following blocks
+    are tested against its band until one misses; the first miss is
+    processed and becomes the new reference."""
     n = len(blocks)
     skipped = np.zeros(n, dtype=bool)
-    ref = 0
-    for k in range(1, n):
-        if check(blocks[k], blocks[ref], epsilon, ops):
-            skipped[k] = True
-        else:
-            ref = k
+    if n < 2:
+        return skipped
+    b = np.asarray(blocks, dtype=np.int64).reshape(n, -1)
+    floor, ceil = _band(b[:-1], epsilon, ops)
+    # hits[i]: block hits[i] lies inside the band of block hits[i] - 1
+    hits = 1 + np.flatnonzero(np.all((b[1:] >= floor) & (b[1:] <= ceil), axis=1))
+    k = 1  # first undecided block; block k - 1 is the reference
+    while (i := np.searchsorted(hits, k)) < len(hits):
+        j = int(hits[i])
+        ref = j - 1
+        end, width = j + 1, _FIRST_WINDOW
+        while end < n:
+            window = b[end:end + width]
+            inside = np.all((window >= floor[ref]) & (window <= ceil[ref]), axis=1)
+            miss = int(np.argmin(inside))
+            if not inside[miss]:
+                end += miss
+                break
+            end += len(window)
+            width *= 2
+        skipped[j:end] = True  # block end, if any, misses and is the new reference
+        k = end + 1
     return skipped
 
 

@@ -6,6 +6,10 @@ of the sweep-gray workload, for the golden seed. Every image of the codec
 workload and the middle image of the sweep workload are replayed here, so
 a refactor or speed-up that changes any coded byte or decoded pixel fails
 the suite. The bench modules are loaded read-only from their files.
+
+The benchmark's tracer wraps program functions under the module attributes
+their callers look up (workloads.LAYERS). Each of those names must exist, or
+a traced run fails while untraced runs and the rest of this suite pass.
 """
 
 import importlib.util
@@ -46,3 +50,13 @@ def test_codec_rgb_knobs_matches_golden(index):
 def test_sweep_gray_middle_image_matches_golden():
     mid = workloads.WORKLOADS["sweep-gray"].count // 2
     assert _replay("sweep-gray", mid) == GOLDEN["sweep-gray"][mid]
+
+
+def test_traced_layer_names_resolve():
+    missing = [
+        f"{module.__name__}.{attr}"
+        for names in workloads.LAYERS.values()
+        for module, attr in names
+        if not callable(getattr(module, attr, None))
+    ]
+    assert missing == []

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ajpeg.knobs import (
     perforate,
     skip_check,
     skip_epsilon,
+    skip_flags,
     truncate_block,
 )
 from ajpeg.ops import OpCounter
@@ -95,6 +96,68 @@ def test_skip_check_floor_clamps_at_minus_128():
 
 def _consts(*values):
     return np.stack([np.full((8, 8), v, dtype=np.int64) for v in values])
+
+
+def _sequential_skip_flags(blocks, epsilon):
+    """Reference: check block by block against the last processed block."""
+    skipped = np.zeros(len(blocks), dtype=bool)
+    ref = 0
+    for k in range(1, len(blocks)):
+        if skip_check(blocks[k], blocks[ref], epsilon):
+            skipped[k] = True
+        else:
+            ref = k
+    return skipped
+
+
+def _drifting_stack(n, seed, drift, noise, offset):
+    """n blocks around a random base shifted by offset (samples may leave
+    [-128, 127]), each a random walk of step <= drift from the last, plus
+    per-sample noise <= noise."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-40, 41, size=(8, 8)) + offset
+    walk = rng.integers(-drift, drift + 1, size=(n, 1, 1)).cumsum(axis=0)
+    return base + walk + rng.integers(-noise, noise + 1, size=(n, 8, 8))
+
+
+stacks = st.builds(
+    _drifting_stack,
+    n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 400)),
+    seed=st.integers(0, 2**32 - 1),
+    drift=st.integers(0, 6),
+    noise=st.integers(0, 20),
+    offset=st.integers(-250, 250),
+)
+
+
+@given(stacks, st.sampled_from([skip_epsilon(lv) for lv in range(7)]))
+@example(_consts(*[0] * 600, 40, 40, 0), 5)  # a run of 599 outlasts its largest window, 512
+@example(_consts(10, 13, 16, 19, 22), 5)  # block 2 matches block 1, not its reference
+@example(_consts(125, 128, 126, -126, -129, -127), 5)  # the band clamp decides
+def test_skip_flags_matches_sequential_scan(blocks, epsilon):
+    assert np.array_equal(skip_flags(blocks, epsilon), _sequential_skip_flags(blocks, epsilon))
+
+
+@pytest.mark.parametrize("run", [15, 16, 17, 47, 48, 49])
+def test_skip_flags_run_ending_at_a_window_edge(run):
+    blocks = _consts(0, *[3] * run, 9, 9)
+    want = [False] + [True] * run + [False, True]
+    assert skip_flags(blocks, 5).tolist() == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100])
+def test_skip_flags_charges_one_band_per_reference_candidate(n):
+    ops = OpCounter()
+    skip_flags(_drifting_stack(n, n, 2, 3, 0), 10, ops)
+    assert (ops.addsub, ops.shifts, ops.muls) == (128 * max(n - 1, 0), 0, 0)
+
+
+def test_skip_check_charges_128_lanes_per_call():
+    ops = OpCounter()
+    block = np.zeros((8, 8), dtype=np.int64)
+    for _ in range(3):
+        skip_check(block, block, 5, ops)
+    assert (ops.addsub, ops.shifts, ops.muls) == (3 * 128, 0, 0)
 
 
 def test_perforate_reference_chain():

@@ -161,6 +161,14 @@ def test_qmatrix_is_an_immutable_value():
     assert np.array_equal(cfg.divisor_matrix(), np.full((8, 8), 16))
 
 
+def test_qmatrix_entries_must_be_integral():
+    for value in (16.7, 1.1, 255.5):
+        with pytest.raises(ValueError, match="integer entries"):
+            EncodeConfig(qmatrix=np.full((8, 8), value))
+    cfg = EncodeConfig(qmatrix=np.full((8, 8), 16.0))
+    assert cfg == EncodeConfig(qmatrix=np.full((8, 8), 16, dtype=np.int64))
+
+
 def test_shift_encode_uses_no_multiplies():
     rng = np.random.default_rng(32)
     img = _gray(rng, 32, 32)
