@@ -211,6 +211,12 @@ def extract_qe_curve(
     of the knob, so the curve isolates the knob's own degradation and
     starts at (0, 0.0, 1.0) exactly. Bounds, if given, are resolved to
     levels via select_level.
+
+    Each image's levels come from one pipeline.reconstruct_many call. The
+    skip levels of the loop knob share one transform pass: each block
+    processed at any level is truncated, transformed, quantized and decoded
+    once. Truncation levels change every block's result, so each takes a
+    pass of its own.
     """
     from . import pipeline  # imported late; pipeline depends on this module
     from .metrics import sad_pct
@@ -233,13 +239,9 @@ def extract_qe_curve(
     sums_d = np.zeros(len(levels))
     sums_e = np.zeros(len(levels))
     for img in images:
-        ref_img, ref_stats = pipeline.reconstruct(img, configs[0])
-        ref_energy = estimate_image_energy(model, ref_stats)
-        for idx, cfg in enumerate(configs):
+        for idx, (out, stats) in enumerate(pipeline.reconstruct_many(img, configs)):
             if idx == 0:
-                out, stats = ref_img, ref_stats
-            else:
-                out, stats = pipeline.reconstruct(img, cfg)
+                ref_img, ref_energy = out, estimate_image_energy(model, stats)
             sums_d[idx] += sad_pct(ref_img, out)
             sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
     mean_d = sums_d / len(images)

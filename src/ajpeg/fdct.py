@@ -125,15 +125,29 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
     return np.stack([out0, out1, out2, out3, out4, out5, out6, out7], axis=-1)
 
 
+# Blocks per step of fdct_2d. Each 1-D pass holds dozens of temporaries the
+# size of its input, so a fixed slice bounds the transform's working memory
+# whatever the stack size.
+_SLICE_BLOCKS = 512
+
+
 def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """2-D DCT of 8x8 blocks (..., 8, 8): rows, transpose, rows, transpose."""
+    """2-D DCT of 8x8 blocks (..., 8, 8): rows, transpose, rows, transpose.
+
+    A stack is transformed in fixed slices of _SLICE_BLOCKS blocks, which
+    bounds the working memory; the results and the op counts are those of
+    one pass over the whole stack."""
     m = np.asarray(block, dtype=np.int64)
     if m.shape[-2:] != (8, 8):
         raise ValueError("fdct_2d expects 8x8 blocks")
-    t = fdct_1d(m, ops)
-    t = np.swapaxes(t, -1, -2)
-    t = fdct_1d(t, ops)
-    return np.swapaxes(t, -1, -2)
+    blocks = m.reshape(-1, 8, 8)
+    out = np.empty_like(blocks)
+    # an empty stack still takes one (empty) step, as one pass would
+    for start in range(0, max(len(blocks), 1), _SLICE_BLOCKS):
+        t = fdct_1d(blocks[start:start + _SLICE_BLOCKS], ops)
+        t = fdct_1d(np.swapaxes(t, -1, -2), ops)
+        out[start:start + _SLICE_BLOCKS] = np.swapaxes(t, -1, -2)
+    return out.reshape(m.shape)
 
 
 def dct_matrix() -> np.ndarray:

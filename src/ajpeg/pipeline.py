@@ -7,18 +7,26 @@ container. Color images are converted to YCbCr with 4:2:0 chroma.
 
 Decode: entropy-decode, dequantize with either the encoder's divisors
 ("matched") or the unmodified quality-scaled table ("standard"), invert
-with the float reference IDCT, round, undo truncation by rescaling, then
-reassemble planes and convert back to RGB.
+with the float reference IDCT, round, undo truncation by rescaling and the
+level shift into uint8 pixel blocks, then reassemble planes and convert
+back to RGB.
 
 reconstruct() runs the identical numeric path without the entropy layer,
-which is lossless. It builds the container header and reassembles the
-planes with the same helpers as encode() and decode(), so
-decode(encode(img)) equals reconstruct(img) bit for bit.
+which is lossless. It decodes each processed block once and gathers the
+pixels: a skipped block takes its reference's decoded pixel block, which
+is what decoding the reference's coefficients again would give.
+reconstruct_many() does the same for a list of configs, and configs that
+differ only in skip level share that work, since a processed block's
+pixels do not depend on the skip level. Both build the container header
+and reassemble the planes with the same helpers as encode() and decode(),
+so decode(encode(img)) equals reconstruct(img) bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -81,16 +89,16 @@ class EncodeConfig:
         if self.dc_exact and self.qmatrix is not None:
             raise ValueError("exact-DC mode requires the quality-scaled table")
         if self.qmatrix is not None:
+            # checked as float64 before any int64 cast, which would truncate
+            # 16.7 to 16 and warn on NaN, inf or entries beyond int64
             try:
-                q = np.asarray(self.qmatrix, dtype=np.int64)
-                # int64 conversion truncates 16.7 to 16; an exact round trip
-                # through float64 is what an integral entry such as 16.0 passes
-                integral = np.array_equal(q, np.asarray(self.qmatrix, dtype=np.float64))
+                f = np.asarray(self.qmatrix, dtype=np.float64)
             except (OverflowError, TypeError, ValueError):
-                q, integral = None, False
-            if not integral or q.shape != (8, 8) or np.any(q < 1) or np.any(q > 255):
+                f = None
+            valid = f is not None and f.shape == (8, 8)
+            if not valid or not np.all((f >= 1) & (f <= 255) & (f == np.floor(f))):
                 raise ValueError("qmatrix must be 8x8 with integer entries in [1, 255]")
-            object.__setattr__(self, "qmatrix", tuple(map(tuple, q.tolist())))
+            object.__setattr__(self, "qmatrix", tuple(map(tuple, f.astype(np.int64).tolist())))
 
     def divisor_matrix(self) -> np.ndarray:
         if self.qmatrix is not None:
@@ -113,19 +121,10 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
     return quantize_div(coeffs, qmat)
 
 
-def _encode_plane(
-    plane: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps
-) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (quantized blocks, skip flags) for one channel plane. Skipped
-    blocks carry their reference's result, as the decoder rebuilds them."""
-    grid = tile_blocks(plane, level_shifted=True)
-    blocks = grid.blocks.astype(np.int64)
-    if cfg.skip_level is None:
-        skipped = np.zeros(len(blocks), dtype=bool)
-    else:
-        skipped = skip_flags(blocks, skip_epsilon(cfg.skip_level), ops)
-    quantized = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
-    return quantized[reuse_index(skipped)], skipped
+def _quant_tables(cfg: EncodeConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """(divisors, shift exponents); the exponents are None in division mode."""
+    qmat = cfg.divisor_matrix()
+    return qmat, (to_shift_matrix(qmat) if cfg.quant_mode == "shift" else None)
 
 
 def _planes_of(img: RasterImage) -> list[np.ndarray]:
@@ -135,20 +134,30 @@ def _planes_of(img: RasterImage) -> list[np.ndarray]:
     return [full.y, downsample_420(full.cb), downsample_420(full.cr)]
 
 
-def _encode_channels(img: RasterImage, cfg: EncodeConfig, ops: IntOps):
-    """Quantized blocks and skip flags per plane, the container header
-    (with the quant payload), and the energy accounting."""
-    qmat = cfg.divisor_matrix()
-    smat = to_shift_matrix(qmat) if cfg.quant_mode == "shift" else None
-    channels = [_encode_plane(plane, cfg, smat, qmat, ops) for plane in _planes_of(img)]
-    skipped_total = sum(int(skipped.sum()) for _, skipped in channels)
-    stats = EnergyStats(
-        blocks_processed=sum(len(skipped) for _, skipped in channels) - skipped_total,
-        blocks_skipped=skipped_total,
+def _plane_blocks(plane: np.ndarray) -> np.ndarray:
+    return tile_blocks(plane, level_shifted=True).blocks.astype(np.int64)
+
+
+def _skip_flags(blocks: np.ndarray, skip_level: int | None, ops: IntOps) -> np.ndarray:
+    if skip_level is None:
+        return np.zeros(len(blocks), dtype=bool)
+    return skip_flags(blocks, skip_epsilon(skip_level), ops)
+
+
+def _energy_stats(cfg: EncodeConfig, flags: list[np.ndarray]) -> EnergyStats:
+    """Energy accounting of one config from its skip flags per plane."""
+    skipped = sum(int(f.sum()) for f in flags)
+    return EnergyStats(
+        blocks_processed=sum(len(f) for f in flags) - skipped,
+        blocks_skipped=skipped,
         trunc_level=cfg.trunc_level,
         skip_enabled=cfg.skip_level is not None,
     )
-    meta = entropy.ContainerMeta(
+
+
+def _container_meta(img: RasterImage, cfg: EncodeConfig, qmat, smat) -> entropy.ContainerMeta:
+    """The container header, with the quant payload."""
+    return entropy.ContainerMeta(
         color=img.channels == 3,
         shift_quant=cfg.quant_mode == "shift",
         dc_exact=cfg.dc_exact,
@@ -159,7 +168,6 @@ def _encode_channels(img: RasterImage, cfg: EncodeConfig, ops: IntOps):
         height=img.height,
         quant_payload=(qmat if smat is None else smat).reshape(64),
     )
-    return channels, meta, stats
 
 
 def encode(
@@ -168,17 +176,26 @@ def encode(
     """Encode an image to an AJPG container."""
     if img.width > 0xFFFF or img.height > 0xFFFF:
         raise ValueError("image dimensions exceed the container limit")
-    channels, meta, stats = _encode_channels(img, cfg, ops)
-    streams = [
-        entropy.encode_channel(quantized, skipped, cid)
-        for cid, (quantized, skipped) in enumerate(channels)
-    ]
-    return entropy.write_container(meta, streams), stats
+    qmat, smat = _quant_tables(cfg)
+    streams, flags = [], []
+    for cid, plane in enumerate(_planes_of(img)):
+        blocks = _plane_blocks(plane)
+        skipped = _skip_flags(blocks, cfg.skip_level, ops)
+        quantized = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
+        # skipped blocks carry their reference's result, as the decoder rebuilds them
+        streams.append(entropy.encode_channel(quantized[reuse_index(skipped)], skipped, cid))
+        flags.append(skipped)
+    meta = _container_meta(img, cfg, qmat, smat)
+    return entropy.write_container(meta, streams), _energy_stats(cfg, flags)
+
+
+def _check_decode_matrix(decode_matrix: str):
+    if decode_matrix not in ("matched", "standard"):
+        raise ValueError("decode_matrix must be 'matched' or 'standard'")
 
 
 def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndarray:
-    if decode_matrix not in ("matched", "standard"):
-        raise ValueError("decode_matrix must be 'matched' or 'standard'")
+    _check_decode_matrix(decode_matrix)
     if decode_matrix == "standard":
         return build_qmatrix(meta.quality)
     payload = np.asarray(meta.quant_payload, dtype=np.int64).reshape(8, 8)
@@ -193,26 +210,22 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
     return divisors
 
 
-def _decode_plane(
-    quantized: np.ndarray, shape: tuple[int, int], divisors: np.ndarray, trunc_level: int
-) -> np.ndarray:
-    coeffs = dequantize(quantized, divisors)
-    pixels = ref_idct_2d(coeffs)
+def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
+    """uint8 pixel blocks of quantized blocks: dequantize, invert, round half
+    away from zero, undo truncation and the level shift, clip."""
+    pixels = ref_idct_2d(dequantize(quantized, divisors))
     rounded = np.sign(pixels) * np.floor(np.abs(pixels) + 0.5)  # half away from zero
-    restored = rounded.astype(np.int64) << trunc_level
-    h, w = shape
-    grid = BlockGrid(restored, -(-w // 8), -(-h // 8), w, h)
-    return untile_blocks(grid, level_shifted=True)
+    restored = (rounded.astype(np.int64) << trunc_level) + 128
+    return np.clip(restored, 0, 255).astype(np.uint8)
 
 
-def _decode_image(meta: entropy.ContainerMeta, quantized, decode_matrix: str) -> RasterImage:
-    """Dequantize, invert and reassemble the quantized blocks of each plane.
-    quantized may be a lazy iterable: decode passes one, so it holds a
-    single plane's entropy-decoded coefficients at a time."""
-    divisors = _decode_divisors(meta, decode_matrix)
+def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:
+    """Reassemble each plane's uint8 pixel blocks into an image. pixel_blocks
+    may be a lazy iterable: decode passes one, so it holds a single plane's
+    entropy-decoded coefficients at a time."""
     planes = [
-        _decode_plane(q, shape, divisors, meta.trunc_level)
-        for q, shape in zip(quantized, plane_shapes(meta.height, meta.width, meta.color))
+        untile_blocks(BlockGrid(blocks, -(-w // 8), -(-h // 8), w, h), level_shifted=False)
+        for blocks, (h, w) in zip(pixel_blocks, plane_shapes(meta.height, meta.width, meta.color))
     ]
     if not meta.color:
         return RasterImage(planes[0])
@@ -229,7 +242,57 @@ def _decode_image(meta: entropy.ContainerMeta, quantized, decode_matrix: str) ->
 def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
     """Decode an AJPG container."""
     meta, streams = entropy.read_container(data)
-    return _decode_image(meta, (entropy.decode_channel(s) for s in streams), decode_matrix)
+    divisors = _decode_divisors(meta, decode_matrix)
+    return _decode_image(
+        meta,
+        (_decode_blocks(entropy.decode_channel(s), divisors, meta.trunc_level) for s in streams),
+    )
+
+
+def reconstruct_many(
+    img: RasterImage,
+    configs: Iterable[EncodeConfig],
+    decode_matrix: str = "matched",
+    ops: IntOps = UNCOUNTED,
+) -> Iterator[tuple[RasterImage, EnergyStats]]:
+    """Lazily yield reconstruct(img, cfg, decode_matrix) for each config, in
+    order.
+
+    Consecutive configs that differ only in skip_level share one pass: every
+    block processed under at least one of them is truncated, transformed,
+    quantized and decoded once, and each config gathers the pixel block of
+    the block it carries. ops counts that shared work once. The arguments are
+    checked here, before the generator is returned."""
+    configs = list(configs)
+    _check_decode_matrix(decode_matrix)
+    if not configs:
+        raise ValueError("configs must not be empty")
+    return _reconstruct_groups(img, configs, decode_matrix, ops)
+
+
+def _reconstruct_groups(
+    img: RasterImage, configs: list[EncodeConfig], decode_matrix: str, ops: IntOps
+) -> Iterator[tuple[RasterImage, EnergyStats]]:
+    planes = _planes_of(img)
+    for shared, group in groupby(configs, key=lambda c: replace(c, skip_level=None)):
+        group = list(group)
+        qmat, smat = _quant_tables(shared)
+        meta = _container_meta(img, shared, qmat, smat)
+        divisors = _decode_divisors(meta, decode_matrix)
+        levels = dict.fromkeys(cfg.skip_level for cfg in group)
+        coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
+        for plane in planes:
+            blocks = _plane_blocks(plane)
+            flags = {lv: _skip_flags(blocks, lv, ops) for lv in levels}
+            union = ~np.logical_and.reduce(list(flags.values()))
+            quantized = _compress_blocks(blocks[union], shared, smat, qmat, ops)
+            position = np.cumsum(union) - 1  # of each union block among the union
+            carried = {lv: position[np.flatnonzero(~s)[reuse_index(s)]] for lv, s in flags.items()}
+            coded.append((_decode_blocks(quantized, divisors, shared.trunc_level), flags, carried))
+        for cfg in group:
+            lv = cfg.skip_level
+            image = _decode_image(meta, [pixels[carried[lv]] for pixels, _, carried in coded])
+            yield image, _energy_stats(cfg, [flags[lv] for _, flags, _ in coded])
 
 
 def reconstruct(
@@ -239,5 +302,4 @@ def reconstruct(
     ops: IntOps = UNCOUNTED,
 ) -> tuple[RasterImage, EnergyStats]:
     """Encode + decode without the (lossless) entropy layer."""
-    channels, meta, stats = _encode_channels(img, cfg, ops)
-    return _decode_image(meta, [quantized for quantized, _ in channels], decode_matrix), stats
+    return next(reconstruct_many(img, [cfg], decode_matrix, ops))

@@ -135,6 +135,28 @@ def test_batch_matches_per_block():
         assert np.array_equal(batched[k], fdct_2d(blocks[k]))
 
 
+def _fdct_2d_one_pass(m, ops):
+    """fdct_2d as one pass over the whole stack: rows, transpose, rows,
+    transpose."""
+    t = fdct_1d(np.asarray(m, dtype=np.int64), ops)
+    t = fdct_1d(np.swapaxes(t, -1, -2), ops)
+    return np.swapaxes(t, -1, -2)
+
+
+@pytest.mark.parametrize("shape", [(1100, 8, 8), (3, 512, 8, 8), (0, 8, 8)])
+def test_sliced_stack_matches_one_pass(shape):
+    # 1100 blocks take three slices, the last one partial; 3 x 512 takes
+    # three full ones; an empty stack still records its (empty) kernel calls
+    blocks = np.random.default_rng(11).integers(-2048, 2048, size=shape)
+    sliced, whole = OpCounter(), OpCounter()
+    got = fdct_2d(blocks, sliced)
+    assert got.shape == shape
+    assert np.array_equal(got, _fdct_2d_one_pass(blocks, whole))
+    assert (sliced.adds, sliced.subs, sliced.shifts, sliced.muls) == (
+        whole.adds, whole.subs, whole.shifts, whole.muls)
+    assert sliced.kernel_calls == whole.kernel_calls
+
+
 def test_1d_rejects_bad_length():
     with pytest.raises(ValueError, match="length-8"):
         fdct_1d(np.zeros(7, dtype=np.int64))

@@ -1,11 +1,25 @@
 """End-to-end pipeline: container round trips, knob semantics, stats."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ajpeg.metrics import psnr, ssim
+from ajpeg import pipeline
+from ajpeg.energy import (
+    QECurve,
+    QEPoint,
+    default_activity_model,
+    estimate_image_energy,
+    extract_qe_curve,
+)
+from ajpeg.knobs import SKIP_LEVELS, TRUNC_LEVELS
+from ajpeg.metrics import psnr, sad_pct, ssim
 from ajpeg.ops import OpCounter
-from ajpeg.pipeline import EncodeConfig, decode, encode, reconstruct
+from ajpeg.pipeline import EncodeConfig, decode, encode, reconstruct, reconstruct_many
 from ajpeg.raster import RasterImage
 
 
@@ -189,8 +203,12 @@ def test_config_validation():
         dict(qmatrix=np.zeros((8, 8), dtype=np.int64)),
         dict(qmatrix=np.full((4, 4), 16, dtype=np.int64)),
         dict(dc_exact=True, qmatrix=np.full((8, 8), 16, dtype=np.int64)),
+        dict(qmatrix=np.full((8, 8), np.nan)),
+        dict(qmatrix=np.full((8, 8), np.inf)),
+        dict(qmatrix=np.full((8, 8), -np.inf)),
     ):
-        with pytest.raises(ValueError):
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("error")
             EncodeConfig(**kw)
 
 
@@ -210,3 +228,158 @@ def test_oversized_dimensions_rejected():
     big = RasterImage(np.zeros((1, 70000), dtype=np.uint8))
     with pytest.raises(ValueError, match="container limit"):
         encode(big)
+
+
+# A custom table with a non-power-of-two DC divisor and a few unit entries.
+_CUSTOM_Q = np.clip(np.add.outer(np.arange(8), np.arange(8)) * 9 + 1, 1, 255)
+
+
+def _image(shape, color, amp, seed):
+    """A flat image plus noise of +-amp: small amp lets blocks skip."""
+    rng = np.random.default_rng(seed)
+    size = (*shape, 3) if color else shape
+    noise = rng.integers(-amp, amp + 1, size=size)
+    return RasterImage(np.clip(rng.integers(40, 216) + noise, 0, 255).astype(np.uint8))
+
+
+@st.composite
+def _config_runs(draw):
+    """Configs in runs that share everything but skip_level, so the list
+    mixes groups (a base may recur after another one)."""
+    configs = []
+    for _ in range(draw(st.integers(1, 3))):
+        quant = draw(st.sampled_from(["shift", "div", "dc_exact"]))
+        base = EncodeConfig(
+            quality=draw(st.sampled_from([10, 50, 90])),
+            quant_mode="div" if quant == "div" else "shift",
+            dc_exact=quant == "dc_exact",
+            trunc_level=draw(st.sampled_from(TRUNC_LEVELS)),
+            qmatrix=None if quant == "dc_exact" else draw(st.sampled_from([None, _CUSTOM_Q])),
+        )
+        levels = draw(st.lists(st.sampled_from([None, *SKIP_LEVELS]), min_size=1, max_size=5))
+        configs += [replace(base, skip_level=lv) for lv in levels]
+    return configs
+
+
+_LOOP = [EncodeConfig(skip_level=lv) for lv in [None, *SKIP_LEVELS]]
+_MIXED = [
+    *_LOOP[:3],
+    EncodeConfig(quant_mode="div", trunc_level=4, qmatrix=_CUSTOM_Q, skip_level=6),
+    EncodeConfig(dc_exact=True, quality=90, trunc_level=1, skip_level=2),
+    _LOOP[1],
+]
+
+
+@settings(max_examples=40)
+@given(
+    shape=st.sampled_from([(37, 53), (8, 8), (1, 8), (13, 21)]),
+    color=st.booleans(),
+    amp=st.sampled_from([0, 3, 12, 60]),
+    seed=st.integers(0, 2**16),
+    configs=_config_runs(),
+    decode_matrix=st.sampled_from(["matched", "standard"]),
+)
+@example(shape=(37, 53), color=False, amp=3, seed=1, configs=_MIXED, decode_matrix="matched")
+@example(shape=(37, 53), color=True, amp=12, seed=2, configs=_MIXED, decode_matrix="standard")
+@example(shape=(8, 8), color=False, amp=3, seed=3, configs=_LOOP, decode_matrix="matched")
+@example(shape=(8, 8), color=True, amp=3, seed=4, configs=_MIXED, decode_matrix="standard")
+@example(shape=(1, 8), color=False, amp=60, seed=5, configs=_MIXED, decode_matrix="matched")
+@example(shape=(1, 8), color=True, amp=0, seed=6, configs=_LOOP, decode_matrix="standard")
+def test_reconstruct_many_equals_reconstruct_per_config(
+    shape, color, amp, seed, configs, decode_matrix
+):
+    img = _image(shape, color, amp, seed)
+    shared = list(reconstruct_many(img, configs, decode_matrix))
+    assert shared == [reconstruct(img, cfg, decode_matrix) for cfg in configs]
+
+
+def test_reconstruct_many_is_lazy_and_streams_in_order():
+    img = _image((37, 53), False, 3, 7)
+    results = reconstruct_many(img, iter(_MIXED))
+    for cfg in _MIXED:
+        assert next(results) == reconstruct(img, cfg)
+    with pytest.raises(StopIteration):
+        next(results)
+
+
+def test_reconstruct_many_validates_before_work(monkeypatch):
+    def no_tiling(*args, **kwargs):
+        raise AssertionError("tiled before the arguments were checked")
+
+    monkeypatch.setattr(pipeline, "tile_blocks", no_tiling)
+    monkeypatch.setattr(pipeline, "skip_flags", no_tiling)
+    img = _image((16, 16), True, 3, 8)
+    with pytest.raises(ValueError, match="decode_matrix"):
+        reconstruct_many(img, _LOOP, decode_matrix="inverse")
+    for empty in ([], iter(())):
+        with pytest.raises(ValueError, match="configs"):
+            reconstruct_many(img, empty)
+
+
+def test_shared_skip_levels_transform_each_block_once(corpus):
+    # skip off processes every block, so the union is the whole plane: the
+    # shared pass costs one skip-off reconstruct plus one band per reference
+    # candidate (128 lanes for blocks 0 .. n-2) for each of the 7 levels
+    img = corpus[5]
+    single, shared = OpCounter(), OpCounter()
+    reconstruct(img, EncodeConfig(), ops=single)
+    list(reconstruct_many(img, _LOOP, ops=shared))
+    assert shared.addsub == single.addsub + len(SKIP_LEVELS) * 128 * (4096 - 1)
+    assert (shared.shifts, shared.muls) == (single.shifts, 0)
+    assert shared.kernel_calls == single.kernel_calls
+
+
+@pytest.mark.parametrize(
+    "cfg, addsub, shifts",
+    [
+        (EncodeConfig(), 4259840, 3932160),
+        (EncodeConfig(trunc_level=2, skip_level=3), 3672768, 2920448),
+        (EncodeConfig(dc_exact=True), 4263936, 3940352),
+    ],
+    ids=["skip-off", "skip3-trunc2", "exact-dc"],
+)
+def test_reconstruct_op_census_pinned(corpus, cfg, addsub, shifts):
+    # totals generated before reconstruct shared work across configs: one
+    # config's census is the skip bands plus truncate, FDCT and quantize on
+    # its processed blocks only
+    ops = OpCounter()
+    reconstruct(corpus[5], cfg, ops=ops)
+    assert (ops.addsub, ops.shifts, ops.muls) == (addsub, shifts, 0)
+
+
+def _per_config_curve(kind, images, base, model):
+    """extract_qe_curve as one reconstruct call per level and image."""
+    if kind == "loop":
+        levels = SKIP_LEVELS
+        configs = [replace(base, skip_level=lv) for lv in levels]
+    else:
+        levels = TRUNC_LEVELS
+        configs = [replace(base, trunc_level=lv) for lv in levels]
+    sums_d = np.zeros(len(levels))
+    sums_e = np.zeros(len(levels))
+    for img in images:
+        ref_img, ref_stats = reconstruct(img, configs[0])
+        ref_energy = estimate_image_energy(model, ref_stats)
+        for idx, cfg in enumerate(configs):
+            out, stats = reconstruct(img, cfg)
+            sums_d[idx] += sad_pct(ref_img, out)
+            sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
+    mean_d = sums_d / len(images)
+    mean_e = sums_e / len(images)
+    mean_d[0] = 0.0
+    mean_e[0] = 1.0
+    points = [QEPoint(lv, float(d), float(e)) for lv, d, e in zip(levels, mean_d, mean_e)]
+    return QECurve(kind, points)
+
+
+@pytest.mark.parametrize("kind", ["loop", "trunc"])
+@pytest.mark.parametrize(
+    "base",
+    [EncodeConfig(), EncodeConfig(quant_mode="div", quality=75, trunc_level=1, skip_level=2)],
+    ids=["default", "div-trunc1-skip2"],
+)
+def test_qe_curve_equals_per_config_loop(corpus, kind, base):
+    model = default_activity_model()
+    images = [corpus[9], _image((37, 53), True, 3, 9)]
+    curve, _ = extract_qe_curve(kind, images, base, model=model)
+    assert curve == _per_config_curve(kind, images, base, model)
