@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class EnergyModel:
     entropy_ops: float = 64.0
     skip_check_ops: float = 64.0
     skip_output_ops: float = 0.0
-    process_cost_overrides: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for b in range(5):
@@ -57,8 +55,6 @@ class EnergyModel:
 
     def process_cost(self, trunc_level: int) -> float:
         """Cost of transforming + coding one block at truncation level B."""
-        if trunc_level in self.process_cost_overrides:
-            return self.process_cost_overrides[trunc_level]
         active = DATAPATH_WIDTH - trunc_level
         raw = (self.dct_ops + self.quant_ops) * active + self.entropy_ops * DATAPATH_WIDTH
         return raw / self._baseline()
@@ -68,26 +64,6 @@ class EnergyModel:
 
     def check_cost(self) -> float:
         return self.skip_check_ops * DATAPATH_WIDTH / self._baseline()
-
-    def to_json(self) -> str:
-        d = {
-            "dct_ops": self.dct_ops,
-            "quant_ops": self.quant_ops,
-            "entropy_ops": self.entropy_ops,
-            "skip_check_ops": self.skip_check_ops,
-            "skip_output_ops": self.skip_output_ops,
-        }
-        if self.process_cost_overrides:
-            d["process_cost_overrides"] = {
-                str(k): v for k, v in self.process_cost_overrides.items()
-            }
-        return json.dumps(d, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnergyModel":
-        d = json.loads(text)
-        overrides = {int(k): float(v) for k, v in d.pop("process_cost_overrides", {}).items()}
-        return cls(process_cost_overrides=overrides, **{k: float(v) for k, v in d.items()})
 
 
 def default_activity_model() -> EnergyModel:

@@ -9,9 +9,12 @@ as value + 2**size - 1). DC and AC symbols share one canonical Huffman
 table per channel, built from the actual symbol frequencies of that
 channel (two-pass), with code lengths capped at 16 bits.
 
-Skipped blocks emit nothing; the container carries a per-channel skip
-bitmap and the decoder gives each skipped block the result of its
-reference, the most recent coded block (knobs.reuse_index).
+The channel codec sees coded blocks only: encode_channel takes the
+quantized blocks that were processed, in order, with one skip flag per
+block, and decode_channel returns those coded blocks. Skipped blocks emit
+nothing; the container carries a per-channel skip bitmap, and the
+pipeline gives each skipped block the pixels of its reference, the most
+recent coded block.
 
 Both directions work on whole arrays. The encoder builds every symbol of
 a channel at once: DC differences from the shifted DC column, zero runs
@@ -36,9 +39,11 @@ Container layout (all integers big-endian):
     id | blockCount:4 | skip bitmap | tableCount:2 | (symbol, length)*
     | payloadBits:4 | payload (zero-padded to a byte)
 
-flags: bit0 = color, bit1 = shift quantization, bit2 = exact-DC mode.
-skipLevel is 0xFF when perforation is disabled. The quant payload holds
-shift exponents in shift mode, divisors otherwise.
+flags: bit0 = color, bit1 = shift quantization, bit2 = exact-DC mode
+(shift quantization only). skipLevel is 0xFF when perforation is
+disabled. The quant payload holds shift exponents in [0, 7] in shift
+mode, nonzero divisors otherwise. read_container checks every header
+field, so the decoder trusts the header it returns.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .color import plane_shapes
-from .knobs import SKIP_LEVELS, TRUNC_LEVELS, reuse_index
+from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 from .quant import QUALITY_LEVELS
 
 MAGIC = b"AJPG"
@@ -246,17 +251,17 @@ def _pack(words: np.ndarray, lengths: np.ndarray) -> bytes:
     return np.packbits(np.concatenate(bits)).tobytes()
 
 
-def encode_channel(blocks: np.ndarray, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
-    """Entropy-code a channel's quantized blocks (skipped blocks emit nothing)."""
-    n = len(blocks)
+def encode_channel(coded: np.ndarray, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
+    """Entropy-code a channel from its coded blocks' quantized values
+    (m, 8, 8), in order, and one skip flag per block, m of them unset."""
     skip_flags = np.asarray(skip_flags, dtype=bool)
-    if skip_flags.shape != (n,):
-        raise ValueError("skip flag count must match block count")
-    if n and skip_flags[0]:
+    coded = np.asarray(coded, dtype=np.int64)
+    if skip_flags.ndim != 1 or coded.shape != (np.count_nonzero(~skip_flags), 8, 8):
+        raise ValueError("coded block count must match the unskipped flags")
+    if len(skip_flags) and skip_flags[0]:
         raise CorruptStreamError("block 0 cannot be skipped")
 
-    coded = zigzag(np.asarray(blocks, dtype=np.int64)[~skip_flags]) if n else np.zeros((0, 64), np.int64)
-    sym, amp, size = _channel_symbols(coded)
+    sym, amp, size = _channel_symbols(zigzag(coded))
     freqs = np.bincount(sym, minlength=256)
     codes = canonical_codes(code_lengths({int(s): int(freqs[s]) for s in np.flatnonzero(freqs)}))
     code_of = np.zeros(256, dtype=np.int64)
@@ -266,7 +271,7 @@ def encode_channel(blocks: np.ndarray, skip_flags: np.ndarray, channel_id: int =
     lengths = len_of[sym] + size
     payload = _pack((code_of[sym] << size) | amp, lengths)
     table = sorted(((s, ln) for s, (_, ln) in codes.items()), key=lambda e: (e[1], e[0]))
-    return ChannelStream(channel_id, n, skip_flags, table, int(lengths.sum()), payload)
+    return ChannelStream(channel_id, len(skip_flags), skip_flags, table, int(lengths.sum()), payload)
 
 
 # A symbol's total length, code plus amplitude bits, is at most 16 + 11.
@@ -343,8 +348,8 @@ _AC_ADVANCE = [
 
 
 def decode_channel(stream: ChannelStream) -> np.ndarray:
-    """Decode a channel back to quantized blocks; skipped blocks carry their
-    reference's block."""
+    """Decode a channel back to its coded blocks' quantized values (m, 8, 8),
+    in order; skipped blocks have none."""
     n = stream.block_count
     if n == 0:
         return np.zeros((0, 8, 8), dtype=np.int64)
@@ -412,7 +417,7 @@ def decode_channel(stream: ChannelStream) -> np.ndarray:
     keep = is_dc | (size > 0)
     coded = np.zeros((m, 64), dtype=np.int64)
     coded.reshape(-1)[64 * block[keep] + ZIGZAG[scan[keep]]] = value[keep]
-    return coded.reshape(m, 8, 8)[reuse_index(stream.skip_flags)]
+    return coded.reshape(m, 8, 8)
 
 
 @dataclass
@@ -505,6 +510,13 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
     if width == 0 or height == 0:
         raise CorruptStreamError("zero image dimension")
     quant = np.frombuffer(cur.take(64), dtype=np.uint8).astype(np.int64)
+    if flags & FLAG_SHIFT_QUANT:
+        if np.any(quant > 7):
+            raise CorruptStreamError("shift exponent out of range")
+    elif flags & FLAG_DC_EXACT:
+        raise CorruptStreamError("exact-DC mode without shift quantization")
+    elif not np.all(quant):
+        raise CorruptStreamError("zero divisor")
     meta = ContainerMeta(
         color=bool(flags & FLAG_COLOR),
         shift_quant=bool(flags & FLAG_SHIFT_QUANT),

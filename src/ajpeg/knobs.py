@@ -10,8 +10,9 @@ compression result, so they are made on the pre-truncation samples.
 
 This module owns that reference-chain rule for every consumer: skip_flags
 makes the decisions and reuse_index maps each block to the processed
-block whose result it carries. The encoder, perforate and the entropy
-decoder all expand results through the same index.
+block whose result it carries. perforate and the pipeline's decode and
+reconstruct expand results through that index, and nothing else does:
+the encoder and the entropy layer handle the processed blocks only.
 
 skip_flags scans a plane one skip run at a time rather than one block at a
 time: it tests every block against its predecessor in one array compare,

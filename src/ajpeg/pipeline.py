@@ -5,21 +5,26 @@ most recent processed block, truncate, transform with the shift-add DCT,
 quantize (shift or division mode), entropy-code, and emit an AJPG
 container. Color images are converted to YCbCr with 4:2:0 chroma.
 
-Decode: entropy-decode, dequantize with either the encoder's divisors
-("matched") or the unmodified quality-scaled table ("standard"), invert
-with the float reference IDCT, round, undo truncation by rescaling and the
-level shift into uint8 pixel blocks, then reassemble planes and convert
-back to RGB.
+Only the processed (coded) blocks go through the transform and the
+entropy layer, in both directions. Expanding them to every block happens
+here, once, after the IDCT: a skipped block gathers its reference's
+decoded pixel block (knobs.reuse_index), which is what decoding the
+reference's coefficients again would give.
+
+Decode: entropy-decode each channel's coded blocks, dequantize with either
+the encoder's divisors ("matched") or the unmodified quality-scaled table
+("standard"), invert with the float reference IDCT, round, undo
+truncation by rescaling and the level shift into uint8 pixel blocks,
+gather every block's pixels, then reassemble planes and convert back to
+RGB.
 
 reconstruct() runs the identical numeric path without the entropy layer,
-which is lossless. It decodes each processed block once and gathers the
-pixels: a skipped block takes its reference's decoded pixel block, which
-is what decoding the reference's coefficients again would give.
-reconstruct_many() does the same for a list of configs, and configs that
-differ only in skip level share that work, since a processed block's
-pixels do not depend on the skip level. Both build the container header
-and reassemble the planes with the same helpers as encode() and decode(),
-so decode(encode(img)) equals reconstruct(img) bit for bit.
+which is lossless. reconstruct_many() does the same for a list of
+configs, and configs that differ only in skip level share that work,
+since a processed block's pixels do not depend on the skip level. Both
+build the container header and reassemble the planes with the same
+helpers as encode() and decode(), so decode(encode(img)) equals
+reconstruct(img) bit for bit.
 """
 
 from __future__ import annotations
@@ -181,9 +186,8 @@ def encode(
     for cid, plane in enumerate(_planes_of(img)):
         blocks = _plane_blocks(plane)
         skipped = _skip_flags(blocks, cfg.skip_level, ops)
-        quantized = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
-        # skipped blocks carry their reference's result, as the decoder rebuilds them
-        streams.append(entropy.encode_channel(quantized[reuse_index(skipped)], skipped, cid))
+        coded = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
+        streams.append(entropy.encode_channel(coded, skipped, cid))
         flags.append(skipped)
     meta = _container_meta(img, cfg, qmat, smat)
     return entropy.write_container(meta, streams), _energy_stats(cfg, flags)
@@ -201,8 +205,6 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
     payload = np.asarray(meta.quant_payload, dtype=np.int64).reshape(8, 8)
     if not meta.shift_quant:
         return payload
-    if np.any(payload > 7):
-        raise entropy.CorruptStreamError("shift exponent out of range")
     divisors = np.int64(1) << payload
     if meta.dc_exact:
         divisors = divisors.copy()
@@ -243,10 +245,12 @@ def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
     """Decode an AJPG container."""
     meta, streams = entropy.read_container(data)
     divisors = _decode_divisors(meta, decode_matrix)
-    return _decode_image(
-        meta,
-        (_decode_blocks(entropy.decode_channel(s), divisors, meta.trunc_level) for s in streams),
+    # each coded block is inverted once; a skipped block gathers its reference's pixels
+    pixel_blocks = (
+        _decode_blocks(entropy.decode_channel(s), divisors, meta.trunc_level)[reuse_index(s.skip_flags)]
+        for s in streams
     )
+    return _decode_image(meta, pixel_blocks)
 
 
 def reconstruct_many(
@@ -287,6 +291,8 @@ def _reconstruct_groups(
             union = ~np.logical_and.reduce(list(flags.values()))
             quantized = _compress_blocks(blocks[union], shared, smat, qmat, ops)
             position = np.cumsum(union) - 1  # of each union block among the union
+            # composed into one index per level: gathering the level's coded
+            # blocks first and then expanding them would copy the pixels twice
             carried = {lv: position[np.flatnonzero(~s)[reuse_index(s)]] for lv, s in flags.items()}
             coded.append((_decode_blocks(quantized, divisors, shared.trunc_level), flags, carried))
         for cfg in group:

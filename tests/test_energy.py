@@ -50,18 +50,6 @@ def test_model_rejects_skip_cost_above_process_cost():
         EnergyModel(dct_ops=10.0, skip_output_ops=1e6)
 
 
-def test_model_json_round_trip():
-    model = EnergyModel(
-        dct_ops=976.0,
-        quant_ops=3.0,
-        entropy_ops=50.0,
-        process_cost_overrides={2: 0.5},
-    )
-    back = EnergyModel.from_json(model.to_json())
-    assert back == model
-    assert back.process_cost(2) == 0.5
-
-
 def test_estimate_image_energy_spot_value():
     model = default_activity_model()
     stats = EnergyStats(blocks_processed=60, blocks_skipped=40,

@@ -25,7 +25,7 @@ from ajpeg.entropy import (
     write_container,
     zigzag,
 )
-from ajpeg.pipeline import EncodeConfig, encode
+from ajpeg.pipeline import EncodeConfig, decode, encode
 from ajpeg.raster import RasterImage
 
 
@@ -152,12 +152,15 @@ def test_channel_round_trip_with_skips():
     blocks = _random_blocks(rng, 12)
     flags = np.zeros(12, dtype=bool)
     flags[[2, 3, 7, 11]] = True
-    for k in range(1, 12):  # skipped blocks carry the reused result
-        if flags[k]:
-            blocks[k] = blocks[k - 1]
-    stream = encode_channel(blocks, flags)
-    out = decode_channel(stream)
-    assert np.array_equal(out, blocks)
+    coded = blocks[~flags]
+    stream = encode_channel(coded, flags)
+    assert stream.block_count == 12 and np.array_equal(stream.skip_flags, flags)
+    assert np.array_equal(decode_channel(stream), coded)
+    # skipped blocks emit nothing: the payload is that of the coded blocks alone
+    alone = encode_channel(coded, np.zeros(len(coded), dtype=bool))
+    assert (stream.table, stream.bit_length, stream.payload) == (
+        alone.table, alone.bit_length, alone.payload
+    )
 
 
 def test_channel_all_zero_blocks():
@@ -195,31 +198,28 @@ EXTREME_CHANNEL = [
 
 
 def _channel(spec):
-    """Blocks and skip flags; a skipped block carries its reference's block."""
+    """Coded blocks and skip flags; a skipped block has no coded block."""
     flags = np.array([skip for _, skip in spec])
     flags[0] = False
     vectors = np.zeros((len(spec), 64), dtype=np.int64)
     for k, ((dc, ac), _) in enumerate(spec):
-        if flags[k]:
-            vectors[k] = vectors[k - 1]
-            continue
         vectors[k, 0] = dc
         for pos, value in ac.items():
             vectors[k, pos] = value
-    return inv_zigzag(vectors), flags
+    return inv_zigzag(vectors[~flags]), flags
 
 
 @given(channel_spec)
 @example(EXTREME_CHANNEL)
 def test_channel_round_trip_sparse(spec):
-    blocks, flags = _channel(spec)
-    assert np.array_equal(decode_channel(encode_channel(blocks, flags)), blocks)
+    coded, flags = _channel(spec)
+    assert np.array_equal(decode_channel(encode_channel(coded, flags)), coded)
 
 
 @given(st.one_of(st.just(EXTREME_CHANNEL), channel_spec), st.data())
 def test_mutated_channel_decodes_or_fails_structurally(spec, data):
-    blocks, flags = _channel(spec)
-    stream = encode_channel(blocks, flags)
+    coded, flags = _channel(spec)
+    stream = encode_channel(coded, flags)
     payload, nbits, table = bytearray(stream.payload), stream.bit_length, list(stream.table)
     kind = data.draw(st.sampled_from(["flip", "shorten", "lengthen code", "drop code"]))
     if kind == "flip":
@@ -238,7 +238,7 @@ def test_mutated_channel_decodes_or_fails_structurally(spec, data):
         out = decode_channel(mutated)
     except CorruptStreamError:
         return
-    assert out.shape == (len(flags), 8, 8)
+    assert out.shape == (len(coded), 8, 8)
 
 
 def _conftest_image(corpus, kind):
@@ -276,14 +276,33 @@ def test_coefficient_overflow_rejected():
 
 def test_block_zero_cannot_be_skipped():
     with pytest.raises(CorruptStreamError, match="block 0"):
-        encode_channel(np.zeros((2, 8, 8), dtype=np.int64),
+        encode_channel(np.zeros((1, 8, 8), dtype=np.int64),
                        np.array([True, False]))
 
 
 def test_skip_flag_length_checked():
-    with pytest.raises(ValueError, match="flag count"):
-        encode_channel(np.zeros((2, 8, 8), dtype=np.int64),
-                       np.zeros(3, dtype=bool))
+    cases = [
+        (2, [False, False, False]),  # fewer coded blocks than unskipped flags
+        (3, [False, True, False]),   # more coded blocks than unskipped flags
+        (3, [[False, False, False]]),  # flags not one per block
+    ]
+    for coded, flags in cases:
+        with pytest.raises(ValueError, match="coded block count"):
+            encode_channel(np.zeros((coded, 8, 8), dtype=np.int64), np.array(flags))
+
+
+@pytest.mark.parametrize("quant_mode, offset, value, message", [
+    ("shift", 13, 8, "shift exponent out of range"),  # a DC exponent of 8
+    ("div", 13, 0, "zero divisor"),                   # a DC divisor of 0
+    ("div", 5, 0x04, "exact-DC"),                     # the exact-DC flag on
+])
+def test_container_rejects_inconsistent_quant_header(quant_mode, offset, value, message):
+    img = RasterImage(np.random.default_rng(6).integers(0, 256, size=(16, 16), dtype=np.uint8))
+    data = bytearray(encode(img, EncodeConfig(quant_mode=quant_mode))[0])
+    data[offset] = value if offset == 13 else data[offset] | value
+    for read in (read_container, decode):
+        with pytest.raises(CorruptStreamError, match=message):
+            read(bytes(data))
 
 
 def _meta(**kw):
@@ -300,15 +319,14 @@ def _gray_container(skip_level=None, flags_on=()):
     rng = np.random.default_rng(5)
     blocks = _random_blocks(rng, 4)
     flags = np.zeros(4, dtype=bool)
-    for k in flags_on:
-        flags[k] = True
-        blocks[k] = blocks[k - 1]
+    flags[list(flags_on)] = True
+    coded = blocks[~flags]
     meta = _meta(skip_level=skip_level)
-    return meta, [encode_channel(blocks, flags)], blocks
+    return meta, [encode_channel(coded, flags)], coded
 
 
 def test_container_round_trip_fields():
-    meta, channels, blocks = _gray_container(skip_level=3, flags_on=(2,))
+    meta, channels, coded = _gray_container(skip_level=3, flags_on=(2,))
     data = write_container(meta, channels)
     meta2, channels2 = read_container(data)
     for name in ("color", "shift_quant", "dc_exact", "quality",
@@ -316,7 +334,8 @@ def test_container_round_trip_fields():
         assert getattr(meta2, name) == getattr(meta, name)
     assert np.array_equal(meta2.quant_payload, meta.quant_payload)
     assert len(channels2) == 1
-    assert np.array_equal(decode_channel(channels2[0]), blocks)
+    assert np.array_equal(channels2[0].skip_flags, [False, False, True, False])
+    assert np.array_equal(decode_channel(channels2[0]), coded)
 
 
 def test_container_rewrite_is_byte_identical():

@@ -1,5 +1,6 @@
 """End-to-end pipeline: container round trips, knob semantics, stats."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from ajpeg.energy import (
     estimate_image_energy,
     extract_qe_curve,
 )
+from ajpeg.entropy import read_container
 from ajpeg.knobs import SKIP_LEVELS, TRUNC_LEVELS
 from ajpeg.metrics import psnr, sad_pct, ssim
 from ajpeg.ops import OpCounter
@@ -228,6 +230,38 @@ def test_oversized_dimensions_rejected():
     big = RasterImage(np.zeros((1, 70000), dtype=np.uint8))
     with pytest.raises(ValueError, match="container limit"):
         encode(big)
+
+
+def test_decode_inverts_only_coded_blocks(corpus, monkeypatch):
+    # a skipped block gathers its reference's pixels rather than a second IDCT
+    img = RasterImage(np.stack([corpus[i].pixels for i in (1, 6, 11)], axis=-1))
+    cfg = EncodeConfig(trunc_level=2, skip_level=3)
+    data, stats = encode(img, cfg)
+    direct, _ = reconstruct(img, cfg)
+    coded = sum(int(np.count_nonzero(~s.skip_flags)) for s in read_container(data)[1])
+    assert coded == stats.blocks_processed < stats.total_blocks
+    inverted = []
+    idct = pipeline.ref_idct_2d
+    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: inverted.append(len(c)) or idct(c))
+    assert decode(data) == direct
+    assert sum(inverted) == coded
+
+
+def test_decode_memory_is_bounded_by_output():
+    # every block but the first is skipped: the decoder inverts one block
+    # and gathers uint8 pixels, with no per-block coefficient or float buffer
+    img = RasterImage(np.full((1024, 1024), 77, dtype=np.uint8))
+    cfg = EncodeConfig(skip_level=0)
+    data, stats = encode(img, cfg)
+    assert stats.blocks_processed == 1
+    tracemalloc.start()
+    try:
+        out = decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == reconstruct(img, cfg)[0]
+    assert peak < 8 * out.pixels.nbytes
 
 
 # A custom table with a non-power-of-two DC divisor and a few unit entries.
