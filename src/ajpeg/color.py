@@ -7,8 +7,6 @@ upsampling is nearest-neighbor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .raster import RasterImage
@@ -23,33 +21,12 @@ def plane_shapes(height: int, width: int, color: bool) -> list[tuple[int, int]]:
     return [(height, width), chroma, chroma]
 
 
-@dataclass(frozen=True)
-class YcbcrPlanes:
-    """Y/Cb/Cr planes; subsampling is "444" (full-res) or "420"."""
-
-    y: np.ndarray
-    cb: np.ndarray
-    cr: np.ndarray
-    subsampling: str
-
-    def __post_init__(self):
-        h, w = self.y.shape
-        if self.subsampling == "444":
-            want = (h, w)
-        elif self.subsampling == "420":
-            want = plane_shapes(h, w, color=True)[1]
-        else:
-            raise ValueError("subsampling must be '444' or '420'")
-        if self.cb.shape != want or self.cr.shape != want:
-            raise ValueError("chroma plane dimensions inconsistent with subsampling")
-
-
 def _round_half_up_clamp(x: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
 
 
-def rgb_to_ycbcr(img: RasterImage) -> YcbcrPlanes:
-    """Convert an RGB image to full-resolution YCbCr planes."""
+def rgb_to_ycbcr(img: RasterImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full-resolution (y, cb, cr) uint8 planes of an RGB image."""
     if img.channels != 3:
         raise ValueError("rgb_to_ycbcr expects an RGB image")
     rgb = img.pixels.astype(np.float64)
@@ -57,21 +34,14 @@ def rgb_to_ycbcr(img: RasterImage) -> YcbcrPlanes:
     y = 0.299 * r + 0.587 * g + 0.114 * b
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return YcbcrPlanes(
-        _round_half_up_clamp(y),
-        _round_half_up_clamp(cb),
-        _round_half_up_clamp(cr),
-        "444",
-    )
+    return _round_half_up_clamp(y), _round_half_up_clamp(cb), _round_half_up_clamp(cr)
 
 
-def ycbcr_to_rgb(planes: YcbcrPlanes) -> RasterImage:
-    """Convert full-resolution YCbCr planes back to an RGB image."""
-    if planes.subsampling != "444":
-        raise ValueError("ycbcr_to_rgb expects full-resolution planes")
-    y = planes.y.astype(np.float64)
-    cb = planes.cb.astype(np.float64) - 128.0
-    cr = planes.cr.astype(np.float64) - 128.0
+def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> RasterImage:
+    """Convert full-resolution Y, Cb and Cr uint8 planes to an RGB image."""
+    y = y.astype(np.float64)
+    cb = cb.astype(np.float64) - 128.0
+    cr = cr.astype(np.float64) - 128.0
     r = y + 1.402 * cr
     g = y - 0.344136 * cb - 0.714136 * cr
     b = y + 1.772 * cb

@@ -42,8 +42,9 @@ Container layout (all integers big-endian):
 flags: bit0 = color, bit1 = shift quantization, bit2 = exact-DC mode
 (shift quantization only). skipLevel is 0xFF when perforation is
 disabled. The quant payload holds shift exponents in [0, 7] in shift
-mode, nonzero divisors otherwise. read_container checks every header
-field, so the decoder trusts the header it returns.
+mode, nonzero divisors otherwise. _check_meta holds that header rule:
+write_container refuses a header it breaks, and read_container checks
+every header field, so the decoder trusts the header it returns.
 """
 
 from __future__ import annotations
@@ -442,7 +443,31 @@ def _unpack_bitmap(data: bytes, count: int) -> np.ndarray:
     return bits.astype(bool)
 
 
+def _check_meta(meta: ContainerMeta):
+    """The header rule the writer and the reader share: raise
+    CorruptStreamError unless every field is one read_container accepts."""
+    if meta.quality not in QUALITY_LEVELS:
+        raise CorruptStreamError("quality out of range")
+    if meta.trunc_level not in TRUNC_LEVELS:
+        raise CorruptStreamError("truncation level out of range")
+    if meta.skip_level is not None and meta.skip_level not in SKIP_LEVELS:
+        raise CorruptStreamError("skip level out of range")
+    if not (0 < meta.width <= 0xFFFF and 0 < meta.height <= 0xFFFF):
+        raise CorruptStreamError("image dimension out of range")
+    quant = np.asarray(meta.quant_payload, dtype=np.int64).reshape(64)
+    if np.any(quant < 0) or np.any(quant > 255):
+        raise CorruptStreamError("quant payload entries must fit one byte")
+    if meta.shift_quant:
+        if np.any(quant > 7):
+            raise CorruptStreamError("shift exponent out of range")
+    elif meta.dc_exact:
+        raise CorruptStreamError("exact-DC mode without shift quantization")
+    elif not np.all(quant):
+        raise CorruptStreamError("zero divisor")
+
+
 def write_container(meta: ContainerMeta, channels: list[ChannelStream]) -> bytes:
+    _check_meta(meta)
     flags = (
         (FLAG_COLOR if meta.color else 0)
         | (FLAG_SHIFT_QUANT if meta.shift_quant else 0)
@@ -461,10 +486,7 @@ def write_container(meta: ContainerMeta, channels: list[ChannelStream]) -> bytes
         meta.width,
         meta.height,
     )
-    quant = np.asarray(meta.quant_payload, dtype=np.int64).reshape(64)
-    if np.any(quant < 0) or np.any(quant > 255):
-        raise ValueError("quant payload entries must fit one byte")
-    out += quant.astype(np.uint8).tobytes()
+    out += np.asarray(meta.quant_payload, dtype=np.uint8).reshape(64).tobytes()
     for ch in channels:
         out += struct.pack(">BI", ch.channel_id, ch.block_count)
         out += _pack_bitmap(ch.skip_flags)
@@ -501,22 +523,6 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
         raise CorruptStreamError("unsupported version")
     if flags & ~(FLAG_COLOR | FLAG_SHIFT_QUANT | FLAG_DC_EXACT):
         raise CorruptStreamError("unknown flag bits")
-    if quality not in QUALITY_LEVELS:
-        raise CorruptStreamError("quality out of range")
-    if trunc not in TRUNC_LEVELS:
-        raise CorruptStreamError("truncation level out of range")
-    if skip_byte != SKIP_DISABLED and skip_byte not in SKIP_LEVELS:
-        raise CorruptStreamError("skip level out of range")
-    if width == 0 or height == 0:
-        raise CorruptStreamError("zero image dimension")
-    quant = np.frombuffer(cur.take(64), dtype=np.uint8).astype(np.int64)
-    if flags & FLAG_SHIFT_QUANT:
-        if np.any(quant > 7):
-            raise CorruptStreamError("shift exponent out of range")
-    elif flags & FLAG_DC_EXACT:
-        raise CorruptStreamError("exact-DC mode without shift quantization")
-    elif not np.all(quant):
-        raise CorruptStreamError("zero divisor")
     meta = ContainerMeta(
         color=bool(flags & FLAG_COLOR),
         shift_quant=bool(flags & FLAG_SHIFT_QUANT),
@@ -526,8 +532,9 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
         skip_level=None if skip_byte == SKIP_DISABLED else skip_byte,
         width=width,
         height=height,
-        quant_payload=quant,
+        quant_payload=np.frombuffer(cur.take(64), dtype=np.uint8).astype(np.int64),
     )
+    _check_meta(meta)
 
     channels = []
     for want_id, (h, w) in enumerate(plane_shapes(height, width, meta.color)):

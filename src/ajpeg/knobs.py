@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .ops import UNCOUNTED, IntOps
+from .quant import quantize_shift
 
 TRUNC_LEVELS = range(0, 5)
 SKIP_LEVELS = range(0, 7)
@@ -49,14 +50,12 @@ def skip_epsilon(level: int) -> int:
 
 
 def truncate_block(block, level: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """Divide samples by 2**level, rounding half away from zero."""
+    """Divide samples by 2**level, rounding half away from zero: the
+    quantizer's rounded power-of-2 division (quant.quantize_shift)."""
     if level not in TRUNC_LEVELS:
         raise ValueError("truncation level must be in [0, 4]")
     m = np.asarray(block, dtype=np.int64)
-    if level == 0:
-        return m
-    mag = ops.shr(ops.add(np.abs(m), 1 << (level - 1)), level)
-    return np.where(m < 0, -mag, mag)
+    return m if level == 0 else quantize_shift(m, level, ops)
 
 
 def _band(reference, epsilon: int, ops: IntOps) -> tuple[np.ndarray, np.ndarray]:

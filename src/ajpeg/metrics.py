@@ -29,7 +29,7 @@ class MetricError(ValueError):
 def _luma(img: RasterImage) -> np.ndarray:
     if img.channels == 1:
         return img.pixels
-    return rgb_to_ycbcr(img).y
+    return rgb_to_ycbcr(img)[0]
 
 
 def _check_same_shape(ref: RasterImage, test: RasterImage):

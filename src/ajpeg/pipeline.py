@@ -14,9 +14,12 @@ reference's coefficients again would give.
 Decode: entropy-decode each channel's coded blocks, dequantize with either
 the encoder's divisors ("matched") or the unmodified quality-scaled table
 ("standard"), invert with the float reference IDCT, round, undo
-truncation by rescaling and the level shift into uint8 pixel blocks,
-gather every block's pixels, then reassemble planes and convert back to
-RGB.
+truncation by rescaling and the level shift into clipped uint8 pixel
+blocks, and gather every block's pixels. Each plane's blocks are then
+untiled and cropped to the plane's size, and for color the chroma planes
+are upsampled to full resolution and converted back to RGB. The raster
+and color layers take and return plain arrays; the plane layout and the
+color reassembly live here alone (_planes_of and _decode_image).
 
 reconstruct() runs the identical numeric path without the entropy layer,
 which is lossless. reconstruct_many() does the same for a list of
@@ -36,14 +39,7 @@ from itertools import groupby
 import numpy as np
 
 from . import entropy
-from .color import (
-    YcbcrPlanes,
-    downsample_420,
-    plane_shapes,
-    rgb_to_ycbcr,
-    upsample_420,
-    ycbcr_to_rgb,
-)
+from .color import downsample_420, plane_shapes, rgb_to_ycbcr, upsample_420, ycbcr_to_rgb
 from .energy import EnergyStats
 from .fdct import fdct_2d, ref_idct_2d
 from .knobs import (
@@ -65,7 +61,7 @@ from .quant import (
     quantize_shift,
     to_shift_matrix,
 )
-from .raster import BlockGrid, RasterImage, tile_blocks, untile_blocks
+from .raster import RasterImage, tile_blocks, untile_blocks
 
 
 @dataclass(frozen=True)
@@ -135,12 +131,8 @@ def _quant_tables(cfg: EncodeConfig) -> tuple[np.ndarray, np.ndarray | None]:
 def _planes_of(img: RasterImage) -> list[np.ndarray]:
     if img.channels == 1:
         return [img.pixels]
-    full = rgb_to_ycbcr(img)
-    return [full.y, downsample_420(full.cb), downsample_420(full.cr)]
-
-
-def _plane_blocks(plane: np.ndarray) -> np.ndarray:
-    return tile_blocks(plane, level_shifted=True).blocks.astype(np.int64)
+    y, cb, cr = rgb_to_ycbcr(img)
+    return [y, downsample_420(cb), downsample_420(cr)]
 
 
 def _skip_flags(blocks: np.ndarray, skip_level: int | None, ops: IntOps) -> np.ndarray:
@@ -184,7 +176,7 @@ def encode(
     qmat, smat = _quant_tables(cfg)
     streams, flags = [], []
     for cid, plane in enumerate(_planes_of(img)):
-        blocks = _plane_blocks(plane)
+        blocks = tile_blocks(plane)
         skipped = _skip_flags(blocks, cfg.skip_level, ops)
         coded = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
         streams.append(entropy.encode_channel(coded, skipped, cid))
@@ -226,19 +218,14 @@ def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:
     may be a lazy iterable: decode passes one, so it holds a single plane's
     entropy-decoded coefficients at a time."""
     planes = [
-        untile_blocks(BlockGrid(blocks, -(-w // 8), -(-h // 8), w, h), level_shifted=False)
+        untile_blocks(blocks, h, w)
         for blocks, (h, w) in zip(pixel_blocks, plane_shapes(meta.height, meta.width, meta.color))
     ]
     if not meta.color:
         return RasterImage(planes[0])
     y, cb, cr = planes
-    full = YcbcrPlanes(
-        y,
-        upsample_420(cb, meta.height, meta.width),
-        upsample_420(cr, meta.height, meta.width),
-        "444",
-    )
-    return ycbcr_to_rgb(full)
+    h, w = meta.height, meta.width
+    return ycbcr_to_rgb(y, upsample_420(cb, h, w), upsample_420(cr, h, w))
 
 
 def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
@@ -286,7 +273,7 @@ def _reconstruct_groups(
         levels = dict.fromkeys(cfg.skip_level for cfg in group)
         coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
         for plane in planes:
-            blocks = _plane_blocks(plane)
+            blocks = tile_blocks(plane)
             flags = {lv: _skip_flags(blocks, lv, ops) for lv in levels}
             union = ~np.logical_and.reduce(list(flags.values()))
             quantized = _compress_blocks(blocks[union], shared, smat, qmat, ops)

@@ -2,12 +2,13 @@
 
 Only binary P5 (grayscale) and P6 (RGB) with maxval 255 are supported.
 Block tiling pads non-multiple-of-8 dimensions by edge replication and
-optionally level-shifts samples by -128 into signed range.
+level-shifts samples by -128 into signed range; untiling only reassembles
+and crops, since the decoder's pixel blocks are already uint8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,25 +61,6 @@ class RasterImage:
         )
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """Image plane tiled into 8x8 blocks, row-major block order."""
-
-    blocks: np.ndarray  # shape (blocks_high * blocks_wide, 8, 8), int32
-    blocks_wide: int
-    blocks_high: int
-    orig_width: int
-    orig_height: int
-
-    def __post_init__(self):
-        if self.blocks.shape != (self.blocks_wide * self.blocks_high, BLOCK, BLOCK):
-            raise ValueError("block array shape does not match grid dimensions")
-        if self.blocks_wide != -(-self.orig_width // BLOCK):
-            raise ValueError("blocks_wide inconsistent with orig_width")
-        if self.blocks_high != -(-self.orig_height // BLOCK):
-            raise ValueError("blocks_high inconsistent with orig_height")
-
-
 def parse_pnm(data: bytes) -> RasterImage:
     """Parse a binary P5/P6 image with maxval 255."""
     if not data.startswith((b"P5", b"P6")):
@@ -120,8 +102,9 @@ def write_pnm(img: RasterImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
-def tile_blocks(plane: np.ndarray, level_shifted: bool) -> BlockGrid:
-    """Tile a grayscale plane into 8x8 blocks, padding edges by replication."""
+def tile_blocks(plane: np.ndarray) -> np.ndarray:
+    """Level-shifted (n, 8, 8) int64 blocks of a grayscale plane, in
+    row-major block order, with the edges padded by replication."""
     if plane.ndim != 2:
         raise ValueError("tile_blocks expects a single-channel plane")
     h, w = plane.shape
@@ -129,34 +112,17 @@ def tile_blocks(plane: np.ndarray, level_shifted: bool) -> BlockGrid:
         raise ValueError("cannot tile a zero-dimension plane")
     bw = -(-w // BLOCK)
     bh = -(-h // BLOCK)
-    padded = np.pad(
-        plane.astype(np.int32),
-        ((0, bh * BLOCK - h), (0, bw * BLOCK - w)),
-        mode="edge",
-    )
-    if level_shifted:
-        padded -= 128
-    blocks = (
-        padded.reshape(bh, BLOCK, bw, BLOCK)
-        .swapaxes(1, 2)
-        .reshape(bh * bw, BLOCK, BLOCK)
-    )
-    return BlockGrid(blocks, bw, bh, w, h)
+    padded = np.pad(plane, ((0, bh * BLOCK - h), (0, bw * BLOCK - w)), mode="edge")
+    blocks = padded.reshape(bh, BLOCK, bw, BLOCK).swapaxes(1, 2).reshape(-1, BLOCK, BLOCK)
+    blocks = blocks.astype(np.int64)
+    blocks -= 128
+    return blocks
 
 
-def untile_blocks(grid: BlockGrid, level_shifted: bool) -> np.ndarray:
-    """Reassemble a plane from a block grid, cropping padding.
-
-    Level-shifted grids are shifted back by +128; output is clamped to
-    [0, 255] uint8 either way.
-    """
-    bh, bw = grid.blocks_high, grid.blocks_wide
-    plane = (
-        grid.blocks.reshape(bh, bw, BLOCK, BLOCK)
-        .swapaxes(1, 2)
-        .reshape(bh * BLOCK, bw * BLOCK)
-    )
-    plane = plane[: grid.orig_height, : grid.orig_width]
-    if level_shifted:
-        plane = plane + 128
-    return np.clip(plane, 0, 255).astype(np.uint8)
+def untile_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Reassemble a height x width plane from its row-major (n, 8, 8)
+    blocks, cropping the padding; the samples keep their dtype. A block
+    count other than that of the plane raises ValueError."""
+    bh, bw = -(-height // BLOCK), -(-width // BLOCK)
+    plane = blocks.reshape(bh, bw, BLOCK, BLOCK).swapaxes(1, 2).reshape(bh * BLOCK, bw * BLOCK)
+    return plane[:height, :width]

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ajpeg.color import (
-    YcbcrPlanes,
     downsample_420,
     rgb_to_ycbcr,
     upsample_420,
@@ -31,16 +30,16 @@ def _one_pixel(r, g, b):
     ],
 )
 def test_primary_colors(rgb, ycc):
-    p = rgb_to_ycbcr(_one_pixel(*rgb))
-    assert (int(p.y[0, 0]), int(p.cb[0, 0]), int(p.cr[0, 0])) == ycc
+    y, cb, cr = rgb_to_ycbcr(_one_pixel(*rgb))
+    assert (int(y[0, 0]), int(cb[0, 0]), int(cr[0, 0])) == ycc
 
 
 @given(st.integers(0, 255))
 def test_gray_maps_to_neutral_chroma(g):
     # luma weights sum to exactly 1, chroma weights to exactly 0
-    p = rgb_to_ycbcr(_one_pixel(g, g, g))
-    assert int(p.y[0, 0]) == g
-    assert int(p.cb[0, 0]) == 128 and int(p.cr[0, 0]) == 128
+    y, cb, cr = rgb_to_ycbcr(_one_pixel(g, g, g))
+    assert int(y[0, 0]) == g
+    assert int(cb[0, 0]) == 128 and int(cr[0, 0]) == 128
 
 
 def test_rgb_to_ycbcr_rejects_gray_input():
@@ -52,18 +51,8 @@ def test_rgb_to_ycbcr_rejects_gray_input():
 def test_full_res_round_trip_within_one(seed):
     rng = np.random.default_rng(seed)
     img = RasterImage(rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8))
-    back = ycbcr_to_rgb(rgb_to_ycbcr(img))
+    back = ycbcr_to_rgb(*rgb_to_ycbcr(img))
     assert np.abs(img.pixels.astype(int) - back.pixels.astype(int)).max() <= 1
-
-
-def test_ycbcr_planes_validation():
-    y = np.zeros((4, 4), dtype=np.uint8)
-    c = np.zeros((2, 2), dtype=np.uint8)
-    YcbcrPlanes(y, c, c, "420")
-    with pytest.raises(ValueError, match="subsampling"):
-        YcbcrPlanes(y, c, c, "422")
-    with pytest.raises(ValueError, match="dimensions"):
-        YcbcrPlanes(y, np.zeros((4, 4), dtype=np.uint8), c, "420")
 
 
 def test_downsample_rounds_cell_mean_half_up():

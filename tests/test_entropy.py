@@ -325,6 +325,31 @@ def _gray_container(skip_level=None, flags_on=()):
     return meta, [encode_channel(coded, flags)], coded
 
 
+def test_writer_rejects_header_the_reader_rejects():
+    # quality 0, exact DC in division mode and an all-zero divisor payload
+    meta = _meta(quality=0, shift_quant=False, dc_exact=True,
+                 quant_payload=np.zeros(64, dtype=np.int64))
+    _, channels, _ = _gray_container()
+    with pytest.raises(CorruptStreamError, match="quality out of range"):
+        write_container(meta, channels)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(trunc_level=5), "truncation level"),
+    (dict(skip_level=7), "skip level"),
+    (dict(width=0), "dimension"),
+    (dict(height=0x10000), "dimension"),
+    (dict(quant_payload=np.full(64, 8)), "shift exponent"),
+    (dict(shift_quant=False, quant_payload=np.full(64, 256)), "one byte"),
+    (dict(shift_quant=False, dc_exact=True, quant_payload=np.ones(64)), "exact-DC"),
+    (dict(shift_quant=False, quant_payload=np.zeros(64)), "zero divisor"),
+])
+def test_writer_checks_every_header_field(fields, message):
+    _, channels, _ = _gray_container()
+    with pytest.raises(CorruptStreamError, match=message):
+        write_container(_meta(**fields), channels)
+
+
 def test_container_round_trip_fields():
     meta, channels, coded = _gray_container(skip_level=3, flags_on=(2,))
     data = write_container(meta, channels)

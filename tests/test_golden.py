@@ -9,7 +9,10 @@ the suite. The bench modules are loaded read-only from their files.
 
 The benchmark's tracer wraps program functions under the module attributes
 their callers look up (workloads.LAYERS). Each of those names must exist, or
-a traced run fails while untraced runs and the rest of this suite pass.
+a traced run fails while untraced runs and the rest of this suite pass. And
+each must still be called through that attribute: a refactor that moves a
+traced call elsewhere leaves the name resolving while its layer's spans, and
+every per-layer figure read from them, silently drop to zero.
 """
 
 import importlib.util
@@ -17,7 +20,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ajpeg import raster
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
@@ -32,6 +38,7 @@ def _load(name):
 
 
 inputs = _load("inputs")
+spans = _load("spans")
 workloads = _load("workloads")
 
 
@@ -60,3 +67,22 @@ def test_traced_layer_names_resolve():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+# Wraps pipeline.skip_check, which the run-at-a-time skip scan no longer calls.
+KNOWN_DEAD_LAYERS = {"knobs.skip_check"}
+
+
+def test_traced_layers_record_spans():
+    rng = np.random.default_rng(11)
+    tracer = spans.Tracer(workloads.LAYERS, workloads.HOOKS)
+    ops = [("codec-rgb-knobs", (24, 40, 3)), ("sweep-gray", (24, 40))]
+    for op_id, (name, shape) in enumerate(ops):
+        op = workloads.make_op(name)
+        img = raster.RasterImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
+        pnm = raster.write_pnm(img)
+        with tracer.op(op_id):
+            op.verify(pnm, op.run(pnm))
+    recorded = np.bincount(np.frombuffer(tracer.name_id, dtype=np.int32), minlength=len(tracer.names))
+    silent = {name for name, n in zip(tracer.names, recorded) if n == 0}
+    assert silent == KNOWN_DEAD_LAYERS

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ajpeg.raster import (
-    BlockGrid,
     PnmError,
     RasterImage,
     parse_pnm,
@@ -92,48 +91,41 @@ def test_raster_image_validation():
 def test_tile_9x9_pads_by_edge_replication():
     plane = np.zeros((9, 9), dtype=np.uint8)
     plane[8, 8] = 80
-    grid = tile_blocks(plane, level_shifted=True)
-    assert (grid.blocks_wide, grid.blocks_high) == (2, 2)
-    assert grid.blocks.shape == (4, 8, 8)
+    blocks = tile_blocks(plane)
+    assert blocks.shape == (4, 8, 8)
+    assert blocks.dtype == np.int64
     # top-left block is interior; bottom-right is pure replication of (8,8)
-    assert np.all(grid.blocks[0] == -128)
-    assert np.all(grid.blocks[1] == -128)
-    assert np.all(grid.blocks[2] == -128)
-    assert np.all(grid.blocks[3] == 80 - 128)
+    assert np.all(blocks[0] == -128)
+    assert np.all(blocks[1] == -128)
+    assert np.all(blocks[2] == -128)
+    assert np.all(blocks[3] == 80 - 128)
+    assert np.array_equal(untile_blocks((blocks + 128).astype(np.uint8), 9, 9), plane)
 
 
 def test_tile_unshifted_keeps_raw_values():
     plane = np.full((8, 8), 200, dtype=np.uint8)
-    grid = tile_blocks(plane, level_shifted=False)
-    assert np.all(grid.blocks[0] == 200)
+    assert np.all(tile_blocks(plane)[0] == 200 - 128)
 
 
 def test_tile_block_order_is_row_major():
     plane = np.zeros((8, 24), dtype=np.uint8)
     plane[:, 8:16] = 50
     plane[:, 16:] = 90
-    grid = tile_blocks(plane, level_shifted=False)
-    assert [int(b[0, 0]) for b in grid.blocks] == [0, 50, 90]
+    blocks = tile_blocks(plane)
+    assert [int(b[0, 0]) for b in blocks] == [0 - 128, 50 - 128, 90 - 128]
+    assert np.array_equal(untile_blocks((blocks + 128).astype(np.uint8), 8, 24), plane)
 
 
 @given(st.integers(1, 25), st.integers(1, 25), st.integers(0, 2**32 - 1))
 def test_tile_untile_round_trip(w, h, seed):
     rng = np.random.default_rng(seed)
     plane = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    grid = tile_blocks(plane, level_shifted=True)
-    assert np.array_equal(untile_blocks(grid, level_shifted=True), plane)
-
-
-def test_untile_clamps_out_of_range():
-    blocks = np.full((1, 8, 8), 300, dtype=np.int32)
-    blocks[0, 0, 0] = -5
-    grid = BlockGrid(blocks, 1, 1, 8, 8)
-    out = untile_blocks(grid, level_shifted=False)
-    assert out[0, 0] == 0 and out[0, 1] == 255
+    blocks = (tile_blocks(plane) + 128).astype(np.uint8)
+    assert np.array_equal(untile_blocks(blocks, h, w), plane)
 
 
 def test_block_grid_validates_shape():
-    with pytest.raises(ValueError, match="shape"):
-        BlockGrid(np.zeros((2, 8, 8), dtype=np.int32), 1, 1, 8, 8)
-    with pytest.raises(ValueError, match="blocks_wide"):
-        BlockGrid(np.zeros((1, 8, 8), dtype=np.int32), 1, 1, 9, 8)
+    with pytest.raises(ValueError):
+        untile_blocks(np.zeros((2, 8, 8), dtype=np.uint8), 8, 8)
+    with pytest.raises(ValueError):
+        untile_blocks(np.zeros((1, 8, 8), dtype=np.uint8), 8, 9)
