@@ -9,17 +9,20 @@ The four kernels realize fixed-point rotations/scalings exactly:
 
 All intermediate shift-add arithmetic is exact in integers; only the final
 right shift truncates, so each kernel equals the floor of the rational form
-bit for bit. Inputs are assumed narrow enough that intermediates fit the
-datapath (|x| < 2**22 is ample); callers enforce this via the pixel range.
+bit for bit, provided no intermediate overflows the lane type. fdct_1d
+computes in int64. fdct_2d computes in int32 when every |sample| is below
+2**15 (level-shifted pixels are below 2**7), which keeps every intermediate
+of both passes below 2**28.1, and in int64 otherwise; its result is int64.
+In int64, the same gain keeps inputs below 2**49 exact.
 
-fdct_1d wires the kernels into the even/odd butterfly flowgraph of the
-8-point DCT; fdct_2d applies it to rows, transposes, and repeats. The
-float-matrix references ref_dct_2d/ref_idct_2d serve as oracles and as the
-decoder's inverse transform. The decoder's pixels are defined by rounding
-the einsum form of the inverse half away from zero; ref_idct_2d computes
-the faster matrix product and recomputes with the einsum only the blocks
-that have a sample within a proven float-error bound of a .5 tie, so the
-rounded pixels are the same.
+_flowgraph wires the kernels into the even/odd butterfly flowgraph of the
+8-point DCT; fdct_1d runs it along the last axis, and fdct_2d runs it on
+rows, then on columns. The float-matrix references ref_dct_2d/ref_idct_2d
+serve as oracles and as the decoder's inverse transform. The decoder's
+pixels are defined by rounding the einsum form of the inverse half away
+from zero; ref_idct_2d computes the faster matrix product and recomputes
+with the einsum only the blocks that have a sample within a proven
+float-error bound of a .5 tie, so the rounded pixels are the same.
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -80,14 +83,9 @@ def kernel_butterfly_iii(x, y, ops: IntOps = UNCOUNTED):
     return ops.shr(c_x, 8), ops.shr(c_y, 8)
 
 
-def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """8-point forward DCT of vec (..., 8) using shift-add kernels only."""
-    x = np.asarray(vec, dtype=np.int64)
-    if x.shape[-1] != 8:
-        raise ValueError("fdct_1d expects length-8 vectors")
-    x0, x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    x4, x5, x6, x7 = x[..., 4], x[..., 5], x[..., 6], x[..., 7]
-
+def _flowgraph(x0, x1, x2, x3, x4, x5, x6, x7, ops: IntOps):
+    """The even/odd butterfly flowgraph of the 8-point DCT: the eight
+    outputs, in frequency order, of the eight input lanes."""
     a0 = ops.add(x0, x7)
     a1 = ops.add(x1, x6)
     a2 = ops.add(x2, x5)
@@ -122,31 +120,53 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
     out5 = ops.shr(u, 1)
     out3 = ops.shr(ops.neg(v), 1)
 
-    return np.stack([out0, out1, out2, out3, out4, out5, out6, out7], axis=-1)
+    return out0, out1, out2, out3, out4, out5, out6, out7
+
+
+def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
+    """8-point forward DCT of vec (..., 8) using shift-add kernels only."""
+    x = np.asarray(vec, dtype=np.int64)
+    if x.shape[-1] != 8:
+        raise ValueError("fdct_1d expects length-8 vectors")
+    return np.stack(_flowgraph(*np.moveaxis(x, -1, 0), ops), axis=-1)
 
 
 # Blocks per step of fdct_2d. Each 1-D pass holds dozens of temporaries the
 # size of its input, so a fixed slice bounds the transform's working memory
-# whatever the stack size.
-_SLICE_BLOCKS = 512
+# whatever the stack size. 1024 int32 blocks take the bytes of 512 int64 ones.
+_SLICE_BLOCKS = 1024
+
+# fdct_2d computes in int32 when every |sample| is below this, else in
+# int64. The largest L1 gain of any intermediate of the two passes is below
+# 8926 (tests/test_fdct.py measures it), so such inputs keep every
+# intermediate below 2**28.1, about 8x inside int32.
+_INT32_INPUT = 2**15
 
 
 def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """2-D DCT of 8x8 blocks (..., 8, 8): rows, transpose, rows, transpose.
+    """2-D DCT of 8x8 blocks (..., 8, 8): rows, then columns; int64 result.
 
-    A stack is transformed in fixed slices of _SLICE_BLOCKS blocks, which
-    bounds the working memory; the results and the op counts are those of
-    one pass over the whole stack."""
+    Each pass runs the flowgraph on contiguous lanes, one per sample
+    position and laid out block-minor: [col, row, block] for the row pass,
+    then [row, freq, block] for the column pass. The lanes are int32 when
+    every |sample| is below _INT32_INPUT and int64 otherwise, with the same
+    results either way. A stack is transformed in fixed slices of
+    _SLICE_BLOCKS blocks, which bounds the working memory; the results and
+    the op counts are those of one pass over the whole stack."""
     m = np.asarray(block, dtype=np.int64)
     if m.shape[-2:] != (8, 8):
         raise ValueError("fdct_2d expects 8x8 blocks")
     blocks = m.reshape(-1, 8, 8)
+    narrow = blocks.size == 0 or -_INT32_INPUT < blocks.min() and blocks.max() < _INT32_INPUT
+    dtype = np.int32 if narrow else np.int64
     out = np.empty_like(blocks)
     # an empty stack still takes one (empty) step, as one pass would
     for start in range(0, max(len(blocks), 1), _SLICE_BLOCKS):
-        t = fdct_1d(blocks[start:start + _SLICE_BLOCKS], ops)
-        t = fdct_1d(np.swapaxes(t, -1, -2), ops)
-        out[start:start + _SLICE_BLOCKS] = np.swapaxes(t, -1, -2)
+        stop = start + _SLICE_BLOCKS
+        lanes = np.ascontiguousarray(blocks[start:stop].transpose(2, 1, 0), dtype=dtype)
+        rows = np.stack(_flowgraph(*lanes, ops), axis=1)  # [row, freq, block]
+        cols = np.stack(_flowgraph(*rows, ops))  # [freq down, freq across, block]
+        out[start:stop] = cols.transpose(2, 0, 1)
     return out.reshape(m.shape)
 
 

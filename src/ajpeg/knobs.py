@@ -77,6 +77,10 @@ def skip_check(current, reference, epsilon: int, ops: IntOps = UNCOUNTED) -> boo
 
 _FIRST_WINDOW = 16
 
+# skip_flags runs on int16 when every |sample| and |epsilon| are below
+# this, so a band edge, reference -+ epsilon, stays inside int16.
+_INT16_INPUT = 2**14
+
 
 def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Skip flag per block: block k skips when it lies inside the band of the
@@ -89,12 +93,18 @@ def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     band, found among all adjacent pairs at once. From that hit the
     reference stays fixed, and windows of 16, 32, 64, ... following blocks
     are tested against its band until one misses; the first miss is
-    processed and becomes the new reference."""
+    processed and becomes the new reference.
+
+    The bands and compares run on int16 when every |sample| and |epsilon|
+    are below 2**14, else on int64; the flags and the census are the
+    same."""
     n = len(blocks)
     skipped = np.zeros(n, dtype=bool)
     if n < 2:
         return skipped
     b = np.asarray(blocks, dtype=np.int64).reshape(n, -1)
+    if abs(epsilon) < _INT16_INPUT and -_INT16_INPUT < b.min() and b.max() < _INT16_INPUT:
+        b = b.astype(np.int16)
     floor, ceil = _band(b[:-1], epsilon, ops)
     # hits[i]: block hits[i] lies inside the band of block hits[i] - 1
     hits = 1 + np.flatnonzero(np.all((b[1:] >= floor) & (b[1:] <= ceil), axis=1))

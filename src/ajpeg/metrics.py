@@ -40,12 +40,13 @@ def _check_same_shape(ref: RasterImage, test: RasterImage):
 def sad_pct(ref: RasterImage, test: RasterImage) -> float:
     """Sum of absolute differences over the reference's total sample sum."""
     _check_same_shape(ref, test)
-    a = ref.samples.astype(np.int64)
-    b = test.samples.astype(np.int64)
-    denom = int(a.sum())
+    a, b = ref.samples, test.samples
+    denom = int(a.sum(dtype=np.int64))
     if denom == 0:
         raise MetricError("SAD undefined for an all-zero reference")
-    return float(np.abs(a - b).sum()) / denom
+    diff = np.subtract(a, b, dtype=np.int16)  # uint8 differences fit int16
+    np.abs(diff, out=diff)
+    return float(diff.sum(dtype=np.int64)) / denom
 
 
 def psnr(ref: RasterImage, test: RasterImage) -> float:

@@ -206,11 +206,17 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
 
 def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
     """uint8 pixel blocks of quantized blocks: dequantize, invert, round half
-    away from zero, undo truncation and the level shift, clip."""
+    away from zero, undo truncation and the level shift, clip.
+
+    Rounding adds copysign(0.5, x) in place and lets the int cast truncate
+    toward zero. That is sign(x) * floor(|x| + 0.5) for every float: IEEE
+    addition rounds symmetrically in sign, and -0.0 becomes 0."""
     pixels = ref_idct_2d(dequantize(quantized, divisors))
-    rounded = np.sign(pixels) * np.floor(np.abs(pixels) + 0.5)  # half away from zero
-    restored = (rounded.astype(np.int64) << trunc_level) + 128
-    return np.clip(restored, 0, 255).astype(np.uint8)
+    pixels += np.copysign(0.5, pixels)
+    restored = pixels.astype(np.int64)
+    restored <<= trunc_level
+    restored += 128
+    return np.clip(restored, 0, 255, out=restored).astype(np.uint8)
 
 
 def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:

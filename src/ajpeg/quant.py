@@ -60,12 +60,17 @@ def quantize_shift(coeffs, smatrix, ops: IntOps = UNCOUNTED) -> np.ndarray:
     c = sign(d) * ((|d| + 2**(s-1)) >> s); for s = 0 the entry passes
     through unchanged. Equivalent to round_half_away(d / 2**s) but runs on
     the shift-add datapath (the rounding offset is one extra adder input).
+    The sign goes back on in place, as a two's-complement conditional
+    negation: with sign = d >> 63 (0 or -1), (mag ^ sign) - sign.
     """
     d = np.asarray(coeffs, dtype=np.int64)
     s = np.asarray(smatrix, dtype=np.int64)
     offset = np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
     mag = ops.shr(ops.add(np.abs(d), offset), s)
-    return np.where(d < 0, -mag, mag)
+    sign = d >> 63
+    mag ^= sign
+    mag -= sign
+    return mag
 
 
 def quantize_div(coeffs, qmatrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Raster images, binary PNM parsing/writing, and 8x8 block tiling.
 
-Only binary P5 (grayscale) and P6 (RGB) with maxval 255 are supported.
+Only binary P5 (grayscale) and P6 (RGB) with maxval 255 are supported;
+header comments are skipped.
 Block tiling pads non-multiple-of-8 dimensions by edge replication and
 level-shifts samples by -128 into signed range; untiling only reassembles
 and crops, since the decoder's pixel blocks are already uint8.
@@ -8,6 +9,7 @@ and crops, since the decoder's pixel blocks are already uint8.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,20 +63,24 @@ class RasterImage:
         )
 
 
+# Whitespace and '#' comments, each to the end of its line, may come before
+# each header token; a token ends at whitespace or at a comment.
+_HEADER_SPACE = re.compile(rb"(?:\s|#[^\r\n]*)*")
+_HEADER_TOKEN = re.compile(rb"[^\s#]*")
+
+
 def parse_pnm(data: bytes) -> RasterImage:
-    """Parse a binary P5/P6 image with maxval 255."""
+    """Parse a binary P5/P6 image with maxval 255. The header may carry
+    '#' comments between its tokens."""
     if not data.startswith((b"P5", b"P6")):
         raise PnmError("magic: expected P5 or P6")
     color = data.startswith(b"P6")
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+        pos = _HEADER_SPACE.match(data, pos).end()
+        token = _HEADER_TOKEN.match(data, pos).group()
+        pos += len(token)
         if not token.isdigit():
             raise PnmError(f"{name}: expected unsigned integer")
         fields.append(int(token))

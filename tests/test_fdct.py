@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ajpeg import fdct
 from ajpeg.entropy import decode_channel, read_container
 from ajpeg.fdct import (
+    _INT32_INPUT,
     _T,
     dct_matrix,
     fdct_1d,
@@ -143,18 +145,97 @@ def _fdct_2d_one_pass(m, ops):
     return np.swapaxes(t, -1, -2)
 
 
-@pytest.mark.parametrize("shape", [(1100, 8, 8), (3, 512, 8, 8), (0, 8, 8)])
-def test_sliced_stack_matches_one_pass(shape):
-    # 1100 blocks take three slices, the last one partial; 3 x 512 takes
-    # three full ones; an empty stack still records its (empty) kernel calls
-    blocks = np.random.default_rng(11).integers(-2048, 2048, size=shape)
-    sliced, whole = OpCounter(), OpCounter()
+def _assert_matches_one_pass(blocks, ops=None):
+    """fdct_2d equals _fdct_2d_one_pass in values and in every op count."""
+    sliced, whole = ops or OpCounter(), OpCounter()
     got = fdct_2d(blocks, sliced)
-    assert got.shape == shape
+    assert got.dtype == np.int64
+    assert got.shape == np.shape(blocks)
     assert np.array_equal(got, _fdct_2d_one_pass(blocks, whole))
     assert (sliced.adds, sliced.subs, sliced.shifts, sliced.muls) == (
         whole.adds, whole.subs, whole.shifts, whole.muls)
     assert sliced.kernel_calls == whole.kernel_calls
+
+
+_S = fdct._SLICE_BLOCKS
+
+
+@pytest.mark.parametrize("shape", [(2 * _S + 76, 8, 8), (3, _S, 8, 8), (0, 8, 8)])
+def test_sliced_stack_matches_one_pass(shape):
+    # 2 * _S + 76 blocks take three slices, the last one partial; 3 x _S
+    # takes three full ones; an empty stack still records its (empty)
+    # kernel calls
+    _assert_matches_one_pass(np.random.default_rng(11).integers(-2048, 2048, size=shape))
+
+
+class _Recording(OpCounter):
+    """An OpCounter that also keeps every intermediate the ops produce."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = []
+
+    def _keep(self, r):
+        self.values.append(np.asarray(r))
+        return r
+
+    def add(self, a, b):
+        return self._keep(super().add(a, b))
+
+    def sub(self, a, b):
+        return self._keep(super().sub(a, b))
+
+    def neg(self, a):
+        return self._keep(super().neg(a))
+
+    def shl(self, a, k):
+        return self._keep(super().shl(a, k))
+
+    def shr(self, a, k):
+        return self._keep(super().shr(a, k))
+
+
+def test_int32_lanes_cannot_overflow():
+    # Every intermediate of the two passes is linear in the 64 samples up
+    # to the floors of the right shifts, so its largest magnitude over
+    # |x| < _INT32_INPUT is below _INT32_INPUT times its L1 gain, plus the
+    # floors' drift. The gain is read off 2**20-scaled unit impulses, one
+    # per sample position, as the sum over the impulses of |intermediate|.
+    scale = 2**20
+    impulses = scale * np.eye(64, dtype=np.int64).reshape(64, 8, 8)
+    ops = _Recording()
+    _fdct_2d_one_pass(impulses, ops)
+    gain = max(np.abs(v).sum(axis=0).max() for v in ops.values) / scale
+    assert 8925 < gain < 8926
+    # the floors drift an intermediate by a few thousand (2,373 at most on
+    # 2,000 random and extreme blocks): 2**16 covers that many times over
+    floor_slack = 2**16
+    assert _INT32_INPUT * gain + floor_slack < 2**31
+
+
+def _extreme_blocks(peak):
+    """peak times the sign pattern of each float DCT basis image, both
+    ways round: the blocks that maximise each output's magnitude."""
+    signs = np.sign(np.einsum("vi,uj->vuij", _T, _T)).astype(np.int64).reshape(64, 8, 8)
+    return peak * np.concatenate([signs, -signs])
+
+
+@pytest.mark.parametrize(
+    "peak, lanes", [(_INT32_INPUT - 1, np.int32), (_INT32_INPUT, np.int64), (2**20, np.int64)]
+)
+def test_lane_type_follows_the_input_range(peak, lanes):
+    blocks = _extreme_blocks(peak)
+    rng = np.random.default_rng(5)
+    blocks = np.concatenate([blocks, rng.integers(-peak, peak + 1, size=(200, 8, 8))])
+    ops = _Recording()
+    _assert_matches_one_pass(blocks, ops)
+    assert {v.dtype for v in ops.values} == {np.dtype(lanes)}
+    # a single sample at -peak decides alone
+    blocks = np.zeros((3, 8, 8), dtype=np.int64)
+    blocks[1, 4, 2] = -peak
+    ops = _Recording()
+    _assert_matches_one_pass(blocks, ops)
+    assert {v.dtype for v in ops.values} == {np.dtype(lanes)}
 
 
 def test_1d_rejects_bad_length():

@@ -134,6 +134,13 @@ stacks = st.builds(
 @example(_consts(*[0] * 600, 40, 40, 0), 5)  # a run of 599 outlasts its largest window, 512
 @example(_consts(10, 13, 16, 19, 22), 5)  # block 2 matches block 1, not its reference
 @example(_consts(125, 128, 126, -126, -129, -127), 5)  # the band clamp decides
+# the int16 scan at its edges; then samples and epsilons that take int64,
+# among them a block that an int16 cast would wrap onto its reference
+@example(_consts(2**14 - 1, 1 - 2**14, 2**14 - 1, 100, -100), 2**14 - 1)
+@example(_consts(2**14, 2**14 - 3, 2**14 + 9, -(2**14), 0), 5)
+@example(_consts(100, 100 + 2**16, -(2**14), 1 - 2**14, 0), 5)
+@example(_consts(0, 127, -128, 2**14, 200), 2**14)
+@example(_consts(0, 127, -128, 2**14, 200), 2**15)
 def test_skip_flags_matches_sequential_scan(blocks, epsilon):
     assert np.array_equal(skip_flags(blocks, epsilon), _sequential_skip_flags(blocks, epsilon))
 

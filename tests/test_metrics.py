@@ -41,6 +41,30 @@ def test_sad_zero_reference_raises():
         sad_pct(_const(0), _const(1))
 
 
+def _sad_int64(ref, test):
+    """sad_pct's definition on int64 copies of the samples."""
+    a = ref.samples.astype(np.int64)
+    b = test.samples.astype(np.int64)
+    return float(np.abs(a - b).sum()) / int(a.sum())
+
+
+@pytest.mark.parametrize("shape", [(37, 53), (37, 53, 3), (512, 512)])
+def test_sad_matches_int64_formula(shape):
+    rng = np.random.default_rng(shape[0] + len(shape))
+    ref = RasterImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
+    test = RasterImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
+    assert sad_pct(ref, test) == _sad_int64(ref, test)
+    assert sad_pct(test, ref) == _sad_int64(test, ref)
+
+
+def test_sad_full_scale_differences():
+    for shape in ((16, 16), (16, 16, 3)):
+        black, white = _const(0, shape), _const(255, shape)
+        assert sad_pct(white, black) == _sad_int64(white, black) == 1.0
+        with pytest.raises(MetricError, match="all-zero"):
+            sad_pct(black, white)
+
+
 def test_shape_mismatch_raises():
     with pytest.raises(MetricError, match="identical dimensions"):
         psnr(_const(1, (8, 8)), _const(1, (8, 9)))

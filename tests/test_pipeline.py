@@ -247,6 +247,30 @@ def test_decode_inverts_only_coded_blocks(corpus, monkeypatch):
     assert sum(inverted) == coded
 
 
+def _rounding_probes():
+    """Floats where rounding half away from zero is easy to get wrong: the
+    ties k + 1/2, their neighbours an ulp either side (0.49999999999999994
+    among them), +-0.0, and values at and next to 2**k."""
+    ties = np.arange(300) + 0.5
+    powers = 2.0 ** np.arange(53)
+    near = np.concatenate([ties, powers])
+    x = np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf), [0.0]])
+    x = np.concatenate([x, -x])
+    return np.concatenate([x, np.zeros(-len(x) % 64)]).reshape(-1, 8, 8)
+
+
+@pytest.mark.parametrize("trunc_level", TRUNC_LEVELS)
+def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
+    x = _rounding_probes()
+    assert np.signbit(x).any() and (x == 0).any()  # -0.0 is among them
+    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: x.copy())
+    zeros = np.zeros(x.shape, dtype=np.int64)
+    got = pipeline._decode_blocks(zeros, np.ones((8, 8), dtype=np.int64), trunc_level)
+    rounded = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    want = np.clip((rounded.astype(np.int64) << trunc_level) + 128, 0, 255).astype(np.uint8)
+    assert np.array_equal(got, want)
+
+
 def test_decode_memory_is_bounded_by_output():
     # every block but the first is skipped: the decoder inverts one block
     # and gathers uint8 pixels, with no per-block coefficient or float buffer

@@ -43,6 +43,27 @@ def test_parse_body_may_start_with_whitespace_byte():
     assert parse_pnm(data).pixels[0, 0] == 0x20
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5\n# made by gimp\n2 2\n255\n",  # a comment line before width
+        b"P5 2 # w\n2 255\n",  # a comment between tokens
+        b"P5\r\n# CRLF line\r\n2 2\r\n255\n",  # a comment line ending in CRLF
+        b"P5 2#w\n#\n\t# h\n2 255 ",  # a comment ends a token; comments in a row
+    ],
+)
+def test_parse_skips_header_comments(header):
+    img = parse_pnm(header + bytes([1, 2, 3, 4]))
+    assert img.pixels.tolist() == [[1, 2], [3, 4]]
+
+
+def test_parse_body_after_maxval_is_not_a_comment():
+    # the single byte after maxval separates the body, which may start with '#'
+    assert parse_pnm(b"P5 1 1 255\n#").pixels.tolist() == [[ord("#")]]
+    with pytest.raises(PnmError, match="header"):
+        parse_pnm(b"P5 1 1 255# comment\n\x00")
+
+
 def test_parse_trailing_bytes_ignored():
     data = b"P5 1 1 255\n" + bytes([7]) + b"junk"
     assert parse_pnm(data).pixels[0, 0] == 7
