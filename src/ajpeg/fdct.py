@@ -131,9 +131,11 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
     return np.stack(_flowgraph(*np.moveaxis(x, -1, 0), ops), axis=-1)
 
 
-# Blocks per step of fdct_2d. Each 1-D pass holds dozens of temporaries the
-# size of its input, so a fixed slice bounds the transform's working memory
-# whatever the stack size. 1024 int32 blocks take the bytes of 512 int64 ones.
+# Blocks per step of fdct_2d, and of every other per-block step over a
+# stack (the skip scan, and the pipeline's compress and decode). Each 1-D
+# pass holds dozens of temporaries the size of its input, so a fixed slice
+# bounds the transform's working memory whatever the stack size. 1024 int32
+# blocks take the bytes of 512 int64 ones.
 _SLICE_BLOCKS = 1024
 
 # fdct_2d computes in int32 when every |sample| is below this, else in
@@ -151,15 +153,17 @@ def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
     then [row, freq, block] for the column pass. The lanes are int32 when
     every |sample| is below _INT32_INPUT and int64 otherwise, with the same
     results either way. A stack is transformed in fixed slices of
-    _SLICE_BLOCKS blocks, which bounds the working memory; the results and
-    the op counts are those of one pass over the whole stack."""
-    m = np.asarray(block, dtype=np.int64)
+    _SLICE_BLOCKS blocks, which bounds the working memory: the range check
+    reads the input in its own dtype, and only a slice is ever cast to the
+    lane type. The results and the op counts are those of one pass over
+    the whole stack."""
+    m = np.asarray(block)
     if m.shape[-2:] != (8, 8):
         raise ValueError("fdct_2d expects 8x8 blocks")
     blocks = m.reshape(-1, 8, 8)
     narrow = blocks.size == 0 or -_INT32_INPUT < blocks.min() and blocks.max() < _INT32_INPUT
     dtype = np.int32 if narrow else np.int64
-    out = np.empty_like(blocks)
+    out = np.empty(blocks.shape, dtype=np.int64)
     # an empty stack still takes one (empty) step, as one pass would
     for start in range(0, max(len(blocks), 1), _SLICE_BLOCKS):
         stop = start + _SLICE_BLOCKS

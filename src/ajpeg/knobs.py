@@ -23,6 +23,11 @@ skip_check. The op census charges one band (an add and a sub per sample,
 128 lanes per 8x8 block) for every block that can act as a reference,
 blocks 0 .. n-2, which is what n-1 sequential skip_check calls charge;
 the comparisons themselves are not datapath ops, as in skip_check.
+
+The scan reads the block stack in its own dtype and holds no copy of it:
+the adjacent-pair bands and compares run over slices of at most
+fdct._SLICE_BLOCKS blocks, and the windows of a run stop doubling at that
+size.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .fdct import _SLICE_BLOCKS
 from .ops import UNCOUNTED, IntOps
 from .quant import quantize_shift
 
@@ -51,10 +57,11 @@ def skip_epsilon(level: int) -> int:
 
 def truncate_block(block, level: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Divide samples by 2**level, rounding half away from zero: the
-    quantizer's rounded power-of-2 division (quant.quantize_shift)."""
+    quantizer's rounded power-of-2 division (quant.quantize_shift), whose
+    result is int64. Level 0 returns the samples as they are."""
     if level not in TRUNC_LEVELS:
         raise ValueError("truncation level must be in [0, 4]")
-    m = np.asarray(block, dtype=np.int64)
+    m = np.asarray(block)
     return m if level == 0 else quantize_shift(m, level, ops)
 
 
@@ -82,6 +89,11 @@ _FIRST_WINDOW = 16
 _INT16_INPUT = 2**14
 
 
+def _inside(window: np.ndarray, floor, ceil) -> np.ndarray:
+    """Whether every sample of each block of window lies in [floor, ceil]."""
+    return np.all((window >= floor) & (window <= ceil), axis=1)
+
+
 def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Skip flag per block: block k skips when it lies inside the band of the
     most recent block that was processed, not the most recent block seen.
@@ -92,36 +104,41 @@ def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     block k-1, so the next skip is the next block inside its predecessor's
     band, found among all adjacent pairs at once. From that hit the
     reference stays fixed, and windows of 16, 32, 64, ... following blocks
-    are tested against its band until one misses; the first miss is
-    processed and becomes the new reference.
+    (at most _SLICE_BLOCKS) are tested against its band until one misses;
+    the first miss is processed and becomes the new reference.
 
     The bands and compares run on int16 when every |sample| and |epsilon|
-    are below 2**14, else on int64; the flags and the census are the
-    same."""
+    are below 2**14, else on int64; each slice or window is cast on its
+    own, so the stack is never copied. The flags and the census are the
+    same either way."""
     n = len(blocks)
     skipped = np.zeros(n, dtype=bool)
     if n < 2:
         return skipped
-    b = np.asarray(blocks, dtype=np.int64).reshape(n, -1)
-    if abs(epsilon) < _INT16_INPUT and -_INT16_INPUT < b.min() and b.max() < _INT16_INPUT:
-        b = b.astype(np.int16)
-    floor, ceil = _band(b[:-1], epsilon, ops)
+    b = np.asarray(blocks).reshape(n, -1)
+    narrow = abs(epsilon) < _INT16_INPUT and -_INT16_INPUT < b.min() and b.max() < _INT16_INPUT
+    lanes = np.int16 if narrow else np.int64
     # hits[i]: block hits[i] lies inside the band of block hits[i] - 1
-    hits = 1 + np.flatnonzero(np.all((b[1:] >= floor) & (b[1:] <= ceil), axis=1))
+    hits = []
+    for start in range(0, n - 1, _SLICE_BLOCKS):
+        pair = np.asarray(b[start:start + _SLICE_BLOCKS + 1], dtype=lanes)
+        floor, ceil = _band(pair[:-1], epsilon, ops)
+        hits.append(start + 1 + np.flatnonzero(_inside(pair[1:], floor, ceil)))
+    hits = np.concatenate(hits)
     k = 1  # first undecided block; block k - 1 is the reference
     while (i := np.searchsorted(hits, k)) < len(hits):
         j = int(hits[i])
-        ref = j - 1
+        # the census charged this band in the pair pass above
+        floor, ceil = _band(np.asarray(b[j - 1], dtype=lanes), epsilon, UNCOUNTED)
         end, width = j + 1, _FIRST_WINDOW
         while end < n:
-            window = b[end:end + width]
-            inside = np.all((window >= floor[ref]) & (window <= ceil[ref]), axis=1)
+            inside = _inside(np.asarray(b[end:end + width], dtype=lanes), floor, ceil)
             miss = int(np.argmin(inside))
             if not inside[miss]:
                 end += miss
                 break
-            end += len(window)
-            width *= 2
+            end += len(inside)
+            width = min(2 * width, _SLICE_BLOCKS)
         skipped[j:end] = True  # block end, if any, misses and is the new reference
         k = end + 1
     return skipped

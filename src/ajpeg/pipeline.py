@@ -28,6 +28,15 @@ since a processed block's pixels do not depend on the skip level. Both
 build the container header and reassemble the planes with the same
 helpers as encode() and decode(), so decode(encode(img)) equals
 reconstruct(img) bit for bit.
+
+Working set: only narrow arrays are image-sized, the uint8 planes and
+pixel blocks, the int16 tiles and quantized coded blocks, and the bool
+skip flags. Every wide temporary lives in one slice of at most
+fdct._SLICE_BLOCKS blocks (_by_slice): encode compresses, decode
+dequantizes, inverts and rounds, and reconstruct_many runs both, slice by
+slice, so it never holds a plane's coefficients. The color layer works in
+row strips the same way. The entropy layer is the exception: it codes a
+channel's blocks and symbols at once.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import numpy as np
 from . import entropy
 from .color import downsample_420, plane_shapes, rgb_to_ycbcr, upsample_420, ycbcr_to_rgb
 from .energy import EnergyStats
-from .fdct import fdct_2d, ref_idct_2d
+from .fdct import _SLICE_BLOCKS, fdct_2d, ref_idct_2d
 from .knobs import (
     SKIP_LEVELS,
     TRUNC_LEVELS,
@@ -114,12 +123,23 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
     if cfg.quant_mode == "shift":
         quantized = quantize_shift(coeffs, smat, ops)
         if cfg.dc_exact:
-            quantized = quantized.copy()
             quantized[..., 0, 0] = quantize_dc_exact(
                 coeffs[..., 0, 0], int(qmat[0, 0]), ops
             )
         return quantized
     return quantize_div(coeffs, qmat)
+
+
+def _by_slice(step, blocks: np.ndarray, dtype) -> np.ndarray:
+    """step over a stack of blocks, slice by slice: the results of step on
+    consecutive slices of at most _SLICE_BLOCKS blocks, written into one
+    (n, 8, 8) array of the narrow dtype. A step's wide temporaries are gone
+    before the next slice starts. Every step counts its ops per lane, so
+    the counts are those of one step over the whole stack."""
+    out = np.empty((len(blocks), 8, 8), dtype=dtype)
+    for start in range(0, len(blocks), _SLICE_BLOCKS):
+        out[start : start + _SLICE_BLOCKS] = step(blocks[start : start + _SLICE_BLOCKS])
+    return out
 
 
 def _quant_tables(cfg: EncodeConfig) -> tuple[np.ndarray, np.ndarray | None]:
@@ -178,7 +198,10 @@ def encode(
     for cid, plane in enumerate(_planes_of(img)):
         blocks = tile_blocks(plane)
         skipped = _skip_flags(blocks, cfg.skip_level, ops)
-        coded = _compress_blocks(blocks[~skipped], cfg, smat, qmat, ops)
+        # quantized coefficients are below 2**11 in magnitude, so int16 holds them
+        coded = _by_slice(
+            lambda b: _compress_blocks(b, cfg, smat, qmat, ops), blocks[~skipped], np.int16
+        )
         streams.append(entropy.encode_channel(coded, skipped, cid))
         flags.append(skipped)
     meta = _container_meta(img, cfg, qmat, smat)
@@ -238,9 +261,13 @@ def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
     """Decode an AJPG container."""
     meta, streams = entropy.read_container(data)
     divisors = _decode_divisors(meta, decode_matrix)
+
+    def invert(quantized):
+        return _decode_blocks(quantized, divisors, meta.trunc_level)
+
     # each coded block is inverted once; a skipped block gathers its reference's pixels
     pixel_blocks = (
-        _decode_blocks(entropy.decode_channel(s), divisors, meta.trunc_level)[reuse_index(s.skip_flags)]
+        _by_slice(invert, entropy.decode_channel(s), np.uint8)[reuse_index(s.skip_flags)]
         for s in streams
     )
     return _decode_image(meta, pixel_blocks)
@@ -257,9 +284,9 @@ def reconstruct_many(
 
     Consecutive configs that differ only in skip_level share one pass: every
     block processed under at least one of them is truncated, transformed,
-    quantized and decoded once, and each config gathers the pixel block of
-    the block it carries. ops counts that shared work once. The arguments are
-    checked here, before the generator is returned."""
+    quantized and decoded once, slice by slice, and each config gathers the
+    pixel block of the block it carries. ops counts that shared work once.
+    The arguments are checked here, before the generator is returned."""
     configs = list(configs)
     _check_decode_matrix(decode_matrix)
     if not configs:
@@ -276,18 +303,23 @@ def _reconstruct_groups(
         qmat, smat = _quant_tables(shared)
         meta = _container_meta(img, shared, qmat, smat)
         divisors = _decode_divisors(meta, decode_matrix)
+
+        def round_trip(blocks):
+            quantized = _compress_blocks(blocks, shared, smat, qmat, ops)
+            return _decode_blocks(quantized, divisors, shared.trunc_level)
+
         levels = dict.fromkeys(cfg.skip_level for cfg in group)
         coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
         for plane in planes:
             blocks = tile_blocks(plane)
             flags = {lv: _skip_flags(blocks, lv, ops) for lv in levels}
             union = ~np.logical_and.reduce(list(flags.values()))
-            quantized = _compress_blocks(blocks[union], shared, smat, qmat, ops)
+            pixels = _by_slice(round_trip, blocks[union], np.uint8)
             position = np.cumsum(union) - 1  # of each union block among the union
             # composed into one index per level: gathering the level's coded
             # blocks first and then expanding them would copy the pixels twice
             carried = {lv: position[np.flatnonzero(~s)[reuse_index(s)]] for lv, s in flags.items()}
-            coded.append((_decode_blocks(quantized, divisors, shared.trunc_level), flags, carried))
+            coded.append((pixels, flags, carried))
         for cfg in group:
             lv = cfg.skip_level
             image = _decode_image(meta, [pixels[carried[lv]] for pixels, _, carried in coded])

@@ -5,6 +5,10 @@ header comments are skipped.
 Block tiling pads non-multiple-of-8 dimensions by edge replication and
 level-shifts samples by -128 into signed range; untiling only reassembles
 and crops, since the decoder's pixel blocks are already uint8.
+
+Working set: the image-sized arrays here are narrow. Tiling pads in uint8
+and writes the level-shifted samples as int16 in one pass; untiling keeps
+the blocks' dtype.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def write_pnm(img: RasterImage) -> bytes:
 
 
 def tile_blocks(plane: np.ndarray) -> np.ndarray:
-    """Level-shifted (n, 8, 8) int64 blocks of a grayscale plane, in
+    """Level-shifted (n, 8, 8) int16 blocks of a grayscale plane, in
     row-major block order, with the edges padded by replication."""
     if plane.ndim != 2:
         raise ValueError("tile_blocks expects a single-channel plane")
@@ -118,10 +122,11 @@ def tile_blocks(plane: np.ndarray) -> np.ndarray:
         raise ValueError("cannot tile a zero-dimension plane")
     bw = -(-w // BLOCK)
     bh = -(-h // BLOCK)
-    padded = np.pad(plane, ((0, bh * BLOCK - h), (0, bw * BLOCK - w)), mode="edge")
-    blocks = padded.reshape(bh, BLOCK, bw, BLOCK).swapaxes(1, 2).reshape(-1, BLOCK, BLOCK)
-    blocks = blocks.astype(np.int64)
-    blocks -= 128
+    if h % BLOCK or w % BLOCK:
+        plane = np.pad(plane, ((0, bh * BLOCK - h), (0, bw * BLOCK - w)), mode="edge")
+    blocks = np.empty((bh * bw, BLOCK, BLOCK), dtype=np.int16)
+    tiles = plane.reshape(bh, BLOCK, bw, BLOCK).swapaxes(1, 2)
+    np.subtract(tiles, 128, out=blocks.reshape(bh, bw, BLOCK, BLOCK), dtype=np.int16)
     return blocks
 
 

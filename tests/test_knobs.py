@@ -1,10 +1,13 @@
 """Precision scaling (truncation) and block skipping semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ajpeg.fdct import _SLICE_BLOCKS
 from ajpeg.knobs import (
     perforate,
     skip_check,
@@ -152,7 +155,44 @@ def test_skip_flags_run_ending_at_a_window_edge(run):
     assert skip_flags(blocks, 5).tolist() == want
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 100])
+_SLICE_EDGES = [_SLICE_BLOCKS - 1, _SLICE_BLOCKS, _SLICE_BLOCKS + 1, 2 * _SLICE_BLOCKS + 1]
+
+
+@pytest.mark.parametrize("n", _SLICE_EDGES)
+@pytest.mark.parametrize("lanes", [np.int16, np.int64])
+def test_skip_flags_across_slice_edges(n, lanes):
+    # the pair pass runs slice by slice and a run's windows stop doubling at
+    # one slice: a drifting stack, adjacent blocks that differ but for one
+    # pair across each slice edge, and one long run that spans every slice
+    drifting = _drifting_stack(n, n, 1, 3, 0).astype(lanes)
+    values = 40 * (np.arange(n) % 2)
+    edges = np.arange(_SLICE_BLOCKS, n, _SLICE_BLOCKS)
+    values[edges] = values[edges - 1]
+    straddling = _consts(*values).astype(lanes)
+    one_run = _consts(*[7] * n, 40).astype(lanes)
+    for blocks in (drifting, straddling, one_run):
+        for epsilon in (5, 15):
+            want = _sequential_skip_flags(blocks, epsilon)
+            assert np.array_equal(skip_flags(blocks, epsilon), want)
+    assert skip_flags(one_run, 0).tolist() == [False] + [True] * (n - 1) + [False]
+
+
+def test_skip_flags_memory_is_bounded_by_the_stack():
+    # int16 tiles are scanned in their own dtype: no widened copy of the
+    # stack, and bands and compares of one slice at a time
+    blocks = _drifting_stack(16384, 3, 2, 4, 0).astype(np.int16)
+    tracemalloc.start()
+    try:
+        flags = skip_flags(blocks, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * blocks.nbytes
+    assert flags.any() and not flags.all()
+    assert np.array_equal(flags, skip_flags(blocks.astype(np.int64), 15))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 2 * _SLICE_BLOCKS + 1])
 def test_skip_flags_charges_one_band_per_reference_candidate(n):
     ops = OpCounter()
     skip_flags(_drifting_stack(n, n, 2, 3, 0), 10, ops)

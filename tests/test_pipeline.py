@@ -1,5 +1,6 @@
 """End-to-end pipeline: container round trips, knob semantics, stats."""
 
+import hashlib
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -271,21 +272,77 @@ def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
     assert np.array_equal(got, want)
 
 
-def test_decode_memory_is_bounded_by_output():
-    # every block but the first is skipped: the decoder inverts one block
-    # and gathers uint8 pixels, with no per-block coefficient or float buffer
-    img = RasterImage(np.full((1024, 1024), 77, dtype=np.uint8))
-    cfg = EncodeConfig(skip_level=0)
-    data, stats = encode(img, cfg)
-    assert stats.blocks_processed == 1
+def _traced_peak(fn):
+    """fn's result and the peak bytes it allocated, by tracemalloc."""
     tracemalloc.start()
     try:
-        out = decode(data)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == reconstruct(img, cfg)[0]
-    assert peak < 8 * out.pixels.nbytes
+
+
+def test_decode_memory_is_bounded_by_output():
+    # every block but the first is skipped: the decoder inverts one block
+    # and gathers uint8 pixels, with no per-block coefficient or float
+    # buffer; color converts in row strips, so only uint8 planes are
+    # image-sized
+    for shape, bound in [((1024, 1024), 8), ((1024, 1024, 3), 3)]:
+        img = RasterImage(np.full(shape, 77, dtype=np.uint8))
+        cfg = EncodeConfig(skip_level=0)
+        data, stats = encode(img, cfg)
+        assert stats.blocks_processed == img.channels
+        out, peak = _traced_peak(lambda: decode(data))
+        assert out == reconstruct(img, cfg)[0]
+        assert peak < bound * out.pixels.nbytes
+
+
+def test_reconstruct_memory_is_bounded_by_image():
+    # noise codes every block: its coefficients and float buffers live in
+    # one slice at a time, and the tiles are int16
+    rng = np.random.default_rng(11)
+    img = RasterImage(rng.integers(0, 256, size=(1024, 1024, 3), dtype=np.uint8))
+    (out, stats), peak = _traced_peak(lambda: reconstruct(img))
+    assert stats.blocks_skipped == 0 and out.pixels.shape == img.pixels.shape
+    assert peak < 6 * img.pixels.nbytes
+
+
+# Containers of gray noise 8 pixels high, so every block is coded, at block
+# counts around the slice edges; generated before the block path ran in
+# slices.
+_SLICE_EDGE_DIGESTS = {
+    1023: "7f67002da8a58f2088f4b079738ac68ee27481f8715ca54c2858bf107fca8179",
+    1024: "be625c8dd124bb1ff2f773e12b4d60c8b0eb74ec3ef5dcf2ba77f7904d865128",
+    1025: "7e690cb641c5d19a82d6a5b13c45643dc4286433a6c916264bb5a1460b4c7ad3",
+    2049: "adbe1a6c41a8bb508a119c7c475af8c4083fc8a396765191e2c54038579ffa0b",
+}
+
+
+def _census(ops: OpCounter):
+    return ops.adds, ops.subs, ops.shifts, ops.muls, ops.kernel_calls
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, pipeline._SLICE_BLOCKS + 1])
+def test_slice_edges_keep_bytes_pixels_and_census(monkeypatch, offset):
+    count = pipeline._SLICE_BLOCKS + offset
+    rng = np.random.default_rng(count)
+    img = RasterImage(rng.integers(0, 256, size=(8, 8 * count), dtype=np.uint8))
+    cfg = EncodeConfig(dc_exact=True, trunc_level=2)
+    configs = [cfg, replace(cfg, skip_level=2), replace(cfg, skip_level=6)]
+
+    def run():
+        ops_e, ops_r = OpCounter(), OpCounter()
+        data, stats = encode(img, cfg, ops_e)
+        shared = list(reconstruct_many(img, configs, ops=ops_r))
+        return data, stats, shared, _census(ops_e), _census(ops_r)
+
+    sliced = run()
+    data, stats, shared = sliced[:3]
+    assert stats.blocks_processed == count
+    assert hashlib.sha256(data).hexdigest() == _SLICE_EDGE_DIGESTS[count]
+    assert decode(data) == shared[0][0]
+    monkeypatch.setattr(pipeline, "_SLICE_BLOCKS", 2**40)  # one step per stack
+    assert run() == sliced
 
 
 # A custom table with a non-power-of-two DC divisor and a few unit entries.

@@ -114,7 +114,10 @@ def test_tile_9x9_pads_by_edge_replication():
     plane[8, 8] = 80
     blocks = tile_blocks(plane)
     assert blocks.shape == (4, 8, 8)
-    assert blocks.dtype == np.int64
+    assert blocks.dtype == np.int16
+    padded = np.pad(plane, ((0, 7), (0, 7)), mode="edge").astype(np.int64) - 128
+    tiled = padded.reshape(2, 8, 2, 8).swapaxes(1, 2).reshape(4, 8, 8)
+    assert np.array_equal(blocks, tiled)
     # top-left block is interior; bottom-right is pure replication of (8,8)
     assert np.all(blocks[0] == -128)
     assert np.all(blocks[1] == -128)
