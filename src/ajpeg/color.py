@@ -41,6 +41,7 @@ def _round_half_up_clamp(x: np.ndarray, out: np.ndarray):
 
 
 def _strips(height: int):
+    """Row slices of at most _STRIP_ROWS rows that cover height rows."""
     return (slice(top, top + _STRIP_ROWS) for top in range(0, height, _STRIP_ROWS))
 
 
