@@ -200,7 +200,7 @@ def _cmd_report(args) -> int:
         cfg_json = TunerResult.from_json(Path(args.config).read_text())
     except OSError as exc:
         raise DataError(f"cannot read {args.config}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DataError(f"{args.config}: {exc}") from exc
     cfg = EncodeConfig(
         quality=args.quality,

@@ -189,9 +189,9 @@ def extract_qe_curve(
     levels via select_level.
 
     Each image's levels come from one pipeline.reconstruct_many call. The
-    skip levels of the loop knob share one transform pass: each block
-    processed at any level is truncated, transformed, quantized and decoded
-    once. Truncation levels change every block's result, so each takes a
+    skip levels of the loop knob share one skip scan per plane and one
+    transform pass: each block processed at any level is truncated,
+    transformed, quantized and decoded once. Truncation levels change every block's result, so each takes a
     pass of its own.
     """
     from . import pipeline  # imported late; pipeline depends on this module

@@ -8,30 +8,43 @@ reused and the transform is skipped entirely. Tolerance is 5*L for skip
 level L in [0, 6]. Skip decisions read pixels only, never a block's own
 compression result, so they are made on the pre-truncation samples.
 
-This module owns that reference-chain rule for every consumer: skip_flags
-makes the decisions and reuse_index maps each block to the processed
-block whose result it carries. perforate and the pipeline's decode and
+This module owns that reference-chain rule for every consumer:
+skip_flags_many makes the decisions of one plane at several tolerances,
+skip_flags at one, and reuse_index maps each block to the processed block
+whose result it carries. perforate and the pipeline's decode and
 reconstruct expand results through that index, and nothing else does:
 the encoder and the entropy layer handle the processed blocks only.
 
-skip_flags scans a plane one skip run at a time rather than one block at a
-time: it tests every block against its predecessor in one array compare,
-jumps to the next block inside its predecessor's band, then tests growing
-windows of the following blocks against that reference's band until one
-misses. The decisions are those of checking block by block with
-skip_check. The op census charges one band (an add and a sub per sample,
-128 lanes per 8x8 block) for every block that can act as a reference,
-blocks 0 .. n-2, which is what n-1 sequential skip_check calls charge;
-the comparisons themselves are not datapath ops, as in skip_check.
+The scan rests on a distance form of the band test. For one sample x,
+reference sample r and tolerance eps, x <= min(r + eps, 127) holds exactly
+when x <= r + eps and x <= 127, and x >= max(r - eps, -128) exactly when
+x >= r - eps and x >= -128. So x lies in the clamped band exactly when
+|x - r| <= eps and -128 <= x <= 127; and block e lies inside the band of
+reference r exactly when max|b_e - b_r| <= eps and every sample of b_e
+lies in [-128, 127]. Neither the distance nor the range test depends on
+eps, so one pass over a plane serves every skip level: it tables the
+distance from each block to each of its next _TABLE_WIDTH (16) blocks
+once, and each tolerance walks its skip runs through that table.
+
+The table and the compares run on int16 when every |sample| and every
+|eps| are below 2**14: a distance is then at most 2**15 - 2, and the entry
+2**15 - 1 can stand for "never inside". Otherwise they run on int64. The
+flags are the same either way.
+
+The op census charges what the band hardware does, not what the software
+does: one band (an add and a sub per sample, 128 lanes per 8x8 block) per
+tolerance for every block that can act as a reference, blocks 0 .. n-2,
+which is what n-1 sequential skip_check calls charge; the comparisons
+themselves are not datapath ops, as in skip_check.
 
 The scan reads the block stack in its own dtype and holds no copy of it:
-the adjacent-pair bands and compares run over slices of at most
-fdct._SLICE_BLOCKS blocks, and the windows of a run stop doubling at that
-size.
+the table is filled from slices of at most fdct._SLICE_BLOCKS blocks, and
+the windows of a run that outlasts the table stop doubling at that size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,83 +78,145 @@ def truncate_block(block, level: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     return m if level == 0 else quantize_shift(m, level, ops)
 
 
-def _band(reference, epsilon: int, ops: IntOps) -> tuple[np.ndarray, np.ndarray]:
-    """(floor, ceil) of the tolerance band around reference: reference -+
-    epsilon clamped to the signed sample range. One add and one sub lane per
-    sample."""
-    ceil = np.minimum(ops.add(reference, epsilon), SAMPLE_MAX)
-    floor = np.maximum(ops.sub(reference, epsilon), SAMPLE_MIN)
-    return floor, ceil
-
-
 def skip_check(current, reference, epsilon: int, ops: IntOps = UNCOUNTED) -> bool:
     """True when every sample of current lies inside reference +- epsilon,
-    with the band clamped to the signed sample range."""
+    with the band clamped to the signed sample range. The band costs one
+    add and one sub lane per sample."""
     cur = np.asarray(current, dtype=np.int64)
-    floor, ceil = _band(np.asarray(reference, dtype=np.int64), epsilon, ops)
+    ref = np.asarray(reference, dtype=np.int64)
+    ceil = np.minimum(ops.add(ref, epsilon), SAMPLE_MAX)
+    floor = np.maximum(ops.sub(ref, epsilon), SAMPLE_MIN)
     return bool(np.all((cur <= ceil) & (cur >= floor)))
 
 
-_FIRST_WINDOW = 16
+# Distances from each block to each of its next _TABLE_WIDTH blocks are
+# tabled; a run that reaches the table's edge goes on in growing windows.
+_TABLE_WIDTH = 16
 
-# skip_flags runs on int16 when every |sample| and |epsilon| are below
-# this, so a band edge, reference -+ epsilon, stays inside int16.
+# skip_flags_many runs on int16 when every |sample| and |epsilon| are below
+# this: a distance is then at most 2**15 - 2, so the int16 maximum can mark
+# a block that is never inside a band, and every epsilon is below it.
 _INT16_INPUT = 2**14
 
 
-def _inside(window: np.ndarray, floor, ceil) -> np.ndarray:
-    """Whether every sample of each block of window lies in [floor, ceil]."""
-    return np.all((window >= floor) & (window <= ceil), axis=1)
+def _in_range(b: np.ndarray) -> np.ndarray:
+    """Per block, whether every sample lies in [SAMPLE_MIN, SAMPLE_MAX]."""
+    valid = np.empty(len(b), dtype=bool)
+    for start in range(0, len(b), _SLICE_BLOCKS):
+        s = b[start:start + _SLICE_BLOCKS]
+        valid[start:start + len(s)] = (s.min(axis=1) >= SAMPLE_MIN) & (s.max(axis=1) <= SAMPLE_MAX)
+    return valid
+
+
+def _reach_table(b: np.ndarray, lanes, valid: np.ndarray | None) -> np.ndarray:
+    """reach[d - 1, r] = max over d' = 1 .. d of the distance from block r to
+    block r + d', for each reference candidate r = 0 .. n-2 and d = 1 ..
+    _TABLE_WIDTH, or the lane type's maximum once a block past the end or
+    out of the sample range (valid False; None when every block is in it)
+    comes in. Block r's run at epsilon is thus the number of entries of
+    column r that are at most epsilon.
+
+    Each slice of blocks is cast and transposed to [sample, block] lanes,
+    so a diagonal, max over samples of |b[r + d] - b[r]|, runs over
+    contiguous rows."""
+    n, far = len(b), np.iinfo(lanes).max
+    reach = np.full((_TABLE_WIDTH, n - 1), far, dtype=lanes)
+    for start in range(0, n - 1, _SLICE_BLOCKS):
+        lane = np.array(b[start:start + _SLICE_BLOCKS + _TABLE_WIDTH].T, dtype=lanes, order="C")
+        flat = lane.ravel()
+        diff = np.empty_like(flat)
+        count = min(_SLICE_BLOCKS, n - 1 - start)  # reference candidates in this slice
+        for d in range(1, min(_TABLE_WIDTH, n - 1 - start) + 1):
+            # one subtraction over the flattened lanes: entry [s, j] of the
+            # grid is lane[s, j + d] - lane[s, j] wherever j + d stays in the row
+            np.subtract(flat[d:], flat[:-d], out=diff[:-d])
+            np.abs(diff[:-d], out=diff[:-d])
+            c = min(count, lane.shape[1] - d)
+            row = reach[d - 1, start:start + c]
+            diff.reshape(lane.shape)[:, :c].max(axis=0, out=row)
+            if valid is not None:
+                row[~valid[start + d:start + d + c]] = far
+    for d in range(1, _TABLE_WIDTH):
+        np.maximum(reach[d], reach[d - 1], out=reach[d])
+    return reach
+
+
+def _run_end(b: np.ndarray, lanes, valid, r: int, e: int, epsilon: int) -> int:
+    """The first block from e on outside the band of reference r, or n if
+    none is: windows of _TABLE_WIDTH, then twice as many, ... blocks (at
+    most _SLICE_BLOCKS) are tested until one misses."""
+    reference = np.asarray(b[r], dtype=lanes)
+    width = _TABLE_WIDTH
+    while e < len(b):
+        window = np.asarray(b[e:e + width], dtype=lanes)
+        outside = np.abs(window - reference).max(axis=1) > epsilon
+        if valid is not None:
+            outside |= ~valid[e:e + width]
+        miss = int(np.argmax(outside))
+        if outside[miss]:
+            return e + miss
+        e += len(outside)
+        width = min(2 * width, _SLICE_BLOCKS)
+    return len(b)
+
+
+def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
+    """Skip flags of one block stack at each epsilon, from one pass over the
+    stack: row i is skip_flags(blocks, epsilons[i], ops), a (len(epsilons),
+    n) bool array.
+
+    The pass tables the distance from each block to each of its next
+    _TABLE_WIDTH blocks (_reach_table); that is the only work over every
+    block and it serves every epsilon. Each epsilon then walks its skip runs
+    in plain Python integers. While every block since the last reference
+    has been processed, the reference of block k is block k-1, so the next
+    skip follows the first reference candidate r >= k-1 whose run at epsilon
+    is not empty (a bisect into those candidates). From there the reference
+    stays r and the run's length is read off the table; only a run that
+    fills the table goes on in growing windows (_run_end). The first miss
+    is processed and becomes the new reference.
+
+    The table and compares run on int16 when every |sample| and |epsilon|
+    are below 2**14, else on int64; each slice or window is cast on its
+    own, so the stack is never copied. The flags and the census are the
+    same either way."""
+    epsilons = list(epsilons)
+    n = len(blocks)
+    skipped = np.zeros((len(epsilons), n), dtype=bool)
+    if n < 2 or not epsilons:
+        return skipped
+    # the bands of blocks 0 .. n-2 at each epsilon (see the module docstring)
+    lanes_charged = 64 * (n - 1) * len(epsilons)
+    ops.charge(adds=lanes_charged, subs=lanes_charged)
+    b = np.asarray(blocks).reshape(n, -1)
+    lo, hi = b.min(), b.max()
+    narrow = -_INT16_INPUT < lo and hi < _INT16_INPUT and max(map(abs, epsilons)) < _INT16_INPUT
+    lanes = np.int16 if narrow else np.int64
+    valid = None if SAMPLE_MIN <= lo and hi <= SAMPLE_MAX else _in_range(b)
+    reach = _reach_table(b, lanes, valid)
+    for flags, epsilon in zip(skipped, epsilons):
+        runs = np.count_nonzero(reach <= epsilon, axis=0)
+        refs = np.flatnonzero(runs)
+        lengths = runs[refs].tolist()
+        refs = refs.tolist()
+        i = 0
+        while i < len(refs):
+            r, length = refs[i], lengths[i]
+            end = r + 1 + length  # the first miss, or n
+            if length == _TABLE_WIDTH:
+                end = _run_end(b, lanes, valid, r, end, epsilon)
+            flags[r + 1:end] = True
+            i = bisect_left(refs, end, i + 1)  # block end is the new reference
+    return skipped
 
 
 def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Skip flag per block: block k skips when it lies inside the band of the
-    most recent block that was processed, not the most recent block seen.
-    Block 0 always processes.
-
-    The scan steps once per skip run, not once per block. While every block
-    since the last reference has been processed, the reference of block k is
-    block k-1, so the next skip is the next block inside its predecessor's
-    band, found among all adjacent pairs at once. From that hit the
-    reference stays fixed, and windows of 16, 32, 64, ... following blocks
-    (at most _SLICE_BLOCKS) are tested against its band until one misses;
-    the first miss is processed and becomes the new reference.
-
-    The bands and compares run on int16 when every |sample| and |epsilon|
-    are below 2**14, else on int64; each slice or window is cast on its
-    own, so the stack is never copied. The flags and the census are the
-    same either way."""
-    n = len(blocks)
-    skipped = np.zeros(n, dtype=bool)
-    if n < 2:
-        return skipped
-    b = np.asarray(blocks).reshape(n, -1)
-    narrow = abs(epsilon) < _INT16_INPUT and -_INT16_INPUT < b.min() and b.max() < _INT16_INPUT
-    lanes = np.int16 if narrow else np.int64
-    # hits[i]: block hits[i] lies inside the band of block hits[i] - 1
-    hits = []
-    for start in range(0, n - 1, _SLICE_BLOCKS):
-        pair = np.asarray(b[start:start + _SLICE_BLOCKS + 1], dtype=lanes)
-        floor, ceil = _band(pair[:-1], epsilon, ops)
-        hits.append(start + 1 + np.flatnonzero(_inside(pair[1:], floor, ceil)))
-    hits = np.concatenate(hits)
-    k = 1  # first undecided block; block k - 1 is the reference
-    while (i := np.searchsorted(hits, k)) < len(hits):
-        j = int(hits[i])
-        # the census charged this band in the pair pass above
-        floor, ceil = _band(np.asarray(b[j - 1], dtype=lanes), epsilon, UNCOUNTED)
-        end, width = j + 1, _FIRST_WINDOW
-        while end < n:
-            inside = _inside(np.asarray(b[end:end + width], dtype=lanes), floor, ceil)
-            miss = int(np.argmin(inside))
-            if not inside[miss]:
-                end += miss
-                break
-            end += len(inside)
-            width = min(2 * width, _SLICE_BLOCKS)
-        skipped[j:end] = True  # block end, if any, misses and is the new reference
-        k = end + 1
-    return skipped
+    most recent block that was processed, not the most recent block seen,
+    that is when max|b_k - b_ref| <= epsilon and every sample of b_k lies
+    in [-128, 127] (see the module docstring). Block 0 always processes.
+    The one-epsilon call of skip_flags_many."""
+    return skip_flags_many(blocks, [epsilon], ops)[0]
 
 
 def reuse_index(skipped) -> np.ndarray:

@@ -52,6 +52,10 @@ class IntOps:
     def kernel(self, name: str, lanes: int):
         pass
 
+    def charge(self, adds: int = 0, subs: int = 0):
+        """Book add and sub lanes of datapath work that the software
+        computes in another form (see knobs.skip_flags_many)."""
+
 
 UNCOUNTED = IntOps()
 
@@ -95,6 +99,10 @@ class OpCounter(IntOps):
 
     def kernel(self, name: str, lanes: int):
         self.kernel_calls[name] = self.kernel_calls.get(name, 0) + lanes
+
+    def charge(self, adds: int = 0, subs: int = 0):
+        self.adds += adds
+        self.subs += subs
 
     @property
     def addsub(self) -> int:

@@ -24,7 +24,9 @@ color reassembly live here alone (_planes_of and _decode_image).
 reconstruct() runs the identical numeric path without the entropy layer,
 which is lossless. reconstruct_many() does the same for a list of
 configs, and configs that differ only in skip level share that work,
-since a processed block's pixels do not depend on the skip level. Both
+since a processed block's pixels do not depend on the skip level: one
+skip scan per plane decides every level of such a group
+(knobs.skip_flags_many), and one transform pass serves them all. Both
 build the container header and reassemble the planes with the same
 helpers as encode() and decode(), so decode(encode(img)) equals
 reconstruct(img) bit for bit.
@@ -57,7 +59,7 @@ from .knobs import (
     reuse_index,
     skip_check,  # noqa: F401 -- the benchmark's tracer looks it up here
     skip_epsilon,
-    skip_flags,
+    skip_flags_many,
     truncate_block,
 )
 from .ops import UNCOUNTED, IntOps
@@ -155,10 +157,14 @@ def _planes_of(img: RasterImage) -> list[np.ndarray]:
     return [y, downsample_420(cb), downsample_420(cr)]
 
 
-def _skip_flags(blocks: np.ndarray, skip_level: int | None, ops: IntOps) -> np.ndarray:
-    if skip_level is None:
-        return np.zeros(len(blocks), dtype=bool)
-    return skip_flags(blocks, skip_epsilon(skip_level), ops)
+def _skip_flags(blocks: np.ndarray, levels, ops: IntOps) -> dict:
+    """Skip flags of blocks per skip level, None for no skipping. The levels
+    share one scan of the blocks."""
+    scanned = [lv for lv in levels if lv is not None]
+    flags = dict(zip(scanned, skip_flags_many(blocks, [skip_epsilon(lv) for lv in scanned], ops)))
+    if None in levels:
+        flags[None] = np.zeros(len(blocks), dtype=bool)
+    return flags
 
 
 def _energy_stats(cfg: EncodeConfig, flags: list[np.ndarray]) -> EnergyStats:
@@ -197,7 +203,7 @@ def encode(
     streams, flags = [], []
     for cid, plane in enumerate(_planes_of(img)):
         blocks = tile_blocks(plane)
-        skipped = _skip_flags(blocks, cfg.skip_level, ops)
+        skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
         # quantized coefficients are below 2**11 in magnitude, so int16 holds them
         coded = _by_slice(
             lambda b: _compress_blocks(b, cfg, smat, qmat, ops), blocks[~skipped], np.int16
@@ -282,10 +288,12 @@ def reconstruct_many(
     """Lazily yield reconstruct(img, cfg, decode_matrix) for each config, in
     order.
 
-    Consecutive configs that differ only in skip_level share one pass: every
-    block processed under at least one of them is truncated, transformed,
-    quantized and decoded once, slice by slice, and each config gathers the
-    pixel block of the block it carries. ops counts that shared work once.
+    Consecutive configs that differ only in skip_level share one pass: one
+    skip scan per plane gives every level's flags, every block processed
+    under at least one of them is truncated, transformed, quantized and
+    decoded once, slice by slice, and each config gathers the pixel block
+    of the block it carries. ops counts that shared work once, but for the
+    skip bands, which it charges per level as the hardware would.
     The arguments are checked here, before the generator is returned."""
     configs = list(configs)
     _check_decode_matrix(decode_matrix)
@@ -312,7 +320,7 @@ def _reconstruct_groups(
         coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
         for plane in planes:
             blocks = tile_blocks(plane)
-            flags = {lv: _skip_flags(blocks, lv, ops) for lv in levels}
+            flags = _skip_flags(blocks, levels, ops)
             union = ~np.logical_and.reduce(list(flags.values()))
             pixels = _by_slice(round_trip, blocks[union], np.uint8)
             position = np.cumsum(union) - 1  # of each union block among the union

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .energy import QECurve
 
@@ -54,11 +54,23 @@ class TunerResult:
 
     @classmethod
     def from_json(cls, text: str) -> "TunerResult":
+        """The result that to_json wrote. Raises ValueError on anything
+        else: a payload that is not an object, a missing key, a level that
+        is boolean or not integral, or a prediction that is not a number."""
         d = json.loads(text)
-        return cls(
-            int(d["i"]), int(d["j"]),
-            float(d["predicted_quality"]), float(d["predicted_energy"]),
-        )
+        if not isinstance(d, dict):
+            raise ValueError("tuner result must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in d]
+        if missing:
+            raise ValueError(f"tuner result lacks {', '.join(missing)}")
+        values = [d[k] for k in names]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ValueError("tuner result fields must be numbers")
+        i, j, quality, energy = values
+        if not all(isinstance(v, int) or v.is_integer() for v in (i, j)):
+            raise ValueError("tuner levels i and j must be integers")
+        return cls(int(i), int(j), float(quality), float(energy))
 
 
 def _columns(curve: QECurve) -> tuple[list[float], list[float]]:

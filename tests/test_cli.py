@@ -115,6 +115,35 @@ def test_tune_and_report(tmp_path):
     assert lines[1].split(",")[2] == str(result.j)
 
 
+_TUNED = '"j": 1, "predicted_quality": 0.01, "predicted_energy": 0.8'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"i": null, ' + _TUNED + "}",
+        "[{" + '"i": 2, ' + _TUNED + "}]",
+        '{"i": 1.5, ' + _TUNED + "}",
+        '{"i": true, ' + _TUNED + "}",
+        "{" + _TUNED + "}",
+        '{"i": 2, "j": 1}',
+        "not json",
+    ],
+    ids=["null-level", "array", "fractional-level", "boolean-level", "missing-i",
+         "missing-predictions", "not-json"],
+)
+def test_report_rejects_malformed_config(tmp_path, capsys, text):
+    # a malformed tuner result is a data error, never a traceback or a
+    # silently truncated level
+    cfg_json = tmp_path / "cfg.json"
+    cfg_json.write_text(text)
+    out = tmp_path / "report.csv"
+    assert main(["report", "--corpus", str(_corpus_dir(tmp_path)), "--config", str(cfg_json),
+                 "--out", str(out)]) == 2
+    assert str(cfg_json) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

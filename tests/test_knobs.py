@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from ajpeg.fdct import _SLICE_BLOCKS
 from ajpeg.knobs import (
+    _TABLE_WIDTH,
     perforate,
     skip_check,
     skip_epsilon,
     skip_flags,
+    skip_flags_many,
     truncate_block,
 )
 from ajpeg.ops import OpCounter
@@ -148,11 +150,56 @@ def test_skip_flags_matches_sequential_scan(blocks, epsilon):
     assert np.array_equal(skip_flags(blocks, epsilon), _sequential_skip_flags(blocks, epsilon))
 
 
-@pytest.mark.parametrize("run", [15, 16, 17, 47, 48, 49])
+_LEVEL_EPSILONS = [skip_epsilon(lv) for lv in range(7)]
+
+
+@given(
+    stacks,
+    st.sampled_from([
+        _LEVEL_EPSILONS,
+        [30, 0, 30, 5],  # repeats, in any order
+        [*_LEVEL_EPSILONS, 2**14 - 1],
+        [2**14, 5, 0],  # one epsilon at 2**14 takes every level to int64
+        [-1, 5],  # a negative tolerance: an empty band
+    ]),
+)
+@example(_consts(*[0] * 600, 40, 40, 0), _LEVEL_EPSILONS)
+@example(_consts(10, 13, 16, 19, 22), _LEVEL_EPSILONS)
+@example(_consts(125, 128, 126, -126, -129, -127), _LEVEL_EPSILONS)
+@example(_consts(2**14 - 1, 1 - 2**14, 2**14 - 1, 100, -100), [*_LEVEL_EPSILONS, 2**14 - 1])
+@example(_consts(2**14, 2**14 - 3, 2**14 + 9, -(2**14), 0), _LEVEL_EPSILONS)
+@example(_consts(100, 100 + 2**16, -(2**14), 1 - 2**14, 0), _LEVEL_EPSILONS)
+@example(_consts(0, 127, -128, 2**14, 200), [2**14, 5, 0])
+@example(_consts(0, 127, -128, 2**14, 200), [2**15, *_LEVEL_EPSILONS])
+def test_skip_flags_many_matches_sequential_scan_at_each_epsilon(blocks, epsilons):
+    flags = skip_flags_many(blocks, epsilons)
+    assert flags.shape == (len(epsilons), len(blocks)) and flags.dtype == bool
+    for row, epsilon in zip(flags, epsilons):
+        assert np.array_equal(row, _sequential_skip_flags(blocks, epsilon))
+
+
+# runs that end just before, at and just after the distance table's edge
+# (_TABLE_WIDTH blocks), and at the ends of the windows that follow it
+_W = _TABLE_WIDTH
+
+
+@pytest.mark.parametrize("run", [_W - 1, _W, _W + 1, 2 * _W + 1])
+@pytest.mark.parametrize("lanes", [np.int16, np.int64])
+def test_skip_flags_out_of_range_block_at_the_table_edge(run, lanes):
+    # 128 is 3 from the reference 125 but outside the sample range, so it
+    # misses the clamped band and becomes the reference of the last block
+    blocks = _consts(125, *[126] * run, 128, 126).astype(lanes)
+    assert skip_flags(blocks, 5).tolist() == [False] + [True] * run + [False, True]
+    assert skip_flags(blocks[:-1], 5).tolist() == [False] + [True] * run + [False]
+
+
+@pytest.mark.parametrize("run", [_W - 1, _W, _W + 1, 2 * _W, 2 * _W + 1, 47, 48, 49, 4 * _W + 1])
 def test_skip_flags_run_ending_at_a_window_edge(run):
     blocks = _consts(0, *[3] * run, 9, 9)
     want = [False] + [True] * run + [False, True]
     assert skip_flags(blocks, 5).tolist() == want
+    for epsilon, flags in zip(_LEVEL_EPSILONS, skip_flags_many(blocks, _LEVEL_EPSILONS)):
+        assert np.array_equal(flags, _sequential_skip_flags(blocks, epsilon))
 
 
 _SLICE_EDGES = [_SLICE_BLOCKS - 1, _SLICE_BLOCKS, _SLICE_BLOCKS + 1, 2 * _SLICE_BLOCKS + 1]
@@ -161,9 +208,10 @@ _SLICE_EDGES = [_SLICE_BLOCKS - 1, _SLICE_BLOCKS, _SLICE_BLOCKS + 1, 2 * _SLICE_
 @pytest.mark.parametrize("n", _SLICE_EDGES)
 @pytest.mark.parametrize("lanes", [np.int16, np.int64])
 def test_skip_flags_across_slice_edges(n, lanes):
-    # the pair pass runs slice by slice and a run's windows stop doubling at
-    # one slice: a drifting stack, adjacent blocks that differ but for one
-    # pair across each slice edge, and one long run that spans every slice
+    # the distance table is filled slice by slice and a run's windows stop
+    # doubling at one slice: a drifting stack, adjacent blocks that differ
+    # but for one pair across each slice edge, and one long run that spans
+    # every slice
     drifting = _drifting_stack(n, n, 1, 3, 0).astype(lanes)
     values = 40 * (np.arange(n) % 2)
     edges = np.arange(_SLICE_BLOCKS, n, _SLICE_BLOCKS)
@@ -171,15 +219,15 @@ def test_skip_flags_across_slice_edges(n, lanes):
     straddling = _consts(*values).astype(lanes)
     one_run = _consts(*[7] * n, 40).astype(lanes)
     for blocks in (drifting, straddling, one_run):
-        for epsilon in (5, 15):
-            want = _sequential_skip_flags(blocks, epsilon)
-            assert np.array_equal(skip_flags(blocks, epsilon), want)
+        want = [_sequential_skip_flags(blocks, epsilon).tolist() for epsilon in (5, 15)]
+        assert [skip_flags(blocks, epsilon).tolist() for epsilon in (5, 15)] == want
+        assert skip_flags_many(blocks, [5, 15]).tolist() == want
     assert skip_flags(one_run, 0).tolist() == [False] + [True] * (n - 1) + [False]
 
 
 def test_skip_flags_memory_is_bounded_by_the_stack():
     # int16 tiles are scanned in their own dtype: no widened copy of the
-    # stack, and bands and compares of one slice at a time
+    # stack, and the distance table is filled one slice at a time
     blocks = _drifting_stack(16384, 3, 2, 4, 0).astype(np.int16)
     tracemalloc.start()
     try:
@@ -197,6 +245,15 @@ def test_skip_flags_charges_one_band_per_reference_candidate(n):
     ops = OpCounter()
     skip_flags(_drifting_stack(n, n, 2, 3, 0), 10, ops)
     assert (ops.addsub, ops.shifts, ops.muls) == (128 * max(n - 1, 0), 0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 2 * _SLICE_BLOCKS + 1])
+@pytest.mark.parametrize("epsilons", [[], [0], _LEVEL_EPSILONS, [5, 5]])
+def test_skip_flags_many_charges_one_band_per_reference_candidate_and_epsilon(n, epsilons):
+    ops = OpCounter()
+    skip_flags_many(_drifting_stack(n, n, 2, 3, 0), epsilons, ops)
+    assert (ops.adds, ops.subs) == (64 * max(n - 1, 0) * len(epsilons),) * 2
+    assert (ops.shifts, ops.muls, ops.kernel_calls) == (0, 0, {})
 
 
 def test_skip_check_charges_128_lanes_per_call():

@@ -18,7 +18,7 @@ from ajpeg.energy import (
     estimate_image_energy,
     extract_qe_curve,
 )
-from ajpeg.entropy import read_container
+from ajpeg.entropy import CorruptStreamError, read_container
 from ajpeg.knobs import SKIP_LEVELS, TRUNC_LEVELS
 from ajpeg.metrics import psnr, sad_pct, ssim
 from ajpeg.ops import OpCounter
@@ -422,13 +422,30 @@ def test_reconstruct_many_validates_before_work(monkeypatch):
         raise AssertionError("tiled before the arguments were checked")
 
     monkeypatch.setattr(pipeline, "tile_blocks", no_tiling)
-    monkeypatch.setattr(pipeline, "skip_flags", no_tiling)
+    monkeypatch.setattr(pipeline, "skip_flags_many", no_tiling)
     img = _image((16, 16), True, 3, 8)
     with pytest.raises(ValueError, match="decode_matrix"):
         reconstruct_many(img, _LOOP, decode_matrix="inverse")
     for empty in ([], iter(())):
         with pytest.raises(ValueError, match="configs"):
             reconstruct_many(img, empty)
+
+
+@pytest.mark.parametrize("color", [False, True])
+def test_shared_skip_levels_scan_each_plane_once(monkeypatch, color):
+    # the seven skip levels of a group share one skip scan per plane
+    calls = []
+    scan = pipeline.skip_flags_many
+
+    def counted(blocks, epsilons, ops):
+        calls.append(list(epsilons))
+        return scan(blocks, epsilons, ops)
+
+    monkeypatch.setattr(pipeline, "skip_flags_many", counted)
+    img = _image((37, 53), color, 3, 10)
+    shared = list(reconstruct_many(img, _LOOP))
+    assert calls == [[5 * lv for lv in SKIP_LEVELS]] * (3 if color else 1)
+    assert len(shared) == len(_LOOP)
 
 
 def test_shared_skip_levels_transform_each_block_once(corpus):
@@ -498,3 +515,58 @@ def test_qe_curve_equals_per_config_loop(corpus, kind, base):
     images = [corpus[9], _image((37, 53), True, 3, 9)]
     curve, _ = extract_qe_curve(kind, images, base, model=model)
     assert curve == _per_config_curve(kind, images, base, model)
+
+
+def _fuzz_containers():
+    """Valid containers of small gray and RGB images whose flat areas let
+    blocks skip, under shift, division and exact-DC configs."""
+    configs = [
+        EncodeConfig(trunc_level=1, skip_level=2),
+        EncodeConfig(quant_mode="div", quality=75, skip_level=5),
+        EncodeConfig(quant_mode="div", qmatrix=_CUSTOM_Q),
+        EncodeConfig(dc_exact=True, quality=90, trunc_level=2, skip_level=4),
+    ]
+    images = [_image((13, 21), False, 3, 12), _image((19, 17), True, 12, 13)]
+    return [encode(img, cfg)[0] for img in images for cfg in configs]
+
+
+_FUZZ_CONTAINERS = _fuzz_containers()
+
+
+@st.composite
+def _corrupt_containers(draw):
+    """A valid container after one to four bit flips, byte overwrites,
+    deletions or insertions."""
+    data = bytearray(draw(st.sampled_from(_FUZZ_CONTAINERS)))
+    # positions are uniform: integers() would favour the magic at offset 0
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "overwrite", "delete", "insert"]))
+        at = rng.randrange(len(data))
+        if kind == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "overwrite":
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=2000)
+@given(_corrupt_containers(), st.sampled_from(["matched", "standard"]))
+def test_corrupt_container_decodes_to_its_header_shape_or_raises_the_structured_error(
+    data, decode_matrix
+):
+    try:
+        meta, _ = read_container(data)
+    except CorruptStreamError:
+        meta = None
+    try:
+        out = decode(data, decode_matrix)
+    except CorruptStreamError:
+        return
+    assert meta is not None
+    shape = (meta.height, meta.width, 3) if meta.color else (meta.height, meta.width)
+    assert out.pixels.shape == shape and out.pixels.dtype == np.uint8

@@ -1,5 +1,7 @@
 """Greedy knob tuner vs the exhaustive oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,35 @@ def test_result_json_round_trip():
     res = tune(TunerInput(LOOP, TRUNC, 0.05))
     back = TunerResult.from_json(res.to_json())
     assert back == res
+
+
+_VALID = {"i": 2, "j": 1, "predicted_quality": 0.01, "predicted_energy": 0.8}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [_VALID],  # not an object
+        "i",
+        None,
+        {k: v for k, v in _VALID.items() if k != "i"},  # a key missing
+        {k: v for k, v in _VALID.items() if k != "predicted_energy"},
+        {**_VALID, "i": None},
+        {**_VALID, "j": "1"},
+        {**_VALID, "i": 1.5},  # not integral
+        {**_VALID, "j": float("nan")},
+        {**_VALID, "i": float("inf")},
+        {**_VALID, "i": True},  # a boolean is not a level
+        {**_VALID, "j": False},
+        {**_VALID, "predicted_quality": None},
+        {**_VALID, "predicted_energy": "0.8"},
+    ],
+)
+def test_result_from_json_rejects_malformed_payload(payload):
+    with pytest.raises(ValueError):
+        TunerResult.from_json(json.dumps(payload))
+
+
+def test_result_from_json_accepts_integral_floats():
+    back = TunerResult.from_json(json.dumps({**_VALID, "i": 2.0, "j": 1.0}))
+    assert back == TunerResult(2, 1, 0.01, 0.8)
