@@ -22,7 +22,7 @@ from .energy import (
     estimate_image_energy,
     extract_qe_curve,
 )
-from .entropy import CorruptStreamError, compression_ratio
+from .entropy import MAX_PIXELS, CorruptStreamError, compression_ratio
 from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 from .pipeline import EncodeConfig, decode, encode
 from .quant import QUALITY_LEVELS
@@ -104,6 +104,16 @@ def _quality_arg(text: str) -> int:
     return value
 
 
+def _positive_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
 def _load_qmatrix(path: str) -> tuple[tuple[int, ...], ...]:
     try:
         entries = [int(tok) for tok in Path(path).read_text().split()]
@@ -140,7 +150,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     data = _read_bytes(args.input)
     try:
-        img = decode(data, decode_matrix=args.decode_quant)
+        img = decode(data, decode_matrix=args.decode_quant, max_pixels=args.max_pixels)
     except CorruptStreamError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     _write(args.output, write_pnm(img))
@@ -260,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--output", required=True)
     dec.add_argument(
         "--decode-quant", choices=["matched", "standard"], default="matched"
+    )
+    dec.add_argument(
+        "--max-pixels", type=_positive_arg, default=MAX_PIXELS,
+        help="refuse (exit 2) a container whose header asks for more pixels",
     )
     dec.set_defaults(func=_cmd_decode)
 

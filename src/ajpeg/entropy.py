@@ -16,20 +16,33 @@ nothing; the container carries a per-channel skip bitmap, and the
 pipeline gives each skipped block the pixels of its reference, the most
 recent coded block.
 
-Both directions work on whole arrays. The encoder builds every symbol of
-a channel at once: DC differences from the shifted DC column, zero runs
-from the gaps between nonzero scan positions, ZRLs and EOBs placed from
-per-block symbol counts, and size categories from the magnitudes' bit
-lengths. It counts frequencies with np.bincount and writes each
-(code << size) | amplitude word at its cumulative bit offset through
-np.packbits. The decoder looks up the symbol and total length of the code
-at every bit position in a 16-bit lookahead table (as in ITU-T T.81
+Both directions work in slices of at most fdct._SLICE_BLOCKS coded
+blocks, so no int64 array and no per-bit lookahead covers a channel; the
+encoder's symbol records, 3 bytes a symbol, are the one per-symbol store
+that does. The encoder makes two passes. The first zigzags and widens one
+slice at a time, carrying the DC predictor, and builds its symbols at
+once: DC differences from the shifted DC column, zero runs from the gaps
+between nonzero scan positions, ZRLs and EOBs placed from per-block symbol
+counts, and size categories from the magnitudes' bit lengths. It keeps
+each slice's symbols as narrow records and counts their frequencies. The
+second builds the table and adds each slice's (code << size) | amplitude
+words, in 64-bit lanes, into the big-endian 32-bit words of the payload,
+carrying the partial last word to the next slice. The decoder looks up
+the symbol and total length of the code at every bit position of one
+payload window at a time in a 16-bit lookahead table (as in ITU-T T.81
 Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A symbol's total length is
 its code length plus its low nibble in every context, since DC size
 categories and AC symbols share the amplitude rule and ZRL and EOB carry
 no amplitude, so one Python loop step per symbol follows the block
-structure and checks the stream. Amplitudes are then read in one array
-operation and DC values are a cumulative sum of the differences.
+structure and checks the stream, carrying the bit position from slice to
+slice. Each slice's amplitudes are then read in one array operation, and
+its DC values are a cumulative sum of the differences, carried on from
+the slice before. decode_channel hands each slice's int64 values to a
+step of the caller's, so the pipeline inverts them slice by slice.
+
+read_container checks the header's pixel count against a budget
+(MAX_PIXELS by default) before it reads any channel, and raises
+PixelBudgetError beyond it, as Pillow's MAX_IMAGE_PIXELS does.
 
 Container layout (all integers big-endian):
 
@@ -55,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .color import plane_shapes
+from .fdct import _SLICE_BLOCKS
 from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 from .quant import QUALITY_LEVELS
 
@@ -71,8 +85,16 @@ MAX_SIZE = 11  # coefficient magnitudes below 2**11
 MAX_CODE_LEN = 16
 
 
+MAX_PIXELS = 1 << 28  # read_container's default pixel budget
+
+
 class CorruptStreamError(ValueError):
     """Structurally invalid or internally inconsistent stream."""
+
+
+class PixelBudgetError(CorruptStreamError):
+    """A header whose width * height exceeds the reader's pixel budget, as
+    Pillow's DecompressionBombError guards MAX_IMAGE_PIXELS."""
 
 
 # Zigzag scan order: ZIGZAG[k] is the row-major flat index of scan position k.
@@ -180,13 +202,15 @@ def _amplitude_bits(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def _amplitude_values(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Inverse of _amplitude_bits: a value below 2**(size-1) is negative."""
-    top = np.int64(1) << sizes
+    top = np.left_shift(1, sizes, dtype=np.int32)
     return np.where(bits < top >> 1, bits - top + 1, bits)
 
 
-def _channel_symbols(coded: np.ndarray):
-    """Symbol stream of coded zigzag vectors (m, 64) in stream order, as
-    arrays (symbol, amplitude bits, amplitude size).
+def _channel_symbols(coded: np.ndarray, dc: int):
+    """Symbol stream of coded zigzag vectors (m, 64) in stream order, the
+    first DC difference taken from the predictor dc, as narrow arrays
+    (symbol, amplitude bits). Every symbol's amplitude size is its low
+    nibble.
 
     Each block is its DC symbol, then per nonzero AC coefficient run // 16
     ZRLs and one (run % 16, size) symbol, then EOB unless its last
@@ -194,10 +218,10 @@ def _channel_symbols(coded: np.ndarray):
     follow from per-block symbol counts; every other slot holds a ZRL.
     """
     m = len(coded)
-    diff = np.diff(coded[:, 0], prepend=0)
+    diff = np.diff(coded[:, 0], prepend=dc)
     dc_size = _size_category(diff)
-    rows, cols = np.nonzero(coded[:, 1:])
-    k = cols + 1  # scan position of each nonzero AC coefficient
+    rows, k = np.nonzero(coded[:, 1:])
+    k += 1  # scan position of each nonzero AC coefficient
     ac = coded[rows, k]
     ac_size = _size_category(ac)
     bad_dc = np.flatnonzero(dc_size > MAX_SIZE)
@@ -207,77 +231,127 @@ def _channel_symbols(coded: np.ndarray):
     if bad_ac.size:
         raise CorruptStreamError("AC coefficient out of range")
 
+    # The arrays per nonzero coefficient set the slice's memory peak, so
+    # they are updated in place and dropped once used.
     first = np.ones(len(k), dtype=bool)  # first nonzero of its block
     first[1:] = rows[1:] != rows[:-1]
     last = np.ones(len(k), dtype=bool)
     last[:-1] = first[1:]
-    gap = np.diff(k, prepend=0)
-    gap[first] = k[first]
-    run = gap - 1
-    per_coeff = (run >> 4) + 1  # symbols per coefficient, its ZRLs included
-    last_k = np.zeros(m, dtype=np.int64)
-    last_k[rows[last]] = k[last]
-    has_eob = last_k != 63
+    has_eob = np.ones(m, dtype=bool)
+    has_eob[rows[last]] = k[last] != 63
+    run = np.diff(k, prepend=0)
+    run[first] = k[first]
+    run -= 1
+    del first, last, k
+    per_coeff = run >> 4  # symbols per coefficient, its ZRLs included
+    per_coeff += 1
     in_block = np.bincount(rows, weights=per_coeff, minlength=m).astype(np.int64)
     total = 1 + in_block + has_eob
     starts = np.cumsum(total) - total
-    earlier = np.cumsum(in_block) - in_block  # coefficient symbols of earlier blocks
-    coeff_at = starts[rows] + np.cumsum(per_coeff) - earlier[rows]
+    # a coefficient's symbol follows its block's DC, the symbols of the
+    # block's earlier coefficients and the DC and EOB symbols of earlier blocks
+    coeff_at = np.cumsum(per_coeff)
+    del per_coeff
+    coeff_at += (starts - np.cumsum(in_block) + in_block)[rows]
+    del rows
 
-    sym = np.full(int(total.sum()), ZRL, dtype=np.int64)
-    amp = np.zeros(len(sym), dtype=np.int64)
-    size = np.zeros(len(sym), dtype=np.int64)
-    sym[starts] = size[starts] = dc_size
+    # a size is at most 11 bits, so the symbol fits a byte and its amplitude 16 bits
+    sym = np.full(int(total.sum()), ZRL, dtype=np.uint8)
+    amp = np.zeros(len(sym), dtype=np.uint16)
+    sym[starts] = dc_size
     amp[starts] = _amplitude_bits(diff, dc_size)
-    sym[coeff_at] = ((run & 15) << 4) | ac_size
-    size[coeff_at] = ac_size
-    amp[coeff_at] = _amplitude_bits(ac, ac_size)
     sym[(starts + total - 1)[has_eob]] = EOB
-    return sym, amp, size
+    run &= 15
+    run <<= 4
+    run |= ac_size
+    sym[coeff_at] = run
+    del run
+    amp[coeff_at] = _amplitude_bits(ac, ac_size)
+    return sym, amp
 
 
-_PACK_CHUNK = 1 << 15  # symbols per transient (chunk, 32) bit matrix
-_BIT_INDEX = np.arange(32)
+_PACK_CHUNK = 1 << 13  # codes per transient packing step
 
 
-def _pack(words: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Concatenate the low lengths[i] <= 32 bits of each words[i], most
-    significant first, zero-padded to a byte."""
-    bits = [np.zeros(0, dtype=np.uint8)]
-    for lo in range(0, len(words), _PACK_CHUNK):
-        ln = lengths[lo : lo + _PACK_CHUNK]
-        aligned = (words[lo : lo + _PACK_CHUNK] << (32 - ln)).astype(">u4")
-        matrix = np.unpackbits(aligned.view(np.uint8).reshape(-1, 4), axis=1)
-        bits.append(matrix[_BIT_INDEX < ln[:, None]])
-    return np.packbits(np.concatenate(bits)).tobytes()
+def _pack(chunks) -> bytes:
+    """Concatenate the low lengths[i] <= 27 bits of each words[i] over the
+    (words, lengths) chunks, most significant first, zero-padded to a byte.
+
+    A code lands in at most two big-endian 32-bit output words. Codes are
+    placed in 64-bit lanes and the lanes' halves added per output word: the
+    codes' bit fields are disjoint, so adding them is OR, and the float64
+    sums of bincount are exact below 2**53. Each chunk's complete words are
+    written as it comes; its last, partial word carries into the next."""
+    out = bytearray()
+    carry = used = 0  # the partial word and its bits in use
+    for words, ln in chunks:
+        end = np.cumsum(ln)
+        end += used  # each code's end, in bits from the partial word's start
+        start = end - ln
+        word = start >> 5
+        lanes = words.astype(np.uint64) << (64 - (start & 31) - ln).astype(np.uint64)
+        count = int(word[-1]) + 2
+        sums = np.bincount(word, weights=lanes >> np.uint64(32), minlength=count)
+        sums += np.bincount(word + 1, weights=lanes & np.uint64(0xFFFFFFFF), minlength=count)
+        sums[0] += carry
+        whole, used = divmod(int(end[-1]), 32)
+        out += sums[:whole].astype(">u4").tobytes()
+        carry = int(sums[whole])
+    out += carry.to_bytes(4, "big")[: (used + 7) // 8]
+    return bytes(out)
 
 
 def encode_channel(coded: np.ndarray, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
     """Entropy-code a channel from its coded blocks' quantized values
-    (m, 8, 8), in order, and one skip flag per block, m of them unset."""
+    (m, 8, 8), in order, and one skip flag per block, m of them unset.
+
+    Two passes over slices of at most _SLICE_BLOCKS coded blocks. The first
+    widens and zigzags one slice at a time, carrying the DC predictor, and
+    keeps each slice's symbols as narrow records (3 bytes per symbol) and
+    their frequencies. The second packs each slice's codes after the bits
+    of the slices before it."""
     skip_flags = np.asarray(skip_flags, dtype=bool)
-    coded = np.asarray(coded, dtype=np.int64)
+    coded = np.asarray(coded)
     if skip_flags.ndim != 1 or coded.shape != (np.count_nonzero(~skip_flags), 8, 8):
         raise ValueError("coded block count must match the unskipped flags")
     if len(skip_flags) and skip_flags[0]:
         raise CorruptStreamError("block 0 cannot be skipped")
 
-    sym, amp, size = _channel_symbols(zigzag(coded))
-    freqs = np.bincount(sym, minlength=256)
+    records = []
+    freqs = np.zeros(256, dtype=np.int64)
+    dc = 0
+    for lo in range(0, len(coded), _SLICE_BLOCKS):
+        vectors = zigzag(coded[lo : lo + _SLICE_BLOCKS]).astype(np.int64)
+        sym, amp = _channel_symbols(vectors, dc)
+        dc = vectors[-1, 0]
+        freqs += np.bincount(sym, minlength=256)
+        records.append((sym, amp))
     codes = canonical_codes(code_lengths({int(s): int(freqs[s]) for s in np.flatnonzero(freqs)}))
     code_of = np.zeros(256, dtype=np.int64)
     len_of = np.zeros(256, dtype=np.int64)
     for s, (code, ln) in codes.items():
         code_of[s], len_of[s] = code, ln
-    lengths = len_of[sym] + size
-    payload = _pack((code_of[sym] << size) | amp, lengths)
+
+    def words():
+        for sym, amp in records:
+            for lo in range(0, len(sym), _PACK_CHUNK):
+                s, a = sym[lo : lo + _PACK_CHUNK], amp[lo : lo + _PACK_CHUNK]
+                size = s & 0x0F
+                yield (code_of[s] << size) | a, len_of[s] + size
+
+    payload = _pack(words())
+    bit_length = int(freqs @ (len_of + (np.arange(256) & 0x0F)))
     table = sorted(((s, ln) for s, (_, ln) in codes.items()), key=lambda e: (e[1], e[0]))
-    return ChannelStream(channel_id, len(skip_flags), skip_flags, table, int(lengths.sum()), payload)
+    return ChannelStream(channel_id, len(skip_flags), skip_flags, table, bit_length, payload)
 
 
-# A symbol's total length, code plus amplitude bits, is at most 16 + 11.
+# A symbol's total length, code plus amplitude bits, is at most 16 + 11;
+# the lookahead stores up to 16 + 15 for size categories out of range.
 _LOOKAHEAD_PAD = 32
-_WINDOW_CHUNK = 1 << 16  # payload bytes per transient (chunk, 8) window matrix
+# A block is at most 64 symbols, so its walk reads below this many bits past
+# its start.
+_BLOCK_BITS = 64 * _LOOKAHEAD_PAD
+_WINDOW_CHUNK = 1 << 13  # payload bytes per lookahead window
 _WINDOW_SHIFTS = np.arange(16, 8, -1, dtype=np.uint32)
 
 
@@ -300,38 +374,50 @@ def _lookahead(table: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return lut_sym, lut_len
 
 
-def _symbols_at(payload: bytes, nbits: int, table) -> tuple[bytearray, bytearray]:
+def _window(data: np.ndarray, nbits: int, luts, lo: int) -> tuple[bytearray, bytearray, int]:
     """The symbol and total length of the code starting at each bit position
-    of the payload, one byte each, with _LOOKAHEAD_PAD zero lengths past the
-    end so that a read beyond it finds no code."""
-    lut_sym, lut_len = _lookahead(table)
-    sym_at = bytearray(nbits + _LOOKAHEAD_PAD)
-    len_at = bytearray(nbits + _LOOKAHEAD_PAD)
+    of the payload window that begins at byte lo and spans at most
+    _WINDOW_CHUNK bytes, one byte each, with _LOOKAHEAD_PAD zero lengths past
+    its end. Positions at or past the payload's nbits, and codes running past
+    it, read length 0 (a code running past the end is an overrun before its
+    symbol is read). Also returns the last window position a block may start
+    at, so that its walk stays inside the window; in the payload's last
+    window every block start is below it. data is the payload with 3 zero
+    bytes appended."""
+    lut_sym, lut_len = luts
+    hi = min(lo + _WINDOW_CHUNK, len(data) - 3)
+    span = 8 * (hi - lo)
+    sym_at = bytearray(span + _LOOKAHEAD_PAD)
+    len_at = bytearray(span + _LOOKAHEAD_PAD)
     sym_view = np.frombuffer(sym_at, dtype=np.uint8)
     len_view = np.frombuffer(len_at, dtype=np.uint8)
-    data = np.frombuffer(payload + bytes(3), dtype=np.uint8)
-    for lo in range(0, len(payload), _WINDOW_CHUNK):
-        hi = min(lo + _WINDOW_CHUNK, len(payload))
-        b = [data[lo + j : hi + j].astype(np.uint32) for j in range(4)]
-        word = (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
-        windows = (word[:, None] >> _WINDOW_SHIFTS) & 0xFFFF
-        sym_view[8 * lo : 8 * hi] = lut_sym[windows].ravel()
-        len_view[8 * lo : 8 * hi] = lut_len[windows].ravel()
-    sym_view[nbits:] = 0
-    len_view[nbits:] = 0
-    # A code running past the end is an overrun before its symbol is read.
-    tail = np.arange(max(nbits - MAX_CODE_LEN, 0), nbits)
+    b = [data[lo + j : hi + j].astype(np.uint32) for j in range(4)]
+    word = (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
+    windows = (word[:, None] >> _WINDOW_SHIFTS) & 0xFFFF
+    sym_view[:span] = lut_sym[windows].ravel()
+    len_view[:span] = lut_len[windows].ravel()
+    end = nbits - 8 * lo  # the payload's end, in window positions
+    sym_view[end:] = 0
+    len_view[end:] = 0
+    tail = np.arange(max(min(end, span) - MAX_CODE_LEN, 0), min(end, span))
     code_len = len_view[tail].astype(np.int64) - (sym_view[tail] & 0x0F)
-    len_view[tail[tail + code_len > nbits]] = 0
-    return sym_at, len_at
+    len_view[tail[tail + code_len > end]] = 0
+    last = hi == len(data) - 3
+    return sym_at, len_at, len(len_at) if last else span - _BLOCK_BITS
 
 
-def _read_bits(payload: bytes, at: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The size[i] <= 11 payload bits starting at bit at[i], as integers."""
-    data = np.frombuffer(payload + bytes(3), dtype=np.uint8).astype(np.int64)
+def _read_bits(data: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The size[i] <= 11 payload bits starting at bit at[i], as int32; data
+    is the payload with 3 zero bytes appended."""
     byte = at >> 3
-    word = (data[byte] << 16) | (data[byte + 1] << 8) | data[byte + 2]
-    return (word >> (24 - (at & 7) - size)) & ((np.int64(1) << size) - 1)
+    word = data[byte].astype(np.int32)
+    for _ in range(2):
+        byte += 1
+        word <<= 8
+        word |= data[byte]
+    word >>= 24 - (at & 7) - size
+    word &= np.left_shift(1, size, dtype=np.int32) - 1
+    return word
 
 
 def _no_code(pos: int, nbits: int) -> CorruptStreamError:
@@ -348,9 +434,108 @@ _AC_ADVANCE = [
 ]
 
 
-def decode_channel(stream: ChannelStream) -> np.ndarray:
-    """Decode a channel back to its coded blocks' quantized values (m, 8, 8),
-    in order; skipped blocks have none."""
+def _marks(starts: bytearray, sym_at: bytearray, lo: int, hi: int, base: int):
+    """The symbol starts the walk marked in window positions [lo, hi): their
+    payload bit positions, which are DC symbols, and their symbols."""
+    marks = np.frombuffer(starts, dtype=np.uint8)[lo:hi]
+    at = np.flatnonzero(marks)
+    return at + (base + lo), marks[at] == 2, np.frombuffer(sym_at, dtype=np.uint8)[lo:hi][at]
+
+
+def _walk(data: np.ndarray, nbits: int, table, m: int):
+    """Follow and check the block structure of m coded blocks through the
+    payload, one slice of at most _SLICE_BLOCKS blocks at a time. Yields each
+    slice's symbols as (bit positions, DC marks, symbols) and the bit
+    position the slice ends at.
+
+    One Python loop step per symbol: every symbol's length is known from the
+    lookahead of the current payload window, so the loop only follows the
+    block structure. The window moves on at a block start that lies within
+    _BLOCK_BITS of its end. Positions are window positions, base + pos in the
+    payload; 2 marks a DC symbol's start and 1 an AC symbol's."""
+    luts = _lookahead(table)
+    advance = _AC_ADVANCE
+    base = pos = 0
+    sym_at, len_at, limit = _window(data, nbits, luts, 0)
+    starts = bytearray(len(len_at))
+    for first in range(0, m, _SLICE_BLOCKS):
+        parts = []
+        seg = pos  # where this slice's marks in the current window begin
+        for _ in range(min(_SLICE_BLOCKS, m - first)):
+            if pos > limit:
+                parts.append(_marks(starts, sym_at, seg, pos, base))
+                base += pos & ~7
+                pos = seg = pos & 7
+                sym_at, len_at, limit = _window(data, nbits, luts, base >> 3)
+                starts = bytearray(len(len_at))
+            t = len_at[pos]
+            if not t:
+                raise _no_code(base + pos, nbits)
+            if sym_at[pos] > MAX_SIZE:
+                raise CorruptStreamError("DC size category out of range")
+            starts[pos] = 2
+            pos += t
+            k = 1
+            while k < 64:
+                t = len_at[pos]
+                if not t:
+                    raise _no_code(base + pos, nbits)
+                s = sym_at[pos]
+                starts[pos] = 1
+                pos += t
+                if s == EOB:
+                    break
+                a = advance[s]
+                if not a:
+                    raise CorruptStreamError("AC size category out of range")
+                k += a
+                if k > 64:
+                    raise CorruptStreamError("AC run overflows the block")
+        parts.append(_marks(starts, sym_at, seg, pos, base))
+        symbols = [np.concatenate(p) for p in zip(*parts)]
+        parts.clear()
+        if first + _SLICE_BLOCKS >= m:
+            if base + pos > nbits:
+                raise CorruptStreamError("payload overrun")
+            if base + pos < nbits:
+                raise CorruptStreamError("payload underrun")
+        yield symbols, base + pos
+
+
+def _coefficients(data: np.ndarray, at, is_dc, sym, end: int, dc) -> np.ndarray:
+    """The coded blocks (k, 8, 8) of one slice's symbols, which start at the
+    bits at and end at bit end, their DC differences summed from the
+    predictor dc. Amplitudes are read in one array operation and DC values
+    are a cumulative sum; at is reused for the amplitudes' positions."""
+    size = sym & 0x0F
+    at[:-1] = at[1:]  # a symbol's amplitude ends where the next symbol starts
+    at[-1] = end
+    at -= size
+    value = _amplitude_values(_read_bits(data, at, size), size)
+    dcs = np.cumsum(value[is_dc], dtype=np.int64) + dc
+    # Scan position: the running sum of run + 1 within the block, minus one
+    # (DC advances by 1 and ZRL by 16, so one rule covers every symbol).
+    step = (sym >> 4) + 1
+    scan = np.cumsum(step, dtype=np.int32)
+    block = np.cumsum(is_dc, dtype=np.int32)
+    block -= 1
+    scan -= (scan - step)[is_dc][block] + 1
+    ac = size > 0
+    ac &= ~is_dc
+    coded = np.zeros((len(dcs), 64), dtype=np.int64)
+    coded.reshape(-1)[64 * block[ac] + ZIGZAG[scan[ac]]] = value[ac]
+    coded[:, 0] = dcs
+    return coded.reshape(-1, 8, 8)
+
+
+def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
+    """Decode a channel's coded blocks, in order; skipped blocks have none.
+
+    The channel is decoded in slices of at most _SLICE_BLOCKS coded blocks,
+    carrying the bit position and the DC sum. Each slice's quantized values
+    are an int64 (k, 8, 8) array, since a hostile stream's DC sum can exceed
+    int32. Returns step(values) of every slice in one array of step's
+    dtype, or without a step the values themselves."""
     n = stream.block_count
     if n == 0:
         return np.zeros((0, 8, 8), dtype=np.int64)
@@ -363,62 +548,17 @@ def decode_channel(stream: ChannelStream) -> np.ndarray:
     if len(stream.payload) != (nbits + 7) // 8:
         raise CorruptStreamError("payload length does not match bit count")
     m = n - int(np.count_nonzero(stream.skip_flags))
-    sym_at, len_at = _symbols_at(stream.payload, nbits, stream.table)
-
-    # One pass per symbol: every symbol's length is known from the lookahead,
-    # so the loop only follows the block structure; 2 marks a DC symbol's
-    # start and 1 an AC symbol's.
-    starts = bytearray(nbits)
-    advance = _AC_ADVANCE
-    pos = 0
-    for _ in range(m):
-        t = len_at[pos]
-        if not t:
-            raise _no_code(pos, nbits)
-        if sym_at[pos] > MAX_SIZE:
-            raise CorruptStreamError("DC size category out of range")
-        starts[pos] = 2
-        pos += t
-        k = 1
-        while k < 64:
-            t = len_at[pos]
-            if not t:
-                raise _no_code(pos, nbits)
-            s = sym_at[pos]
-            starts[pos] = 1
-            pos += t
-            if s == EOB:
-                break
-            a = advance[s]
-            if not a:
-                raise CorruptStreamError("AC size category out of range")
-            k += a
-            if k > 64:
-                raise CorruptStreamError("AC run overflows the block")
-    if pos > nbits:
-        raise CorruptStreamError("payload overrun")
-    if pos < nbits:
-        raise CorruptStreamError("payload underrun")
-
-    marks = np.frombuffer(starts, dtype=np.uint8)
-    at = np.flatnonzero(marks)
-    is_dc = marks[at] == 2
-    sym = np.frombuffer(sym_at, dtype=np.uint8)[at].astype(np.int64)
-    del sym_at, len_at
-    size = sym & 0x0F
-    end = np.append(at[1:], nbits)  # symbols are contiguous
-    value = _amplitude_values(_read_bits(stream.payload, end - size, size), size)
-    value[is_dc] = np.cumsum(value[is_dc])
-    # Scan position: the running sum of run + 1 within the block, minus one
-    # (DC advances by 1 and ZRL by 16, so one rule covers every symbol).
-    step = (sym >> 4) + 1
-    reach = np.cumsum(step)
-    block = np.cumsum(is_dc) - 1
-    scan = reach - (reach - step)[is_dc][block] - 1
-    keep = is_dc | (size > 0)
-    coded = np.zeros((m, 64), dtype=np.int64)
-    coded.reshape(-1)[64 * block[keep] + ZIGZAG[scan[keep]]] = value[keep]
-    return coded.reshape(m, 8, 8)
+    data = np.frombuffer(stream.payload + bytes(3), dtype=np.uint8)
+    out, first, dc = None, 0, 0
+    for symbols, end in _walk(data, nbits, stream.table, m):
+        coded = _coefficients(data, *symbols, end, dc)
+        dc = coded[-1, 0, 0]
+        result = coded if step is None else step(coded)
+        if out is None:
+            out = np.empty((m, *result.shape[1:]), dtype=result.dtype)
+        out[first : first + len(result)] = result
+        first += len(result)
+    return out
 
 
 @dataclass
@@ -514,7 +654,12 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
+def read_container(
+    data: bytes, max_pixels: int = MAX_PIXELS
+) -> tuple[ContainerMeta, list[ChannelStream]]:
+    """The header and channel streams of a container. A header of more than
+    max_pixels pixels raises PixelBudgetError before any channel is read, so
+    a few bytes cannot ask the decoder for gigabytes."""
     cur = _Cursor(data)
     if cur.take(4) != MAGIC:
         raise CorruptStreamError("bad magic")
@@ -535,6 +680,8 @@ def read_container(data: bytes) -> tuple[ContainerMeta, list[ChannelStream]]:
         quant_payload=np.frombuffer(cur.take(64), dtype=np.uint8).astype(np.int64),
     )
     _check_meta(meta)
+    if width * height > max_pixels:
+        raise PixelBudgetError(f"{width}x{height} image exceeds the pixel budget of {max_pixels}")
 
     channels = []
     for want_id, (h, w) in enumerate(plane_shapes(height, width, meta.color)):

@@ -23,22 +23,23 @@ color reassembly live here alone (_planes_of and _decode_image).
 
 reconstruct() runs the identical numeric path without the entropy layer,
 which is lossless. reconstruct_many() does the same for a list of
-configs, and configs that differ only in skip level share that work,
-since a processed block's pixels do not depend on the skip level: one
-skip scan per plane decides every level of such a group
-(knobs.skip_flags_many), and one transform pass serves them all. Both
-build the container header and reassemble the planes with the same
-helpers as encode() and decode(), so decode(encode(img)) equals
-reconstruct(img) bit for bit.
+configs: every config shares the planes' tiles, and configs that differ
+only in skip level share the rest of the work, since a processed block's
+pixels do not depend on the skip level: one skip scan per plane decides
+every level of such a group (knobs.skip_flags_many), and one transform
+pass serves them all. Both build the container header and reassemble the
+planes with the same helpers as encode() and decode(), so
+decode(encode(img)) equals reconstruct(img) bit for bit.
 
 Working set: only narrow arrays are image-sized, the uint8 planes and
-pixel blocks, the int16 tiles and quantized coded blocks, and the bool
-skip flags. Every wide temporary lives in one slice of at most
-fdct._SLICE_BLOCKS blocks (_by_slice): encode compresses, decode
-dequantizes, inverts and rounds, and reconstruct_many runs both, slice by
-slice, so it never holds a plane's coefficients. The color layer works in
-row strips the same way. The entropy layer is the exception: it codes a
-channel's blocks and symbols at once.
+pixel blocks, the int16 tiles and quantized coded blocks, the bool skip
+flags and the entropy coder's 3-byte symbol records. Every wide temporary
+lives in one slice of at most fdct._SLICE_BLOCKS blocks: encode gathers,
+compresses and entropy-codes, decode entropy-decodes, dequantizes, inverts
+and rounds, and reconstruct_many compresses and decodes, slice by slice,
+so none of them holds a plane's coefficients. The entropy layer drives
+decode's slices (entropy.decode_channel calls the invert step); _by_slice
+drives the others. The color layer works in row strips the same way.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
 
 
 def _by_slice(step, blocks: np.ndarray, dtype) -> np.ndarray:
-    """step over a stack of blocks, slice by slice: the results of step on
-    consecutive slices of at most _SLICE_BLOCKS blocks, written into one
-    (n, 8, 8) array of the narrow dtype. A step's wide temporaries are gone
-    before the next slice starts. Every step counts its ops per lane, so
-    the counts are those of one step over the whole stack."""
+    """step over a stack of blocks (or of block indices), slice by slice:
+    the results of step on consecutive slices of at most _SLICE_BLOCKS
+    blocks, written into one (n, 8, 8) array of the narrow dtype. A step's
+    wide temporaries are gone before the next slice starts. Every step
+    counts its ops per lane, so the counts are those of one step over the
+    whole stack."""
     out = np.empty((len(blocks), 8, 8), dtype=dtype)
     for start in range(0, len(blocks), _SLICE_BLOCKS):
         out[start : start + _SLICE_BLOCKS] = step(blocks[start : start + _SLICE_BLOCKS])
@@ -193,6 +195,20 @@ def _container_meta(img: RasterImage, cfg: EncodeConfig, qmat, smat) -> entropy.
     )
 
 
+def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps):
+    """A plane's skip flags and its coded blocks' quantized values. Each
+    slice gathers its own coded tiles, so the tiles are the only
+    image-sized input, and they are gone once this returns."""
+    skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
+    # quantized coefficients are below 2**11 in magnitude, so int16 holds them
+    coded = _by_slice(
+        lambda at: _compress_blocks(blocks[at], cfg, smat, qmat, ops),
+        np.flatnonzero(~skipped),
+        np.int16,
+    )
+    return skipped, coded
+
+
 def encode(
     img: RasterImage, cfg: EncodeConfig = EncodeConfig(), ops: IntOps = UNCOUNTED
 ) -> tuple[bytes, EnergyStats]:
@@ -202,12 +218,7 @@ def encode(
     qmat, smat = _quant_tables(cfg)
     streams, flags = [], []
     for cid, plane in enumerate(_planes_of(img)):
-        blocks = tile_blocks(plane)
-        skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
-        # quantized coefficients are below 2**11 in magnitude, so int16 holds them
-        coded = _by_slice(
-            lambda b: _compress_blocks(b, cfg, smat, qmat, ops), blocks[~skipped], np.int16
-        )
+        skipped, coded = _coded_blocks(tile_blocks(plane), cfg, smat, qmat, ops)
         streams.append(entropy.encode_channel(coded, skipped, cid))
         flags.append(skipped)
     meta = _container_meta(img, cfg, qmat, smat)
@@ -263,18 +274,21 @@ def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:
     return ycbcr_to_rgb(y, upsample_420(cb, h, w), upsample_420(cr, h, w))
 
 
-def decode(data: bytes, decode_matrix: str = "matched") -> RasterImage:
-    """Decode an AJPG container."""
-    meta, streams = entropy.read_container(data)
+def decode(
+    data: bytes, decode_matrix: str = "matched", max_pixels: int = entropy.MAX_PIXELS
+) -> RasterImage:
+    """Decode an AJPG container; a header of more than max_pixels pixels
+    raises entropy.PixelBudgetError."""
+    meta, streams = entropy.read_container(data, max_pixels)
     divisors = _decode_divisors(meta, decode_matrix)
 
     def invert(quantized):
         return _decode_blocks(quantized, divisors, meta.trunc_level)
 
-    # each coded block is inverted once; a skipped block gathers its reference's pixels
+    # each coded block is inverted once, in the entropy layer's slices; a
+    # skipped block gathers its reference's pixels
     pixel_blocks = (
-        _by_slice(invert, entropy.decode_channel(s), np.uint8)[reuse_index(s.skip_flags)]
-        for s in streams
+        entropy.decode_channel(s, invert)[reuse_index(s.skip_flags)] for s in streams
     )
     return _decode_image(meta, pixel_blocks)
 
@@ -288,13 +302,14 @@ def reconstruct_many(
     """Lazily yield reconstruct(img, cfg, decode_matrix) for each config, in
     order.
 
-    Consecutive configs that differ only in skip_level share one pass: one
-    skip scan per plane gives every level's flags, every block processed
-    under at least one of them is truncated, transformed, quantized and
-    decoded once, slice by slice, and each config gathers the pixel block
-    of the block it carries. ops counts that shared work once, but for the
-    skip bands, which it charges per level as the hardware would.
-    The arguments are checked here, before the generator is returned."""
+    The planes are tiled once for every config. Consecutive configs that
+    differ only in skip_level share one pass: one skip scan per plane gives
+    every level's flags, every block processed under at least one of them
+    is truncated, transformed, quantized and decoded once, slice by slice,
+    and each config gathers the pixel block of the block it carries. ops
+    counts that shared work once, but for the skip bands, which it charges
+    per level as the hardware would. The arguments are checked here, before
+    the generator is returned."""
     configs = list(configs)
     _check_decode_matrix(decode_matrix)
     if not configs:
@@ -305,7 +320,7 @@ def reconstruct_many(
 def _reconstruct_groups(
     img: RasterImage, configs: list[EncodeConfig], decode_matrix: str, ops: IntOps
 ) -> Iterator[tuple[RasterImage, EnergyStats]]:
-    planes = _planes_of(img)
+    tiles = [tile_blocks(plane) for plane in _planes_of(img)]  # shared by every group
     for shared, group in groupby(configs, key=lambda c: replace(c, skip_level=None)):
         group = list(group)
         qmat, smat = _quant_tables(shared)
@@ -318,8 +333,7 @@ def _reconstruct_groups(
 
         levels = dict.fromkeys(cfg.skip_level for cfg in group)
         coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
-        for plane in planes:
-            blocks = tile_blocks(plane)
+        for blocks in tiles:
             flags = _skip_flags(blocks, levels, ops)
             union = ~np.logical_and.reduce(list(flags.values()))
             pixels = _by_slice(round_trip, blocks[union], np.uint8)

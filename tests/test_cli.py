@@ -144,6 +144,17 @@ def test_report_rejects_malformed_config(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_decode_pixel_budget(tmp_path, pgm, capsys):
+    ok = tmp_path / "ok.ajpg"
+    back = tmp_path / "back.pgm"
+    assert main(["encode", "--input", str(pgm), "--output", str(ok)]) == 0
+    assert main(["decode", "--input", str(ok), "--output", str(back), "--max-pixels", "256"]) == 0
+    back.unlink()
+    assert main(["decode", "--input", str(ok), "--output", str(back), "--max-pixels", "255"]) == 2
+    assert "pixel budget" in capsys.readouterr().err
+    assert not back.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -154,6 +165,7 @@ def test_report_rejects_malformed_config(tmp_path, capsys, text):
         ["encode", "--input", "x", "--output", "y", "--truncate", "9"],
         ["encode", "--input", "x", "--output", "y", "--skip", "9"],
         ["decode", "--input", "x", "--output", "y", "--decode-quant", "odd"],
+        ["decode", "--input", "x", "--output", "y", "--max-pixels", "0"],
         ["sweep", "--corpus", "c", "--knob", "zoom", "--out", "o"],
     ],
 )

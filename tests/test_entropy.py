@@ -3,18 +3,27 @@
 import hashlib
 import heapq
 import itertools
+import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ajpeg import entropy
 from ajpeg.entropy import (
+    _BLOCK_BITS,
+    EOB,
     MAX_CODE_LEN,
+    MAX_SIZE,
+    ZIGZAG,
+    ZRL,
     ChannelStream,
     ContainerMeta,
     CorruptStreamError,
-    ZIGZAG,
+    PixelBudgetError,
     canonical_codes,
     code_lengths,
     compression_ratio,
@@ -209,11 +218,149 @@ def _channel(spec):
     return inv_zigzag(vectors[~flags]), flags
 
 
+# A scalar oracle for the channel codec. It codes symbol by symbol, as a
+# hardware entropy coder does, carrying the DC predictor and the bit
+# position from block to block; it shares only the table builder
+# (code_lengths, canonical_codes) with the array coder.
+
+
+def _oracle_symbols(vectors):
+    """(symbol, amplitude bits, amplitude size) of coded zigzag vectors."""
+    symbols = []
+    predictor = 0
+    for vec in vectors.tolist():
+        diff, predictor = vec[0] - predictor, vec[0]
+        size = abs(diff).bit_length()
+        if size > MAX_SIZE:
+            raise CorruptStreamError("DC difference out of range")
+        symbols.append((size, diff if diff >= 0 else diff + (1 << size) - 1, size))
+        last = max((k for k in range(1, 64) if vec[k]), default=0)
+        run = 0
+        for k in range(1, last + 1):
+            if not vec[k]:
+                run += 1
+                continue
+            for _ in range(run // 16):
+                symbols.append((ZRL, 0, 0))
+            size = abs(vec[k]).bit_length()
+            if size > MAX_SIZE:
+                raise CorruptStreamError("AC coefficient out of range")
+            bits = vec[k] if vec[k] > 0 else vec[k] + (1 << size) - 1
+            symbols.append((((run % 16) << 4) | size, bits, size))
+            run = 0
+        if last != 63:
+            symbols.append((EOB, 0, 0))
+    return symbols
+
+
+def oracle_encode(coded):
+    """(table, bit length, payload) of coded blocks (m, 8, 8)."""
+    symbols = _oracle_symbols(zigzag(np.asarray(coded, dtype=np.int64)))
+    freqs = {}
+    for sym, _, _ in symbols:
+        freqs[sym] = freqs.get(sym, 0) + 1
+    codes = canonical_codes(code_lengths(freqs))
+    bits = "".join(
+        format(codes[sym][0], f"0{codes[sym][1]}b") + (format(amp, f"0{size}b") if size else "")
+        for sym, amp, size in symbols
+    )
+    payload = bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
+    table = sorted(((s, ln) for s, (_, ln) in codes.items()), key=lambda e: (e[1], e[0]))
+    return table, len(bits), payload
+
+
+def oracle_decode(stream):
+    """The coded blocks (m, 8, 8) of a channel stream; CorruptStreamError
+    for a stream it rejects."""
+    n, flags, table, nbits = stream.block_count, stream.skip_flags, stream.table, stream.bit_length
+    if n == 0:
+        return np.zeros((0, 8, 8), dtype=np.int64)
+    if len(flags) != n or flags[0]:
+        raise CorruptStreamError("skip flags")
+    if (len({s for s, _ in table}) != len(table)
+            or not all(0 <= s <= 255 and 1 <= ln <= MAX_CODE_LEN for s, ln in table)
+            or sum(2.0 ** -ln for _, ln in table) > 1):
+        raise CorruptStreamError("table")
+    if len(stream.payload) != (nbits + 7) // 8:
+        raise CorruptStreamError("payload length")
+    symbol_of = {format(code, f"0{ln}b"): s for s, (code, ln) in canonical_codes(dict(table)).items()}
+    bits = "".join(format(b, "08b") for b in stream.payload)[:nbits]
+    pos = 0
+
+    def read(size):
+        nonlocal pos
+        if pos + size > nbits:
+            raise CorruptStreamError("overrun")
+        pos += size
+        return int(bits[pos - size : pos] or "0", 2)
+
+    def value(size):
+        amp = read(size)
+        return amp if size == 0 or amp >> (size - 1) else amp - (1 << size) + 1
+
+    def symbol():
+        nonlocal pos
+        for ln in range(1, min(MAX_CODE_LEN, nbits - pos) + 1):
+            sym = symbol_of.get(bits[pos : pos + ln])
+            if sym is not None:
+                pos += ln
+                return sym
+        raise CorruptStreamError("no code")
+
+    vectors = []
+    dc = 0
+    for _ in range(n - int(np.count_nonzero(flags))):
+        vec = [0] * 64
+        size = symbol()
+        if size > MAX_SIZE:
+            raise CorruptStreamError("DC size")
+        dc += value(size)
+        vec[0] = dc
+        k = 1
+        while k < 64:
+            sym = symbol()
+            if sym == EOB:
+                break
+            if sym == ZRL:
+                k += 16
+            elif 1 <= sym & 0x0F <= MAX_SIZE and k + (sym >> 4) <= 63:
+                k += sym >> 4
+                vec[k] = value(sym & 0x0F)
+                k += 1
+            else:
+                raise CorruptStreamError("AC symbol")
+            if k > 64:
+                raise CorruptStreamError("AC run")
+        vectors.append(vec)
+    if pos != nbits:
+        raise CorruptStreamError("underrun")
+    return inv_zigzag(np.array(vectors, dtype=np.int64).reshape(-1, 64))
+
+
+def _agrees_with_oracle(stream):
+    """decode_channel and the oracle both reject the stream, or both return
+    the same blocks."""
+    try:
+        want = oracle_decode(stream)
+    except CorruptStreamError:
+        want = None
+    try:
+        got = decode_channel(stream)
+    except CorruptStreamError:
+        got = None
+    return (got is None and want is None) or (
+        got is not None and want is not None and np.array_equal(got, want)
+    )
+
+
 @given(channel_spec)
 @example(EXTREME_CHANNEL)
 def test_channel_round_trip_sparse(spec):
     coded, flags = _channel(spec)
-    assert np.array_equal(decode_channel(encode_channel(coded, flags)), coded)
+    stream = encode_channel(coded, flags)
+    assert (stream.table, stream.bit_length, stream.payload) == oracle_encode(coded)
+    assert np.array_equal(decode_channel(stream), coded)
+    assert np.array_equal(oracle_decode(stream), coded)
 
 
 @given(st.one_of(st.just(EXTREME_CHANNEL), channel_spec), st.data())
@@ -234,11 +381,57 @@ def test_mutated_channel_decodes_or_fails_structurally(spec, data):
         if kind == "lengthen code" and ln < MAX_CODE_LEN:
             table.insert(j, (sym, data.draw(st.integers(ln + 1, MAX_CODE_LEN))))
     mutated = ChannelStream(0, len(flags), flags, table, nbits, bytes(payload))
+    assert _agrees_with_oracle(mutated)
     try:
         out = decode_channel(mutated)
     except CorruptStreamError:
         return
     assert out.shape == (len(coded), 8, 8)
+
+
+def _edge_channel(coded_count, seed):
+    """Random coded blocks, coded_count of them, among some skipped ones.
+    DC values swing across the whole range, so a DC predictor that is not
+    carried across a slice edge changes the bytes."""
+    rng = np.random.default_rng(seed)
+    blocks = _random_blocks(rng, coded_count)
+    blocks[:, 0, 0] = rng.integers(-1024, 1024, size=coded_count)
+    flags = np.zeros(coded_count + coded_count // 7, dtype=bool)
+    flags[1:][rng.permutation(len(flags) - 1)[: coded_count // 7]] = True
+    return blocks, flags
+
+
+@pytest.mark.parametrize(
+    "coded_count, window",
+    [(1023, None), (1024, None), (1025, None), (2049, None), (2049, _BLOCK_BITS // 8 + 1)],
+)
+def test_slice_edges_match_the_oracle(monkeypatch, coded_count, window):
+    # the predictor and the bit position carry across every slice edge and,
+    # with the smallest lookahead window, across a window edge at almost
+    # every block
+    if window:
+        monkeypatch.setattr(entropy, "_WINDOW_CHUNK", window)
+    coded, flags = _edge_channel(coded_count, coded_count)
+    stream = encode_channel(coded, flags)
+    assert (stream.table, stream.bit_length, stream.payload) == oracle_encode(coded)
+    assert np.array_equal(decode_channel(stream), coded)
+    assert _agrees_with_oracle(stream)
+    # damage near the slice edges: flipped bits, a cut payload, a lost code
+    rng = np.random.default_rng(coded_count)
+    edge = stream.bit_length * 1022 // coded_count  # about where coded block 1022 starts
+    for at in [edge - 3, edge, edge + 5, rng.integers(stream.bit_length)]:
+        payload = bytearray(stream.payload)
+        payload[at >> 3] ^= 0x80 >> (at & 7)
+        assert _agrees_with_oracle(replace(stream, payload=bytes(payload)))
+    cut = edge - 1
+    assert _agrees_with_oracle(replace(stream, bit_length=cut, payload=stream.payload[: (cut + 7) // 8]))
+    assert _agrees_with_oracle(replace(stream, table=stream.table[:-1]))
+    if coded_count > 1024:
+        # a DC step out of range only from the predictor the last slice carried
+        coded[1023, 0, 0], coded[1024, 0, 0] = -1000, 1100
+        for coder in (oracle_encode, lambda c: encode_channel(c, flags)):
+            with pytest.raises(CorruptStreamError, match="DC difference"):
+                coder(coded)
 
 
 def _conftest_image(corpus, kind):
@@ -399,6 +592,28 @@ def test_container_skip_flags_require_skip_mode():
     data = write_container(meta, channels)
     with pytest.raises(CorruptStreamError, match="perforation disabled"):
         read_container(data)
+
+
+def test_pixel_budget_refuses_a_huge_header_before_any_channel():
+    # a header-only container that asks for 65535 x 65535 gray pixels
+    data = b"AJPG" + struct.pack(">BBBBBHH", 1, 0, 50, 0, 0xFF, 65535, 65535) + bytes([16] * 64)
+    assert issubclass(PixelBudgetError, CorruptStreamError)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PixelBudgetError, match="pixel budget"):
+            decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(CorruptStreamError, match="container truncated"):
+        read_container(data, max_pixels=65535 * 65535)
+    # the budget admits an image of exactly max_pixels
+    img = RasterImage(np.full((16, 24), 9, dtype=np.uint8))
+    data = encode(img)[0]
+    assert decode(data, max_pixels=16 * 24) == decode(data)
+    with pytest.raises(PixelBudgetError):
+        decode(data, max_pixels=16 * 24 - 1)
 
 
 def test_compression_ratio():

@@ -297,6 +297,20 @@ def test_decode_memory_is_bounded_by_output():
         assert peak < bound * out.pixels.nbytes
 
 
+def test_entropy_memory_is_bounded_by_image():
+    # noise codes every block, so the entropy layer's symbols and bits are
+    # as many as they get: they live in one slice at a time, beside narrow
+    # per-symbol records on encode
+    rng = np.random.default_rng(12)
+    img = RasterImage(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8))
+    (data, stats), encode_peak = _traced_peak(lambda: encode(img))
+    assert stats.blocks_skipped == 0
+    out, decode_peak = _traced_peak(lambda: decode(data))
+    assert out == reconstruct(img)[0]
+    assert encode_peak < 10 * img.pixels.nbytes
+    assert decode_peak < 10 * img.pixels.nbytes
+
+
 def test_reconstruct_memory_is_bounded_by_image():
     # noise codes every block: its coefficients and float buffers live in
     # one slice at a time, and the tiles are int16
@@ -446,6 +460,19 @@ def test_shared_skip_levels_scan_each_plane_once(monkeypatch, color):
     shared = list(reconstruct_many(img, _LOOP))
     assert calls == [[5 * lv for lv in SKIP_LEVELS]] * (3 if color else 1)
     assert len(shared) == len(_LOOP)
+
+
+@pytest.mark.parametrize("color", [False, True])
+def test_reconstruct_many_tiles_each_plane_once(monkeypatch, color):
+    # five truncation levels are five groups; they share the planes' tiles
+    calls = []
+    tile = pipeline.tile_blocks
+    monkeypatch.setattr(pipeline, "tile_blocks", lambda plane: calls.append(plane.shape) or tile(plane))
+    img = _image((37, 53), color, 3, 11)
+    configs = [EncodeConfig(trunc_level=lv, skip_level=2) for lv in TRUNC_LEVELS]
+    shared = list(reconstruct_many(img, configs))
+    assert len(calls) == (3 if color else 1)
+    assert shared == [reconstruct(img, cfg) for cfg in configs]
 
 
 def test_shared_skip_levels_transform_each_block_once(corpus):
