@@ -46,7 +46,7 @@ class EnergyModel:
     skip_output_ops: float = 0.0
 
     def __post_init__(self):
-        for b in range(5):
+        for b in TRUNC_LEVELS:
             if not self.skip_cost() < self.process_cost(b):
                 raise ValueError("skip cost must stay below every process cost")
 

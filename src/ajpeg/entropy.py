@@ -27,18 +27,20 @@ counts, and size categories from the magnitudes' bit lengths. It keeps
 each slice's symbols as narrow records and counts their frequencies. The
 second builds the table and adds each slice's (code << size) | amplitude
 words, in 64-bit lanes, into the big-endian 32-bit words of the payload,
-carrying the partial last word to the next slice. The decoder looks up
-the symbol and total length of the code at every bit position of one
-payload window at a time in a 16-bit lookahead table (as in ITU-T T.81
-Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A symbol's total length is
-its code length plus its low nibble in every context, since DC size
-categories and AC symbols share the amplitude rule and ZRL and EOB carry
-no amplitude, so one Python loop step per symbol follows the block
-structure and checks the stream, carrying the bit position from slice to
-slice. Each slice's amplitudes are then read in one array operation, and
-its DC values are a cumulative sum of the differences, carried on from
-the slice before. decode_channel hands each slice's int64 values to a
-step of the caller's, so the pipeline inverts them slice by slice.
+carrying the partial last word to the next slice. The decoder reads each
+payload in place, a view of the container, one window at a time: it
+builds the big-endian 32-bit word at every byte and looks up the symbol
+and total length of the code at every bit position in a 16-bit lookahead
+table (as in ITU-T T.81 Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A
+symbol's total length is its code length plus its low nibble in every
+context, since DC size categories and AC symbols share the amplitude rule
+and ZRL and EOB carry no amplitude, so one Python loop step per symbol
+follows the block structure and checks the stream, carrying the bit
+position from slice to slice. A slice also ends where the window moves
+on, so its amplitudes are read from the window's words in one array
+operation; its DC values are a cumulative sum of the differences, carried
+on from the slice before. decode_channel hands each slice's int64 values
+to a step of the caller's, so the pipeline inverts them slice by slice.
 
 read_container checks the header's pixel count against a budget
 (MAX_PIXELS by default) before it reads any channel, and raises
@@ -187,7 +189,7 @@ class ChannelStream:
     skip_flags: np.ndarray
     table: list[tuple[int, int]]  # (symbol, code length), canonical order
     bit_length: int
-    payload: bytes
+    payload: bytes  # read_container gives a memoryview of the container
 
 
 def _size_category(values: np.ndarray) -> np.ndarray:
@@ -374,26 +376,31 @@ def _lookahead(table: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return lut_sym, lut_len
 
 
-def _window(data: np.ndarray, nbits: int, luts, lo: int) -> tuple[bytearray, bytearray, int]:
-    """The symbol and total length of the code starting at each bit position
-    of the payload window that begins at byte lo and spans at most
-    _WINDOW_CHUNK bytes, one byte each, with _LOOKAHEAD_PAD zero lengths past
-    its end. Positions at or past the payload's nbits, and codes running past
-    it, read length 0 (a code running past the end is an overrun before its
-    symbol is read). Also returns the last window position a block may start
-    at, so that its walk stays inside the window; in the payload's last
-    window every block start is below it. data is the payload with 3 zero
-    bytes appended."""
+def _window(
+    payload: np.ndarray, nbits: int, luts, lo: int
+) -> tuple[np.ndarray, bytearray, bytearray, int]:
+    """The payload window that begins at byte lo and spans at most
+    _WINDOW_CHUNK bytes: the big-endian 32-bit word at each of its bytes and
+    the byte past it, zero past the payload, and the symbol and total length
+    of the code starting at each of its bit positions, one byte each, with
+    _LOOKAHEAD_PAD zero lengths past its end. Positions at or past the
+    payload's nbits, and codes running past it, read length 0 (a code running
+    past the end is an overrun before its symbol is read). Also returns the
+    last window position a block may start at, so that its symbols and
+    amplitudes stay inside the window; in the payload's last window every
+    block start is below it."""
     lut_sym, lut_len = luts
-    hi = min(lo + _WINDOW_CHUNK, len(data) - 3)
+    hi = min(lo + _WINDOW_CHUNK, len(payload))
     span = 8 * (hi - lo)
+    word = np.zeros(hi - lo + 1, dtype=np.uint32)
+    for j in range(4):
+        b = payload[lo + j : hi + 1 + j]
+        word[: len(b)] |= b.astype(np.uint32) << (24 - 8 * j)
     sym_at = bytearray(span + _LOOKAHEAD_PAD)
     len_at = bytearray(span + _LOOKAHEAD_PAD)
     sym_view = np.frombuffer(sym_at, dtype=np.uint8)
     len_view = np.frombuffer(len_at, dtype=np.uint8)
-    b = [data[lo + j : hi + j].astype(np.uint32) for j in range(4)]
-    word = (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
-    windows = (word[:, None] >> _WINDOW_SHIFTS) & 0xFFFF
+    windows = (word[:-1, None] >> _WINDOW_SHIFTS) & 0xFFFF
     sym_view[:span] = lut_sym[windows].ravel()
     len_view[:span] = lut_len[windows].ravel()
     end = nbits - 8 * lo  # the payload's end, in window positions
@@ -402,22 +409,8 @@ def _window(data: np.ndarray, nbits: int, luts, lo: int) -> tuple[bytearray, byt
     tail = np.arange(max(min(end, span) - MAX_CODE_LEN, 0), min(end, span))
     code_len = len_view[tail].astype(np.int64) - (sym_view[tail] & 0x0F)
     len_view[tail[tail + code_len > end]] = 0
-    last = hi == len(data) - 3
-    return sym_at, len_at, len(len_at) if last else span - _BLOCK_BITS
-
-
-def _read_bits(data: np.ndarray, at: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The size[i] <= 11 payload bits starting at bit at[i], as int32; data
-    is the payload with 3 zero bytes appended."""
-    byte = at >> 3
-    word = data[byte].astype(np.int32)
-    for _ in range(2):
-        byte += 1
-        word <<= 8
-        word |= data[byte]
-    word >>= 24 - (at & 7) - size
-    word &= np.left_shift(1, size, dtype=np.int32) - 1
-    return word
+    last = hi == len(payload)
+    return word, sym_at, len_at, len(len_at) if last else span - _BLOCK_BITS
 
 
 def _no_code(pos: int, nbits: int) -> CorruptStreamError:
@@ -434,19 +427,12 @@ _AC_ADVANCE = [
 ]
 
 
-def _marks(starts: bytearray, sym_at: bytearray, lo: int, hi: int, base: int):
-    """The symbol starts the walk marked in window positions [lo, hi): their
-    payload bit positions, which are DC symbols, and their symbols."""
-    marks = np.frombuffer(starts, dtype=np.uint8)[lo:hi]
-    at = np.flatnonzero(marks)
-    return at + (base + lo), marks[at] == 2, np.frombuffer(sym_at, dtype=np.uint8)[lo:hi][at]
-
-
-def _walk(data: np.ndarray, nbits: int, table, m: int):
+def _walk(payload: np.ndarray, nbits: int, table, m: int):
     """Follow and check the block structure of m coded blocks through the
-    payload, one slice of at most _SLICE_BLOCKS blocks at a time. Yields each
-    slice's symbols as (bit positions, DC marks, symbols) and the bit
-    position the slice ends at.
+    payload, a slice of whole blocks at a time. A slice ends after
+    _SLICE_BLOCKS blocks or where the window moves on. Yields each slice's
+    window words, its symbols as (window positions, DC marks, symbols) and
+    the window position it ends at, which must not pass the payload's end.
 
     One Python loop step per symbol: every symbol's length is known from the
     lookahead of the current payload window, so the loop only follows the
@@ -456,18 +442,19 @@ def _walk(data: np.ndarray, nbits: int, table, m: int):
     luts = _lookahead(table)
     advance = _AC_ADVANCE
     base = pos = 0
-    sym_at, len_at, limit = _window(data, nbits, luts, 0)
+    word, sym_at, len_at, limit = _window(payload, nbits, luts, 0)
     starts = bytearray(len(len_at))
-    for first in range(0, m, _SLICE_BLOCKS):
-        parts = []
-        seg = pos  # where this slice's marks in the current window begin
-        for _ in range(min(_SLICE_BLOCKS, m - first)):
+    while m:
+        if pos > limit:
+            base += pos & ~7
+            pos &= 7
+            word, sym_at, len_at, limit = _window(payload, nbits, luts, base >> 3)
+            starts = bytearray(len(len_at))
+        seg = pos  # where this slice's marks begin
+        for _ in range(min(_SLICE_BLOCKS, m)):
             if pos > limit:
-                parts.append(_marks(starts, sym_at, seg, pos, base))
-                base += pos & ~7
-                pos = seg = pos & 7
-                sym_at, len_at, limit = _window(data, nbits, luts, base >> 3)
-                starts = bytearray(len(len_at))
+                break
+            m -= 1
             t = len_at[pos]
             if not t:
                 raise _no_code(base + pos, nbits)
@@ -491,27 +478,29 @@ def _walk(data: np.ndarray, nbits: int, table, m: int):
                 k += a
                 if k > 64:
                     raise CorruptStreamError("AC run overflows the block")
-        parts.append(_marks(starts, sym_at, seg, pos, base))
-        symbols = [np.concatenate(p) for p in zip(*parts)]
-        parts.clear()
-        if first + _SLICE_BLOCKS >= m:
-            if base + pos > nbits:
-                raise CorruptStreamError("payload overrun")
-            if base + pos < nbits:
-                raise CorruptStreamError("payload underrun")
-        yield symbols, base + pos
+        if base + pos > nbits:
+            raise CorruptStreamError("payload overrun")
+        if not m and base + pos < nbits:
+            raise CorruptStreamError("payload underrun")
+        marks = np.frombuffer(starts, dtype=np.uint8)[seg:pos]
+        at = np.flatnonzero(marks)
+        sym = np.frombuffer(sym_at, dtype=np.uint8)[seg:pos][at]
+        yield word, (at + seg, marks[at] == 2, sym), pos
 
 
-def _coefficients(data: np.ndarray, at, is_dc, sym, end: int, dc) -> np.ndarray:
+def _coefficients(word: np.ndarray, at, is_dc, sym, end: int, dc) -> np.ndarray:
     """The coded blocks (k, 8, 8) of one slice's symbols, which start at the
-    bits at and end at bit end, their DC differences summed from the
-    predictor dc. Amplitudes are read in one array operation and DC values
-    are a cumulative sum; at is reused for the amplitudes' positions."""
+    window positions at and end at end, their DC differences summed from the
+    predictor dc. Amplitudes are read from the window's words in one array
+    operation and DC values are a cumulative sum; at is reused for the
+    amplitudes' positions."""
     size = sym & 0x0F
     at[:-1] = at[1:]  # a symbol's amplitude ends where the next symbol starts
     at[-1] = end
     at -= size
-    value = _amplitude_values(_read_bits(data, at, size), size)
+    bits = word[at >> 3] >> (32 - size - (at & 7))
+    bits &= np.left_shift(1, size, dtype=np.int64) - 1
+    value = _amplitude_values(bits, size)
     dcs = np.cumsum(value[is_dc], dtype=np.int64) + dc
     # Scan position: the running sum of run + 1 within the block, minus one
     # (DC advances by 1 and ZRL by 16, so one rule covers every symbol).
@@ -548,10 +537,10 @@ def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
     if len(stream.payload) != (nbits + 7) // 8:
         raise CorruptStreamError("payload length does not match bit count")
     m = n - int(np.count_nonzero(stream.skip_flags))
-    data = np.frombuffer(stream.payload + bytes(3), dtype=np.uint8)
+    payload = np.frombuffer(stream.payload, dtype=np.uint8)
     out, first, dc = None, 0, 0
-    for symbols, end in _walk(data, nbits, stream.table, m):
-        coded = _coefficients(data, *symbols, end, dc)
+    for word, symbols, end in _walk(payload, nbits, stream.table, m):
+        coded = _coefficients(word, *symbols, end, dc)
         dc = coded[-1, 0, 0]
         result = coded if step is None else step(coded)
         if out is None:
@@ -640,10 +629,11 @@ def write_container(meta: ContainerMeta, channels: list[ChannelStream]) -> bytes
 
 class _Cursor:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
+        """The next n bytes, a view of the container: no payload is copied."""
         if self.pos + n > len(self.data):
             raise CorruptStreamError("container truncated")
         chunk = self.data[self.pos : self.pos + n]

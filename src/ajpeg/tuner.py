@@ -9,7 +9,8 @@ and only while the composed degradation stays within the bound. Ties
 advance the truncation knob. The oracle enumerates every pair and picks
 the minimum-energy feasible one (ties: smaller loop level, then smaller
 truncation level); on curves whose composed quality/energy frontier is
-convex the greedy walk matches it.
+convex the greedy walk matches it. Both walk the curves' points by index
+and report the chosen points' levels, so a curve may skip levels.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class TunerResult:
         return cls(int(i), int(j), float(quality), float(energy))
 
 
-def _columns(curve: QECurve) -> tuple[list[float], list[float]]:
+def _columns(curve: QECurve) -> tuple[list[int], list[float], list[float]]:
     return (
+        [p.level for p in curve.points],
         [p.quality_degradation for p in curve.points],
         [p.relative_energy for p in curve.points],
     )
@@ -93,8 +95,8 @@ def _step_ratio(q_cost: float, e_gain: float) -> float:
 
 def tune(inp: TunerInput) -> TunerResult:
     """Greedy ratio descent over the two curves under the degradation bound."""
-    ql, el = _columns(inp.loop_curve)
-    qt, et = _columns(inp.trunc_curve)
+    ll, ql, el = _columns(inp.loop_curve)
+    lt, qt, et = _columns(inp.trunc_curve)
     i = j = 0
     while True:
         loop_ok = i + 1 < len(ql) and ql[i + 1] + qt[j] <= inp.bound
@@ -109,13 +111,13 @@ def tune(inp: TunerInput) -> TunerResult:
         else:
             i += 1
     q, e = _compose(ql, el, qt, et, i, j)
-    return TunerResult(i, j, q, e)
+    return TunerResult(ll[i], lt[j], q, e)
 
 
 def exhaustive_oracle(inp: TunerInput) -> TunerResult:
     """Minimum-energy feasible pair; ties prefer smaller i, then smaller j."""
-    ql, el = _columns(inp.loop_curve)
-    qt, et = _columns(inp.trunc_curve)
+    ll, ql, el = _columns(inp.loop_curve)
+    lt, qt, et = _columns(inp.trunc_curve)
     best = None
     best_key = None
     for i in range(len(ql)):
@@ -126,7 +128,7 @@ def exhaustive_oracle(inp: TunerInput) -> TunerResult:
             key = (e, i, j)
             if best_key is None or key < best_key:
                 best_key = key
-                best = TunerResult(i, j, q, e)
+                best = TunerResult(ll[i], lt[j], q, e)
     # (0, 0) composes to degradation 0 and the bound is non-negative, so a
     # feasible pair always exists.
     assert best is not None

@@ -20,7 +20,6 @@ from ajpeg.entropy import (
     MAX_SIZE,
     ZIGZAG,
     ZRL,
-    ChannelStream,
     ContainerMeta,
     CorruptStreamError,
     PixelBudgetError,
@@ -363,10 +362,9 @@ def test_channel_round_trip_sparse(spec):
     assert np.array_equal(oracle_decode(stream), coded)
 
 
-@given(st.one_of(st.just(EXTREME_CHANNEL), channel_spec), st.data())
-def test_mutated_channel_decodes_or_fails_structurally(spec, data):
-    coded, flags = _channel(spec)
-    stream = encode_channel(coded, flags)
+def _mutate(stream, data):
+    """stream with flipped payload bits, a shortened payload, or a code
+    lengthened or dropped, as data draws."""
     payload, nbits, table = bytearray(stream.payload), stream.bit_length, list(stream.table)
     kind = data.draw(st.sampled_from(["flip", "shorten", "lengthen code", "drop code"]))
     if kind == "flip":
@@ -380,13 +378,34 @@ def test_mutated_channel_decodes_or_fails_structurally(spec, data):
         sym, ln = table.pop(j)
         if kind == "lengthen code" and ln < MAX_CODE_LEN:
             table.insert(j, (sym, data.draw(st.integers(ln + 1, MAX_CODE_LEN))))
-    mutated = ChannelStream(0, len(flags), flags, table, nbits, bytes(payload))
+    return replace(stream, table=table, bit_length=nbits, payload=bytes(payload))
+
+
+@given(st.one_of(st.just(EXTREME_CHANNEL), channel_spec), st.data())
+def test_mutated_channel_decodes_or_fails_structurally(spec, data):
+    coded, flags = _channel(spec)
+    mutated = _mutate(encode_channel(coded, flags), data)
     assert _agrees_with_oracle(mutated)
     try:
         out = decode_channel(mutated)
     except CorruptStreamError:
         return
     assert out.shape == (len(coded), 8, 8)
+
+
+# The smallest lookahead window moves on at almost every block, so each
+# slice ends at a window move rather than after _SLICE_BLOCKS blocks.
+_SMALL_WINDOW = _BLOCK_BITS // 8 + 1
+_MULTI_WINDOW = encode_channel(_random_blocks(np.random.default_rng(9), 60), np.zeros(60, dtype=bool))
+
+
+@given(st.data())
+def test_mutated_multi_window_channel_matches_the_oracle(data):
+    assert len(_MULTI_WINDOW.payload) > 2 * _SMALL_WINDOW  # at least 3 whole windows
+    mutated = _mutate(_MULTI_WINDOW, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy, "_WINDOW_CHUNK", _SMALL_WINDOW)
+        assert _agrees_with_oracle(mutated)
 
 
 def _edge_channel(coded_count, seed):
@@ -403,7 +422,7 @@ def _edge_channel(coded_count, seed):
 
 @pytest.mark.parametrize(
     "coded_count, window",
-    [(1023, None), (1024, None), (1025, None), (2049, None), (2049, _BLOCK_BITS // 8 + 1)],
+    [(1023, None), (1024, None), (1025, None), (2049, None), (2049, _SMALL_WINDOW)],
 )
 def test_slice_edges_match_the_oracle(monkeypatch, coded_count, window):
     # the predictor and the bit position carry across every slice edge and,
@@ -432,6 +451,27 @@ def test_slice_edges_match_the_oracle(monkeypatch, coded_count, window):
         for coder in (oracle_encode, lambda c: encode_channel(c, flags)):
             with pytest.raises(CorruptStreamError, match="DC difference"):
                 coder(coded)
+
+
+@pytest.mark.parametrize("window", [None, _SMALL_WINDOW])
+def test_non_final_slice_overrun_is_a_payload_overrun(monkeypatch, window):
+    # coded block 1023 closes the first slice of _SLICE_BLOCKS blocks with a
+    # coefficient at scan position 63, so its last symbol ends in amplitude
+    # bits; a payload cut one bit short of it leaves that symbol's code whole
+    if window:
+        monkeypatch.setattr(entropy, "_WINDOW_CHUNK", window)
+    coded, flags = _edge_channel(1030, 5)
+    coded[1023, 7, 7] = 5
+    stream = encode_channel(coded, flags)
+    length = {s: ln for s, ln in stream.table}
+    head = _oracle_symbols(zigzag(coded[:1024]))
+    cut = sum(length[sym] + size for sym, _, size in head) - 1
+    assert head[-1][2] > 0  # the cut falls inside the last amplitude
+    cut_stream = replace(stream, bit_length=cut, payload=stream.payload[: (cut + 7) // 8])
+    with pytest.raises(CorruptStreamError, match="payload overrun"):
+        decode_channel(cut_stream)
+    with pytest.raises(CorruptStreamError, match="overrun"):
+        oracle_decode(cut_stream)
 
 
 def _conftest_image(corpus, kind):
@@ -614,6 +654,24 @@ def test_pixel_budget_refuses_a_huge_header_before_any_channel():
     assert decode(data, max_pixels=16 * 24) == decode(data)
     with pytest.raises(PixelBudgetError):
         decode(data, max_pixels=16 * 24 - 1)
+
+
+def test_read_container_copies_no_payload():
+    # noise codes every block, so the payloads are most of the container:
+    # each is a view of the input, and the reader allocates little beyond
+    # the skip flags
+    rng = np.random.default_rng(12)
+    data = encode(RasterImage(rng.integers(0, 256, size=(1024, 1024), dtype=np.uint8)))[0]
+    tracemalloc.start()
+    try:
+        _, channels = read_container(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) / 10
+    whole = np.frombuffer(data, dtype=np.uint8)
+    for ch in channels:
+        assert np.shares_memory(np.frombuffer(ch.payload, dtype=np.uint8), whole)
 
 
 def test_compression_ratio():

@@ -87,6 +87,17 @@ def test_oracle_minimizes_energy_then_levels():
     assert (res.i, res.j) == (0, 1)  # smaller i wins the energy tie
 
 
+def test_gapped_curves_report_levels_not_indices():
+    # a curve need not hold every level: the pick is the point's level
+    loop = QECurve("loop", [QEPoint(0, 0.0, 1.0), QEPoint(3, 0.01, 0.8), QEPoint(6, 0.05, 0.6)])
+    trunc = QECurve("trunc", [QEPoint(0, 0.0, 1.0), QEPoint(2, 0.005, 0.9), QEPoint(4, 0.1, 0.5)])
+    inp = TunerInput(loop, trunc, 0.02)
+    for res in (tune(inp), exhaustive_oracle(inp)):
+        assert (res.i, res.j) == (3, 2)
+        assert res.predicted_quality == pytest.approx(0.015)
+        assert res.predicted_energy == pytest.approx(0.7)
+
+
 def test_oracle_never_beaten_by_greedy():
     rng = np.random.default_rng(10)
     for _ in range(300):
