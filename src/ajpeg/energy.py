@@ -21,18 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fdct import fdct_2d
+from .fdct import _BLOCK_CENSUS
 from .knobs import SKIP_LEVELS, TRUNC_LEVELS
-from .ops import OpCounter
 
 DATAPATH_WIDTH = 8
-
-
-def _dct_census() -> int:
-    """Adder/subtractor count of one instrumented 8x8 block transform."""
-    counter = OpCounter()
-    fdct_2d(np.zeros((8, 8), dtype=np.int64), counter)
-    return counter.addsub
 
 
 @dataclass
@@ -67,8 +59,9 @@ class EnergyModel:
 
 
 def default_activity_model() -> EnergyModel:
-    """Model with the transform census measured from the instrumented path."""
-    return EnergyModel(dct_ops=float(_dct_census()))
+    """Model with the transform census of the shift-add spec: the adders and
+    subtractors of one 8x8 block (fdct._BLOCK_CENSUS)."""
+    return EnergyModel(dct_ops=float(_BLOCK_CENSUS.addsub))
 
 
 @dataclass

@@ -9,20 +9,45 @@ The four kernels realize fixed-point rotations/scalings exactly:
 
 All intermediate shift-add arithmetic is exact in integers; only the final
 right shift truncates, so each kernel equals the floor of the rational form
-bit for bit, provided no intermediate overflows the lane type. fdct_1d
-computes in int64. fdct_2d computes in int32 when every |sample| is below
-2**15 (level-shifted pixels are below 2**7), which keeps every intermediate
-of both passes below 2**28.1, and in int64 otherwise; its result is int64.
-In int64, the same gain keeps inputs below 2**49 exact.
+bit for bit. _flowgraph wires the kernels into the even/odd butterfly
+flowgraph of the 8-point DCT, and fdct_1d runs it along the last axis in
+int64: together with the kernels, they are the executable spec of the
+datapath and of its op census.
 
-_flowgraph wires the kernels into the even/odd butterfly flowgraph of the
-8-point DCT; fdct_1d runs it along the last axis, and fdct_2d runs it on
-rows, then on columns. The float-matrix references ref_dct_2d/ref_idct_2d
-serve as oracles and as the decoder's inverse transform. The decoder's
-pixels are defined by rounding the einsum form of the inverse half away
-from zero; ref_idct_2d computes the faster matrix product and recomputes
-with the einsum only the blocks that have a sample within a proven
-float-error bound of a .5 tie, so the rounded pixels are the same.
+fdct_2d computes the same integers in another form. Between its right
+shifts the flowgraph is linear, and nested floors collapse:
+floor(floor(n / a) / b) = floor(n / ab) for integer n and positive integers
+a, b. So out0, out2, out4 and out6 are each one floor of a linear form of
+the eight inputs over 512 or 1024, and so are the odd half's a4, a7, c5 and
+c6 (over 1, 1, 256 and 256). out1, out5 and out7 are then one floor of a
+linear form of [a4, a7, c5, c6] over 512. out3 = floor(-v / 2), where v =
+floor(n / 256) and n = 142 d5 - 213 d6. As -v = ceil(-n / 256) =
+floor((255 - n) / 256), out3 = floor((255 - n) / 512): the same form with
+an offset of 255/512. Each 1-D pass is thus y = floor(_A @ x), then
+floor(_B @ [a4, a7, c5, c6] + offset) on the odd rows. Pass 1 runs it on
+the rows and pass 2 on the columns, in float64 lanes.
+
+The float form is exact while every value it holds is. Each product,
+partial sum and result is a multiple of 2**-10, which float64 holds exactly
+below 2**43. tests/test_fdct.py measures two gains per unit of the largest
+|sample|: 8926, the largest L1 gain of the spec's intermediates, and about
+11.2, the float form's own bound. fdct_2d accepts |sample| < _EXACT_INPUT =
+2**28, where even the larger gain gives 8926 * 2**28 * 2**10 = 2**51.1 in
+units of 2**-10, about 4x inside 2**53, and raises ValueError beyond it.
+Float samples would slip past the floors, so only integer dtypes are
+accepted (TypeError otherwise).
+
+The op census is the hardware's, not the software's: fdct_2d charges its
+IntOps n times _BLOCK_CENSUS, the census of _flowgraph on one block's 16
+1-D transforms, measured once at import (as knobs.skip_flags_many charges
+the skip bands it computes in another form).
+
+The float-matrix references ref_dct_2d/ref_idct_2d serve as oracles and as
+the decoder's inverse transform. The decoder's pixels are defined by
+rounding the einsum form of the inverse half away from zero; ref_idct_2d
+computes the faster matrix product and recomputes with the einsum only the
+blocks that have a sample within a proven float-error bound of a .5 tie, so
+the rounded pixels are the same.
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -32,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import UNCOUNTED, IntOps
+from .ops import UNCOUNTED, IntOps, OpCounter
 
 
 def kernel_scaler(x, ops: IntOps = UNCOUNTED):
@@ -132,45 +157,101 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
 
 
 # Blocks per step of fdct_2d, and of every other per-block step over a
-# stack (the skip scan, and the pipeline's compress and decode). Each 1-D
-# pass holds dozens of temporaries the size of its input, so a fixed slice
-# bounds the transform's working memory whatever the stack size. 1024 int32
-# blocks take the bytes of 512 int64 ones.
+# stack (the skip scan, and the pipeline's compress and decode). A fixed
+# slice bounds the working memory whatever the stack size: fdct_2d holds a
+# slice's float64 lanes and one matrix product of them.
 _SLICE_BLOCKS = 1024
 
-# fdct_2d computes in int32 when every |sample| is below this, else in
-# int64. The largest L1 gain of any intermediate of the two passes is below
-# 8926 (tests/test_fdct.py measures it), so such inputs keep every
-# intermediate below 2**28.1, about 8x inside int32.
-_INT32_INPUT = 2**15
+# fdct_2d's samples lie strictly inside +-_EXACT_INPUT (see the module
+# docstring).
+_EXACT_INPUT = 2**28
+
+
+def _block_census() -> OpCounter:
+    """The spec's op census of one 8x8 block: _flowgraph on 16 lanes, one
+    per row and one per column."""
+    census = OpCounter()
+    _flowgraph(*np.zeros((8, 16), dtype=np.int64), census)
+    return census
+
+
+_BLOCK_CENSUS = _block_census()
+
+# One 1-D pass, as floor(_A @ x) and then floor(_B @ x[1::2]) (the module
+# docstring derives both). b0..b3 and a4..a7 are the flowgraph's sums and
+# differences of the inputs x0..x7. _A's even rows are out0, out2, out4 and
+# out6; its odd rows are a4, a7, c5 and c6, which _B maps to out1, out3,
+# out5 and out7, so each pass leaves its outputs in frequency order.
+_A = np.array([
+    np.array([181, 181, 181, 181, 181, 181, 181, 181]) / 512,  # 181 (b0 + b1)
+    [0, 0, 0, 1, -1, 0, 0, 0],  # a4 = x3 - x4
+    np.array([473, 196, -196, -473, -473, -196, 196, 473]) / 1024,  # 473 b3 + 196 b2
+    [1, 0, 0, 0, 0, 0, 0, -1],  # a7 = x0 - x7
+    np.array([181, -181, -181, 181, 181, -181, -181, 181]) / 512,  # 181 (b0 - b1)
+    np.array([0, 181, -181, 0, 0, 181, -181, 0]) / 256,  # c5 = 181 (a6 - a5)
+    np.array([196, -473, 473, -196, -196, 473, -473, 196]) / 1024,  # 196 b3 - 473 b2
+    np.array([0, 181, 181, 0, 0, -181, -181, 0]) / 256,  # c6 = 181 (a6 + a5)
+])
+# Of [a4, a7, c5, c6], with d4 = a4 + c5, d5 = a4 - c5, d6 = a7 - c6 and
+# d7 = a7 + c6.
+_B = np.array([
+    [50, 251, 50, 251],  # 251 d7 + 50 d4
+    [-142, 213, 142, -213],  # 213 d6 - 142 d5, plus _OUT3_OFFSET
+    [213, 142, -213, -142],  # 213 d5 + 142 d6
+    [-251, 50, -251, 50],  # 50 d7 - 251 d4
+]) / 512
+_OUT3_OFFSET = 255 / 512
+
+
+def _pass(x: np.ndarray) -> None:
+    """The 1-D transform of the float64 lanes x (..., 8, lanes), in place
+    along the second-to-last axis."""
+    np.floor(np.matmul(_A, x), out=x)
+    odd = x[..., 1::2, :]
+    t = np.matmul(_B, odd)
+    t[..., 1, :] += _OUT3_OFFSET
+    np.floor(t, out=odd)
 
 
 def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """2-D DCT of 8x8 blocks (..., 8, 8): rows, then columns; int64 result.
+    """2-D DCT of 8x8 integer blocks (..., 8, 8): rows, then columns; int64
+    result, the integers of the shift-add spec (fdct_1d on rows, then on
+    columns).
 
-    Each pass runs the flowgraph on contiguous lanes, one per sample
-    position and laid out block-minor: [col, row, block] for the row pass,
-    then [row, freq, block] for the column pass. The lanes are int32 when
-    every |sample| is below _INT32_INPUT and int64 otherwise, with the same
-    results either way. A stack is transformed in fixed slices of
-    _SLICE_BLOCKS blocks, which bounds the working memory: the range check
-    reads the input in its own dtype, and only a slice is ever cast to the
-    lane type. The results and the op counts are those of one pass over
-    the whole stack."""
+    A stack is transformed in slices of _SLICE_BLOCKS blocks, on float64
+    lanes laid out block-minor: pass 1 is one (8 x 8) @ (8 x 8k) product on
+    [col, row, block], and pass 2 the same product batched over the
+    frequency across, on [freq across, row, block]. Each pass writes its
+    outputs back into its lanes. Samples must be integers of magnitude
+    below _EXACT_INPUT (TypeError, ValueError otherwise). ops is charged
+    the spec's census of every block."""
     m = np.asarray(block)
     if m.shape[-2:] != (8, 8):
         raise ValueError("fdct_2d expects 8x8 blocks")
+    if not np.issubdtype(m.dtype, np.integer):
+        raise TypeError(f"fdct_2d expects integer samples, not {m.dtype}")
     blocks = m.reshape(-1, 8, 8)
-    narrow = blocks.size == 0 or -_INT32_INPUT < blocks.min() and blocks.max() < _INT32_INPUT
-    dtype = np.int32 if narrow else np.int64
+    n = len(blocks)
+    # int8, int16, uint8 and uint16 samples are in range by their dtype
+    if n and np.iinfo(m.dtype).max >= _EXACT_INPUT:
+        if blocks.min() <= -_EXACT_INPUT or blocks.max() >= _EXACT_INPUT:
+            raise ValueError("fdct_2d expects |samples| below 2**28")
+    c = _BLOCK_CENSUS
+    ops.charge(
+        adds=n * c.adds,
+        subs=n * c.subs,
+        shifts=n * c.shifts,
+        kernels={name: n * lanes for name, lanes in c.kernel_calls.items()},
+    )
     out = np.empty(blocks.shape, dtype=np.int64)
-    # an empty stack still takes one (empty) step, as one pass would
-    for start in range(0, max(len(blocks), 1), _SLICE_BLOCKS):
-        stop = start + _SLICE_BLOCKS
-        lanes = np.ascontiguousarray(blocks[start:stop].transpose(2, 1, 0), dtype=dtype)
-        rows = np.stack(_flowgraph(*lanes, ops), axis=1)  # [row, freq, block]
-        cols = np.stack(_flowgraph(*rows, ops))  # [freq down, freq across, block]
-        out[start:stop] = cols.transpose(2, 0, 1)
+    for start in range(0, n, _SLICE_BLOCKS):
+        part = blocks[start : start + _SLICE_BLOCKS]
+        k = len(part)
+        lanes = np.empty((8, 8, k))
+        np.copyto(lanes, part.transpose(2, 1, 0))  # [col, row, block]
+        _pass(lanes.reshape(8, 8 * k))  # rows: [freq across, row, block]
+        _pass(lanes)  # columns: [freq across, freq down, block]
+        np.copyto(out[start : start + k].transpose(2, 1, 0), lanes, casting="unsafe")
     return out.reshape(m.shape)
 
 

@@ -52,9 +52,12 @@ class IntOps:
     def kernel(self, name: str, lanes: int):
         pass
 
-    def charge(self, adds: int = 0, subs: int = 0):
-        """Book add and sub lanes of datapath work that the software
-        computes in another form (see knobs.skip_flags_many)."""
+    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, kernels=None):
+        """Book the lanes of datapath work that the software computes in
+        another form: adds, subs and shifts, and kernels, a mapping of
+        kernel name to lanes (a name with 0 lanes is still recorded). The
+        skip scan charges its bands (knobs.skip_flags_many), and fdct_2d
+        the shift-add flowgraph's census of each block."""
 
 
 UNCOUNTED = IntOps()
@@ -100,9 +103,12 @@ class OpCounter(IntOps):
     def kernel(self, name: str, lanes: int):
         self.kernel_calls[name] = self.kernel_calls.get(name, 0) + lanes
 
-    def charge(self, adds: int = 0, subs: int = 0):
+    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, kernels=None):
         self.adds += adds
         self.subs += subs
+        self.shifts += shifts
+        for name, lanes in (kernels or {}).items():
+            self.kernel(name, lanes)
 
     @property
     def addsub(self) -> int:

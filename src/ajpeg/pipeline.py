@@ -248,15 +248,18 @@ def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int
     """uint8 pixel blocks of quantized blocks: dequantize, invert, round half
     away from zero, undo truncation and the level shift, clip.
 
-    Rounding adds copysign(0.5, x) in place and lets the int cast truncate
-    toward zero. That is sign(x) * floor(|x| + 0.5) for every float: IEEE
-    addition rounds symmetrically in sign, and -0.0 becomes 0."""
+    All of it runs in place on the IDCT's float64 result, with one cast to
+    uint8 at the end. Rounding adds copysign(0.5, x) and truncates toward
+    zero. That is sign(x) * floor(|x| + 0.5) for every float: IEEE addition
+    rounds symmetrically in sign, and -0.0 restores as 0 does. The rounded
+    integers times 2**trunc_level plus 128 are exact wherever they are not
+    clipped away."""
     pixels = ref_idct_2d(dequantize(quantized, divisors))
     pixels += np.copysign(0.5, pixels)
-    restored = pixels.astype(np.int64)
-    restored <<= trunc_level
-    restored += 128
-    return np.clip(restored, 0, 255, out=restored).astype(np.uint8)
+    np.trunc(pixels, out=pixels)
+    pixels *= 1 << trunc_level
+    pixels += 128
+    return np.clip(pixels, 0, 255, out=pixels).astype(np.uint8)
 
 
 def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:

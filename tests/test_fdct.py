@@ -6,17 +6,21 @@ orthonormal DCT matrix.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ajpeg import fdct
 from ajpeg.entropy import decode_channel, read_container
 from ajpeg.fdct import (
-    _INT32_INPUT,
+    _A,
+    _B,
+    _EXACT_INPUT,
+    _OUT3_OFFSET,
     _T,
     dct_matrix,
     fdct_1d,
@@ -145,9 +149,9 @@ def _fdct_2d_one_pass(m, ops):
     return np.swapaxes(t, -1, -2)
 
 
-def _assert_matches_one_pass(blocks, ops=None):
+def _assert_matches_one_pass(blocks):
     """fdct_2d equals _fdct_2d_one_pass in values and in every op count."""
-    sliced, whole = ops or OpCounter(), OpCounter()
+    sliced, whole = OpCounter(), OpCounter()
     got = fdct_2d(blocks, sliced)
     assert got.dtype == np.int64
     assert got.shape == np.shape(blocks)
@@ -195,11 +199,27 @@ class _Recording(OpCounter):
         return self._keep(super().shr(a, k))
 
 
-def test_int32_lanes_cannot_overflow():
-    # Every intermediate of the two passes is linear in the 64 samples up
-    # to the floors of the right shifts, so its largest magnitude over
-    # |x| < _INT32_INPUT is below _INT32_INPUT times its L1 gain, plus the
-    # floors' drift. The gain is read off 2**20-scaled unit impulses, one
+def _float_form_bound(peak):
+    """A bound on the magnitude of every value fdct_2d's float form holds
+    (each product, partial sum and result) for |samples| <= peak: a row's
+    values are bounded by its |coefficients| times the bounds of its inputs,
+    plus 1 for each floor before it and 1 for out3's offset. A column pass's
+    inputs are row-pass outputs."""
+    inputs = np.full(8, float(peak))
+    largest = 0.0
+    for _ in range(2):
+        a = np.abs(_A) @ inputs + 1
+        b = np.abs(_B) @ a[1::2] + 2
+        largest = max(largest, a.max(), b.max())
+        inputs = np.full(8, max(a[0::2].max(), b.max()))
+    return largest
+
+
+def test_float_lanes_are_exact():
+    # Every intermediate of the spec's two passes is linear in the 64
+    # samples up to the floors of the right shifts, so its largest magnitude
+    # over |x| < _EXACT_INPUT is below _EXACT_INPUT times its L1 gain, plus
+    # the floors' drift. The gain is read off 2**20-scaled unit impulses, one
     # per sample position, as the sum over the impulses of |intermediate|.
     scale = 2**20
     impulses = scale * np.eye(64, dtype=np.int64).reshape(64, 8, 8)
@@ -208,9 +228,21 @@ def test_int32_lanes_cannot_overflow():
     gain = max(np.abs(v).sum(axis=0).max() for v in ops.values) / scale
     assert 8925 < gain < 8926
     # the floors drift an intermediate by a few thousand (2,373 at most on
-    # 2,000 random and extreme blocks): 2**16 covers that many times over
+    # 2,000 random and extreme blocks): 2**16 covers that many times over,
+    # so the spec's int64 lanes cannot overflow
     floor_slack = 2**16
-    assert _INT32_INPUT * gain + floor_slack < 2**31
+    assert _EXACT_INPUT * gain + floor_slack < 2**63
+    # Each value of the float form is a multiple of 2**-10, which float64
+    # holds exactly below 2**43. Those values stay far below the spec's gain
+    # times the peak sample (the float form's own gain is about 11.2), so at
+    # the bound they are below gain * 2**28 * 2**10 = 2**51.1, about 4x
+    # inside 2**53.
+    for coefficients in (_A, _B, _OUT3_OFFSET):
+        assert np.all(np.asarray(coefficients) * 2**10 % 1 == 0)
+    peak = _EXACT_INPUT - 1
+    assert 11 * peak < _float_form_bound(peak) < 12 * peak
+    assert _float_form_bound(peak) < gain * peak
+    assert 3.5 < 2**53 / (gain * _EXACT_INPUT * 2**10) < 4
 
 
 def _extreme_blocks(peak):
@@ -220,22 +252,62 @@ def _extreme_blocks(peak):
     return peak * np.concatenate([signs, -signs])
 
 
-@pytest.mark.parametrize(
-    "peak, lanes", [(_INT32_INPUT - 1, np.int32), (_INT32_INPUT, np.int64), (2**20, np.int64)]
-)
-def test_lane_type_follows_the_input_range(peak, lanes):
-    blocks = _extreme_blocks(peak)
+def test_samples_inside_the_exactness_bound_match_the_spec():
+    peak = _EXACT_INPUT - 1
     rng = np.random.default_rng(5)
-    blocks = np.concatenate([blocks, rng.integers(-peak, peak + 1, size=(200, 8, 8))])
-    ops = _Recording()
-    _assert_matches_one_pass(blocks, ops)
-    assert {v.dtype for v in ops.values} == {np.dtype(lanes)}
-    # a single sample at -peak decides alone
-    blocks = np.zeros((3, 8, 8), dtype=np.int64)
-    blocks[1, 4, 2] = -peak
-    ops = _Recording()
-    _assert_matches_one_pass(blocks, ops)
-    assert {v.dtype for v in ops.values} == {np.dtype(lanes)}
+    blocks = np.concatenate([_extreme_blocks(peak), rng.integers(-peak, peak + 1, size=(200, 8, 8))])
+    _assert_matches_one_pass(blocks)
+    # a single sample at +-bound is refused, whatever its dtype
+    refused = [
+        (np.int64, _EXACT_INPUT),
+        (np.int64, -_EXACT_INPUT),
+        (np.int32, -_EXACT_INPUT),
+        (np.uint64, 2**63),
+    ]
+    for dtype, sample in refused:
+        blocks = np.zeros((3, 8, 8), dtype=dtype)
+        blocks[1, 4, 2] = sample
+        with pytest.raises(ValueError, match=r"2\*\*28"):
+            fdct_2d(blocks)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [np.full((8, 8), 100.9), np.full((8, 8), np.nan), np.ones((2, 8, 8), dtype=bool)],
+    ids=["fraction", "nan", "bool"],
+)
+def test_rejects_non_integer_samples(samples):
+    # the float lanes would floor 100.9 to 100 at the first matmul
+    with pytest.raises(TypeError, match="integer samples"):
+        fdct_2d(samples)
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from([np.int16, np.int64, np.uint8]),
+    st.sampled_from([0, 1, _S - 1, _S, _S + 1, 2 * _S + 76]),
+    st.integers(0, 2**32 - 1),
+)
+@example(np.int16, 0, 0)  # the kernels' keys, charged with 0 lanes
+def test_integer_stacks_match_the_spec(dtype, count, seed):
+    info = np.iinfo(dtype)
+    lo, hi = max(int(info.min), 1 - _EXACT_INPUT), min(int(info.max), _EXACT_INPUT - 1)
+    rng = np.random.default_rng(seed)
+    _assert_matches_one_pass(rng.integers(lo, hi, size=(count, 8, 8), endpoint=True).astype(dtype))
+
+
+def test_fdct_memory_is_one_slice_of_float_lanes():
+    # fdct_2d holds its int64 result, one slice's float64 lanes and one
+    # matrix product of them; this slice is the codec op's memory peak
+    blocks = np.random.default_rng(9).integers(-128, 128, size=(3 * _S, 8, 8)).astype(np.int16)
+    tracemalloc.start()
+    try:
+        out = fdct_2d(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lanes = _S * 64 * np.dtype(np.float64).itemsize
+    assert peak < out.nbytes + 2 * lanes + 4096
 
 
 def test_1d_rejects_bad_length():

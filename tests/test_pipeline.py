@@ -272,6 +272,31 @@ def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "trunc_level, samples, want",
+    [
+        # exact ties round away from zero; -0.5 to -1, not to -0
+        (
+            0,
+            [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -0.0, 126.5, -128.5],
+            [129, 127, 130, 126, 131, 125, 128, 255, 0],
+        ),
+        # at B = 4 a step is 16 pixel levels: 7.5 rounds to 8 and clips at
+        # 256, -8.5 to -9 and clips at -16
+        (4, [0.5, -0.5, 7.49, 7.5, -7.5, -8.49, -8.5, 6.5], [144, 112, 240, 255, 0, 0, 0, 240]),
+    ],
+)
+def test_decode_rounds_ties_away_and_clips(monkeypatch, trunc_level, samples, want):
+    x = np.zeros((1, 8, 8))
+    x.flat[: len(samples)] = samples
+    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: x.copy())
+    zeros = np.zeros((1, 8, 8), dtype=np.int64)
+    got = pipeline._decode_blocks(zeros, np.ones((8, 8), dtype=np.int64), trunc_level)
+    assert got.dtype == np.uint8
+    assert got.flat[: len(want)].tolist() == want
+    assert np.all(got.flat[len(want):] == 128)
+
+
 def _traced_peak(fn):
     """fn's result and the peak bytes it allocated, by tracemalloc."""
     tracemalloc.start()
