@@ -44,10 +44,17 @@ the skip bands it computes in another form).
 
 The float-matrix references ref_dct_2d/ref_idct_2d serve as oracles and as
 the decoder's inverse transform. The decoder's pixels are defined by
-rounding the einsum form of the inverse half away from zero; ref_idct_2d
-computes the faster matrix product and recomputes with the einsum only the
-blocks that have a sample within a proven float-error bound of a .5 tie, so
-the rounded pixels are the same.
+rounding the einsum form of the inverse (_einsum_idct) half away from zero.
+The lane IDCT, _idct_lanes, computes the same samples faster, from
+coefficients on float64 [freq across, freq down, block] lanes: one
+(k x 8) @ (8 x 8) product per frequency across, then one (8k x 8) @ (8 x 8)
+product that leaves the pixels block by block. Any summation order of these
+8-term products lies within _TIE_SLACK * sum|c| of the einsum, so only a
+block with a sample that close to a .5 tie can round differently, and that
+block is recomputed with the einsum; the rounded pixels are the same.
+ref_idct_2d runs it on each slice of a decoded stack, and the pipeline's
+fused round trip on the lanes its quantizer leaves, with the
+dequantization folded into the first product's matrices.
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -156,10 +163,11 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
     return np.stack(_flowgraph(*np.moveaxis(x, -1, 0), ops), axis=-1)
 
 
-# Blocks per step of fdct_2d, and of every other per-block step over a
-# stack (the skip scan, and the pipeline's compress and decode). A fixed
-# slice bounds the working memory whatever the stack size: fdct_2d holds a
-# slice's float64 lanes and one matrix product of them.
+# Blocks per step of fdct_2d and ref_idct_2d, and of every other per-block
+# step over a stack (the skip scan, and the pipeline's compress, decode and
+# round trip). A fixed slice bounds the working memory whatever the stack
+# size: fdct_2d holds a slice's float64 lanes and one matrix product of
+# them.
 _SLICE_BLOCKS = 1024
 
 # fdct_2d's samples lie strictly inside +-_EXACT_INPUT (see the module
@@ -203,14 +211,20 @@ _B = np.array([
 _OUT3_OFFSET = 255 / 512
 
 
-def _pass(x: np.ndarray) -> None:
+def _pass(x: np.ndarray, scratch: np.ndarray) -> None:
     """The 1-D transform of the float64 lanes x (..., 8, lanes), in place
-    along the second-to-last axis."""
-    np.floor(np.matmul(_A, x), out=x)
+    along the second-to-last axis. scratch is a contiguous float64 array of
+    x's shape that holds each matrix product; every elementwise step runs
+    on contiguous operands, so numpy allocates no iteration buffer."""
+    np.matmul(_A, x, out=scratch)
+    np.floor(scratch, out=x)
     odd = x[..., 1::2, :]
-    t = np.matmul(_B, odd)
-    t[..., 1, :] += _OUT3_OFFSET
-    np.floor(t, out=odd)
+    t = scratch.reshape(-1)[: odd.size].reshape(odd.shape)
+    np.matmul(_B, odd, out=t)
+    for out3 in t.reshape(-1, 4, t.shape[-1])[:, 1]:
+        out3 += _OUT3_OFFSET
+    np.floor(t, out=t)
+    np.copyto(odd, t)
 
 
 def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
@@ -236,23 +250,30 @@ def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
     if n and np.iinfo(m.dtype).max >= _EXACT_INPUT:
         if blocks.min() <= -_EXACT_INPUT or blocks.max() >= _EXACT_INPUT:
             raise ValueError("fdct_2d expects |samples| below 2**28")
-    c = _BLOCK_CENSUS
-    ops.charge(
-        adds=n * c.adds,
-        subs=n * c.subs,
-        shifts=n * c.shifts,
-        kernels={name: n * lanes for name, lanes in c.kernel_calls.items()},
-    )
+    ops.charge_blocks(_BLOCK_CENSUS, n)
     out = np.empty(blocks.shape, dtype=np.int64)
+    buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)))
     for start in range(0, n, _SLICE_BLOCKS):
         part = blocks[start : start + _SLICE_BLOCKS]
-        k = len(part)
-        lanes = np.empty((8, 8, k))
+        lanes, scratch = _lanes(buffers, len(part))
         np.copyto(lanes, part.transpose(2, 1, 0))  # [col, row, block]
-        _pass(lanes.reshape(8, 8 * k))  # rows: [freq across, row, block]
-        _pass(lanes)  # columns: [freq across, freq down, block]
-        np.copyto(out[start : start + k].transpose(2, 1, 0), lanes, casting="unsafe")
+        _transform(lanes, scratch)
+        np.copyto(out[start : start + len(part)].transpose(2, 1, 0), lanes, casting="unsafe")
     return out.reshape(m.shape)
+
+
+def _lanes(buffers: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each of the flat float64 buffers (rows of at least 64 k entries) as
+    the [col, row, block] lanes of k blocks."""
+    return [b[: 64 * k].reshape(8, 8, k) for b in buffers]
+
+
+def _transform(lanes: np.ndarray, scratch: np.ndarray) -> None:
+    """fdct_2d of integer samples in the float64 lanes [col, row, block],
+    in place: the coefficients come out as [freq across, freq down, block]."""
+    k = lanes.shape[-1]
+    _pass(lanes.reshape(8, 8 * k), scratch.reshape(8, 8 * k))  # rows: [freq across, row, block]
+    _pass(lanes, scratch)  # columns: [freq across, freq down, block]
 
 
 def dct_matrix() -> np.ndarray:
@@ -275,38 +296,92 @@ def ref_dct_2d(block) -> np.ndarray:
 
 
 # Per unit of a block's sum of |coefficients|, a bound on how far the
-# matrix product and the einsum of ref_idct_2d can differ in any sample.
-# Each lies within gamma_n * (|T|^T |c| |T|) of the exact value (Higham,
-# Accuracy and Stability of Numerical Algorithms, 3.5), with n = 16 for two
-# 8-term products and n = 65 for the 64-term triple sum; as |T| <= 0.4904,
-# the gap is below (gamma_16 + gamma_65) * 0.2405 * sum|c| < 2.2e-15 * sum|c|.
-# 2**-47 (7.1e-15) keeps a 3x margin. The float steps of the decoder's
-# sign(x) * floor(|x| + 0.5) sit within an ulp of the ties, far inside it.
+# matrix products of _idct_lanes and the einsum of _einsum_idct can differ
+# in any sample. Each lies within gamma_n * (|T|^T |c| |T|) of the exact
+# value (Higham, Accuracy and Stability of Numerical Algorithms, 3.5),
+# whatever order a product sums its terms in: n = 17 for the two 8-term
+# products, the first of whose matrix entries may carry a rounded
+# dequantization factor, and n = 65 for the 64-term triple sum. As
+# |T| <= 0.4904, the gap is below (gamma_17 + gamma_65) * 0.2405 * sum|c|
+# < 2.2e-15 * sum|c|. 2**-47 (7.1e-15) keeps a 3x margin. The float steps
+# of the decoder's sign(x) * floor(|x| + 0.5) sit within an ulp of the
+# ties, far inside it.
 _TIE_SLACK = 2.0**-47
 
 
 def ref_idct_2d(coeffs) -> np.ndarray:
     """Float inverse 2-D DCT; exact inverse of ref_dct_2d up to float error.
 
-    Computed as _T.T @ c @ _T. A block with a sample within _TIE_SLACK *
-    sum|c| of a .5 tie is recomputed with the einsum that defines the
-    decoder's pixels, so rounding the result half away from zero gives the
-    einsum's integers in every block.
+    A stack is inverted in slices of _SLICE_BLOCKS blocks: each slice is
+    laid out as [col, row, block] lanes in the result's own memory and
+    inverted by _idct_lanes into the result, so rounding it half away from
+    zero gives the einsum's integers in every block.
     """
-    c = np.array(coeffs, dtype=np.float64)  # a private copy that becomes the result
+    c = np.asarray(coeffs)
     if c.shape[-2:] != (8, 8):
         raise ValueError("ref_idct_2d expects 8x8 blocks")
     blocks = c.reshape(-1, 8, 8)
-    scratch = np.abs(blocks)
-    slack = scratch.reshape(-1, 64).sum(axis=1) * _TIE_SLACK
-    np.matmul(_T.T, blocks, out=scratch)
-    np.matmul(scratch, _T, out=blocks)
-    # Each sample's distance to the nearest integer; a tie is 0.5 away.
-    np.rint(blocks, out=scratch)
-    np.subtract(blocks, scratch, out=scratch)
-    np.abs(scratch, out=scratch)
-    near = np.flatnonzero(scratch.reshape(-1, 64).max(axis=1) >= 0.5 - slack)
-    if near.size:
-        exact = np.asarray(coeffs).reshape(-1, 8, 8)[near].astype(np.float64)
-        blocks[near] = np.einsum("ji,...jk,kl->...il", _T, exact, _T)
-    return c
+    n = len(blocks)
+    out = np.empty((n, 8, 8))
+    scratch = np.empty(64 * min(n, _SLICE_BLOCKS))
+    for start in range(0, n, _SLICE_BLOCKS):
+        part = blocks[start : start + _SLICE_BLOCKS]
+        pixels = out[start : start + len(part)]
+        lanes = pixels.reshape(8, 8, len(part))  # the slice's own memory
+        np.copyto(lanes, part.transpose(2, 1, 0))
+        _idct_lanes(lanes, part, scratch[: pixels.size].reshape(lanes.shape), pixels)
+    return out.reshape(c.shape)
+
+
+def _idct_lanes(
+    lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None
+) -> None:
+    """The inverse transform of k coefficient blocks into the float64 pixel
+    blocks out (k, 8, 8), as two 8-term matrix products: per frequency
+    across, (k x 8) @ (8 x 8) into [freq across, block, row], then one
+    (8k x 8) @ (8 x 8) product into [block, row, col].
+
+    lanes holds the blocks' values as float64 [freq across, freq down,
+    block] lanes, and blocks the same values as (k, 8, 8) blocks; lanes may
+    share out's memory, blocks may not. The coefficients are those values
+    times divisors (8 x 8, entrywise), when given: the dequantization is
+    folded into the first product's matrices. scratch is a contiguous
+    float64 array of lanes' shape.
+
+    A block with a sample within _TIE_SLACK * sum|c| of a .5 tie is
+    recomputed with the einsum that defines the decoder's pixels, so
+    rounding out half away from zero gives the einsum's integers in every
+    block. The slice's largest |c| bounds every block's slack, so only the
+    blocks with a sample within that bound are checked one by one."""
+    k = lanes.shape[-1]
+    first = np.broadcast_to(_T, (8, 8, 8))
+    largest = max(lanes.max(), -lanes.min())
+    if divisors is not None:
+        first = np.asarray(divisors, dtype=np.float64).T[:, :, None] * _T
+        largest *= np.max(divisors)
+    rows = scratch.reshape(8, k, 8)
+    for across in range(8):
+        np.matmul(lanes[across].T, first[across], out=rows[across])
+    np.matmul(rows.reshape(8, 8 * k).T, _T, out=out.reshape(8 * k, 8))
+    # each sample's distance to the nearest integer; a tie is 0.5 away
+    pixels, dist = out.reshape(-1), scratch.reshape(-1)
+    np.rint(pixels, out=dist)
+    np.subtract(pixels, dist, out=dist)
+    np.abs(dist, out=dist)
+    candidates = np.flatnonzero(dist >= 0.5 - 64 * _TIE_SLACK * largest)
+    if candidates.size:
+        candidates = np.unique(candidates >> 6)
+        exact = np.asarray(blocks)[candidates].astype(np.float64)
+        if divisors is not None:
+            exact *= divisors
+        slack = np.abs(exact).reshape(-1, 64).sum(axis=1) * _TIE_SLACK
+        near = dist.reshape(k, 64)[candidates].max(axis=1) >= 0.5 - slack
+        out[candidates[near]] = _einsum_idct(exact[near])
+
+
+def _einsum_idct(coeffs: np.ndarray) -> np.ndarray:
+    """The inverse transform that defines the decoder's pixels: the triple
+    sum over _T, c and _T of coefficient blocks (..., 8, 8), taken as a
+    C-contiguous float64 array. The einsum's summation order follows its
+    operands' memory layout, so a strided view could round differently."""
+    return np.einsum("ji,...jk,kl->...il", _T, np.ascontiguousarray(coeffs, dtype=np.float64), _T)

@@ -52,12 +52,23 @@ class IntOps:
     def kernel(self, name: str, lanes: int):
         pass
 
-    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, kernels=None):
+    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, muls: int = 0, kernels=None):
         """Book the lanes of datapath work that the software computes in
-        another form: adds, subs and shifts, and kernels, a mapping of
+        another form: adds, subs, shifts and muls, and kernels, a mapping of
         kernel name to lanes (a name with 0 lanes is still recorded). The
-        skip scan charges its bands (knobs.skip_flags_many), and fdct_2d
-        the shift-add flowgraph's census of each block."""
+        skip scan charges its bands (knobs.skip_flags_many); fdct_2d and
+        the pipeline's round trip charge their specs' census per block
+        (charge_blocks)."""
+
+    def charge_blocks(self, census: OpCounter, n: int):
+        """Book n blocks of census, the counts of one block's spec."""
+        self.charge(
+            adds=n * census.adds,
+            subs=n * census.subs,
+            shifts=n * census.shifts,
+            muls=n * census.muls,
+            kernels={name: n * lanes for name, lanes in census.kernel_calls.items()},
+        )
 
 
 UNCOUNTED = IntOps()
@@ -103,10 +114,11 @@ class OpCounter(IntOps):
     def kernel(self, name: str, lanes: int):
         self.kernel_calls[name] = self.kernel_calls.get(name, 0) + lanes
 
-    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, kernels=None):
+    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, muls: int = 0, kernels=None):
         self.adds += adds
         self.subs += subs
         self.shifts += shifts
+        self.muls += muls
         for name, lanes in (kernels or {}).items():
             self.kernel(name, lanes)
 

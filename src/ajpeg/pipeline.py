@@ -21,25 +21,35 @@ are upsampled to full resolution and converted back to RGB. The raster
 and color layers take and return plain arrays; the plane layout and the
 color reassembly live here alone (_planes_of and _decode_image).
 
-reconstruct() runs the identical numeric path without the entropy layer,
-which is lossless. reconstruct_many() does the same for a list of
-configs: every config shares the planes' tiles, and configs that differ
-only in skip level share the rest of the work, since a processed block's
-pixels do not depend on the skip level: one skip scan per plane decides
-every level of such a group (knobs.skip_flags_many), and one transform
-pass serves them all. Both build the container header and reassemble the
-planes with the same helpers as encode() and decode(), so
-decode(encode(img)) equals reconstruct(img) bit for bit.
+reconstruct() reaches the same integers without the entropy layer, which
+is lossless, and without the stage chain: its round trip (_round_trip)
+fuses truncation, FDCT, quantization, dequantization, IDCT and rounding
+into one pass per slice on float64 lanes. Each step there is an exact
+float form of its integer spec (quant.float_quantizer and
+quant.round_half_away, fdct._transform, fdct._idct_lanes), and a
+differential test holds the round trip to
+_decode_blocks(_compress_blocks(...)) byte for byte and in its op census:
+it charges each block the chain's census of one block (_chain_census).
+encode() and decode() still call every stage by name.
+reconstruct_many() does the same for a list of configs: every config
+shares the planes' tiles, and configs that differ only in skip level
+share the rest of the work, since a processed block's pixels do not
+depend on the skip level: one skip scan per plane decides every level of
+such a group (knobs.skip_flags_many), and one round trip serves them all.
+Both build the container header and reassemble the planes with the same
+helpers as encode() and decode(), so decode(encode(img)) equals
+reconstruct(img) bit for bit.
 
 Working set: only narrow arrays are image-sized, the uint8 planes and
 pixel blocks, the int16 tiles and quantized coded blocks, the bool skip
 flags and the entropy coder's 3-byte symbol records. Every wide temporary
 lives in one slice of at most fdct._SLICE_BLOCKS blocks: encode gathers,
 compresses and entropy-codes, decode entropy-decodes, dequantizes, inverts
-and rounds, and reconstruct_many compresses and decodes, slice by slice,
-so none of them holds a plane's coefficients. The entropy layer drives
-decode's slices (entropy.decode_channel calls the invert step); _by_slice
-drives the others. The color layer works in row strips the same way.
+and rounds, and reconstruct_many runs its round trip, slice by slice, so
+none of them holds a plane's coefficients. The entropy layer drives
+decode's slices (entropy.decode_channel calls the invert step), and the
+round trip works in three float64 slice buffers. The color layer works in
+row strips the same way.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from itertools import groupby
 
 import numpy as np
 
-from . import entropy
+from . import entropy, fdct
 from .color import downsample_420, plane_shapes, rgb_to_ycbcr, upsample_420, ycbcr_to_rgb
 from .energy import EnergyStats
 from .fdct import _SLICE_BLOCKS, fdct_2d, ref_idct_2d
@@ -63,14 +73,16 @@ from .knobs import (
     skip_flags_many,
     truncate_block,
 )
-from .ops import UNCOUNTED, IntOps
+from .ops import UNCOUNTED, IntOps, OpCounter
 from .quant import (
     QUALITY_LEVELS,
     build_qmatrix,
     dequantize,
+    float_quantizer,
     quantize_dc_exact,
     quantize_div,
     quantize_shift,
+    round_half_away,
     to_shift_matrix,
 )
 from .raster import RasterImage, tile_blocks, untile_blocks
@@ -133,19 +145,6 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
     return quantize_div(coeffs, qmat)
 
 
-def _by_slice(step, blocks: np.ndarray, dtype) -> np.ndarray:
-    """step over a stack of blocks (or of block indices), slice by slice:
-    the results of step on consecutive slices of at most _SLICE_BLOCKS
-    blocks, written into one (n, 8, 8) array of the narrow dtype. A step's
-    wide temporaries are gone before the next slice starts. Every step
-    counts its ops per lane, so the counts are those of one step over the
-    whole stack."""
-    out = np.empty((len(blocks), 8, 8), dtype=dtype)
-    for start in range(0, len(blocks), _SLICE_BLOCKS):
-        out[start : start + _SLICE_BLOCKS] = step(blocks[start : start + _SLICE_BLOCKS])
-    return out
-
-
 def _quant_tables(cfg: EncodeConfig) -> tuple[np.ndarray, np.ndarray | None]:
     """(divisors, shift exponents); the exponents are None in division mode."""
     qmat = cfg.divisor_matrix()
@@ -200,12 +199,12 @@ def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps
     slice gathers its own coded tiles, so the tiles are the only
     image-sized input, and they are gone once this returns."""
     skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
+    index = np.flatnonzero(~skipped)
     # quantized coefficients are below 2**11 in magnitude, so int16 holds them
-    coded = _by_slice(
-        lambda at: _compress_blocks(blocks[at], cfg, smat, qmat, ops),
-        np.flatnonzero(~skipped),
-        np.int16,
-    )
+    coded = np.empty((len(index), 8, 8), dtype=np.int16)
+    for start in range(0, len(index), _SLICE_BLOCKS):
+        at = index[start : start + _SLICE_BLOCKS]
+        coded[start : start + len(at)] = _compress_blocks(blocks[at], cfg, smat, qmat, ops)
     return skipped, coded
 
 
@@ -245,21 +244,86 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
 
 
 def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
-    """uint8 pixel blocks of quantized blocks: dequantize, invert, round half
-    away from zero, undo truncation and the level shift, clip.
-
-    All of it runs in place on the IDCT's float64 result, with one cast to
-    uint8 at the end. Rounding adds copysign(0.5, x) and truncates toward
-    zero. That is sign(x) * floor(|x| + 0.5) for every float: IEEE addition
-    rounds symmetrically in sign, and -0.0 restores as 0 does. The rounded
-    integers times 2**trunc_level plus 128 are exact wherever they are not
-    clipped away."""
+    """uint8 pixel blocks of quantized blocks: dequantize, invert, then
+    _restore the IDCT's float64 result."""
     pixels = ref_idct_2d(dequantize(quantized, divisors))
-    pixels += np.copysign(0.5, pixels)
-    np.trunc(pixels, out=pixels)
-    pixels *= 1 << trunc_level
-    pixels += 128
-    return np.clip(pixels, 0, 255, out=pixels).astype(np.uint8)
+    out = np.empty(pixels.shape, dtype=np.uint8)
+    _restore(pixels, np.empty_like(pixels), trunc_level, out)
+    return out
+
+
+def _restore(pixels: np.ndarray, scratch: np.ndarray, trunc_level: int, out: np.ndarray) -> None:
+    """Round the float64 IDCT samples half away from zero, undo truncation
+    and the level shift, and clip them into the uint8 array out, of
+    pixels' shape. pixels and scratch (float64, of pixels' shape) are
+    overwritten.
+
+    The rounded integers times 2**trunc_level are exact wherever they are
+    not clipped away. They are clipped to the int8 range and written as
+    int8, and the level shift is a flip of the top bit: x + 128 = x ^ 0x80
+    for an int8 x read as uint8."""
+    round_half_away(pixels, scratch)
+    if trunc_level:
+        pixels *= 1 << trunc_level
+    np.clip(pixels, -128, 127, out=pixels)
+    np.copyto(out.view(np.int8), pixels, casting="unsafe")
+    out ^= 0x80
+
+
+def _chain_census(cfg: EncodeConfig, smat, qmat) -> OpCounter:
+    """The op census of _compress_blocks on one block, which every block
+    of the config costs whatever its samples."""
+    census = OpCounter()
+    _compress_blocks(np.zeros((1, 8, 8), dtype=np.int16), cfg, smat, qmat, census)
+    return census
+
+
+def _round_trip(
+    blocks: np.ndarray,
+    index: np.ndarray,
+    cfg: EncodeConfig,
+    smat,
+    qmat,
+    divisors: np.ndarray,
+    census: OpCounter | None,
+    ops: IntOps,
+) -> np.ndarray:
+    """uint8 pixel blocks of blocks[index] (index sorted and unique): those
+    of _decode_blocks(_compress_blocks(blocks[index], cfg, smat, qmat),
+    divisors, cfg.trunc_level), in one fused pass per slice of
+    _SLICE_BLOCKS blocks.
+
+    Each slice is gathered from the int16 tiles into float64 [col, row,
+    block] lanes, then truncated as round_half_away(x * 2**-B),
+    transformed (fdct._transform), quantized in float_quantizer's form,
+    dequantized and inverted (fdct._idct_lanes) and restored (_restore),
+    in three float64 lane buffers allocated once for the stack. Each step
+    is an exact float form of its integer spec. ops is charged census, the
+    chain's census of one block, for each block (nothing when census is
+    None)."""
+    n = len(index)
+    if census is not None:
+        ops.charge_blocks(census, n)
+    quantize, table = float_quantizer(qmat, smat, cfg.dc_exact)
+    table = np.ascontiguousarray(table.T[:, :, None])  # as [freq across, freq down] lanes
+    out = np.empty((n, 8, 8), dtype=np.uint8)
+    buffers = np.empty((3, 64 * min(n, _SLICE_BLOCKS)))
+    dense = n == len(blocks)  # index is then every block, in order
+    for start in range(0, n, _SLICE_BLOCKS):
+        at = index[start : start + _SLICE_BLOCKS]
+        k = len(at)
+        coef, scratch, pixels = fdct._lanes(buffers, k)
+        pixels = pixels.reshape(k, 8, 8)
+        np.copyto(coef, (blocks[start : start + k] if dense else blocks[at]).transpose(2, 1, 0))
+        if cfg.trunc_level:
+            coef *= 2.0**-cfg.trunc_level
+            round_half_away(coef, scratch)
+        fdct._transform(coef, scratch)
+        quantize(coef, table, out=coef)
+        round_half_away(coef, scratch)
+        fdct._idct_lanes(coef, coef.transpose(2, 1, 0), scratch, pixels, divisors)
+        _restore(pixels, scratch.reshape(k, 8, 8), cfg.trunc_level, out[start : start + k])
+    return out
 
 
 def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:
@@ -325,30 +389,42 @@ def _reconstruct_groups(
 ) -> Iterator[tuple[RasterImage, EnergyStats]]:
     tiles = [tile_blocks(plane) for plane in _planes_of(img)]  # shared by every group
     for shared, group in groupby(configs, key=lambda c: replace(c, skip_level=None)):
-        group = list(group)
-        qmat, smat = _quant_tables(shared)
-        meta = _container_meta(img, shared, qmat, smat)
-        divisors = _decode_divisors(meta, decode_matrix)
+        yield from _reconstruct_group(img, tiles, shared, list(group), decode_matrix, ops)
 
-        def round_trip(blocks):
-            quantized = _compress_blocks(blocks, shared, smat, qmat, ops)
-            return _decode_blocks(quantized, divisors, shared.trunc_level)
 
-        levels = dict.fromkeys(cfg.skip_level for cfg in group)
-        coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
-        for blocks in tiles:
-            flags = _skip_flags(blocks, levels, ops)
-            union = ~np.logical_and.reduce(list(flags.values()))
-            pixels = _by_slice(round_trip, blocks[union], np.uint8)
-            position = np.cumsum(union) - 1  # of each union block among the union
-            # composed into one index per level: gathering the level's coded
-            # blocks first and then expanding them would copy the pixels twice
-            carried = {lv: position[np.flatnonzero(~s)[reuse_index(s)]] for lv, s in flags.items()}
-            coded.append((pixels, flags, carried))
-        for cfg in group:
-            lv = cfg.skip_level
-            image = _decode_image(meta, [pixels[carried[lv]] for pixels, _, carried in coded])
-            yield image, _energy_stats(cfg, [flags[lv] for _, flags, _ in coded])
+def _reconstruct_group(
+    img: RasterImage,
+    tiles: list[np.ndarray],
+    shared: EncodeConfig,
+    group: list[EncodeConfig],
+    decode_matrix: str,
+    ops: IntOps,
+) -> Iterator[tuple[RasterImage, EnergyStats]]:
+    """The results of a group of configs that differ only in skip level.
+    Its pixel blocks go with its frame, before the next group's round
+    trip starts."""
+    qmat, smat = _quant_tables(shared)
+    meta = _container_meta(img, shared, qmat, smat)
+    divisors = _decode_divisors(meta, decode_matrix)
+    census = None if ops is UNCOUNTED else _chain_census(shared, smat, qmat)
+    levels = dict.fromkeys(cfg.skip_level for cfg in group)
+    coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
+    for blocks in tiles:
+        flags = _skip_flags(blocks, levels, ops)
+        union = ~np.logical_and.reduce(list(flags.values()))
+        index = np.flatnonzero(union)
+        pixels = _round_trip(blocks, index, shared, smat, qmat, divisors, census, ops)
+        position = np.cumsum(union) - 1  # of each union block among the union
+        # composed into one index per level: gathering the level's coded
+        # blocks first and then expanding them would copy the pixels twice
+        carried = {lv: position[np.flatnonzero(~s)[reuse_index(s)]] for lv, s in flags.items()}
+        coded.append((pixels, flags, carried))
+    for cfg in group:
+        lv = cfg.skip_level
+        yield (
+            _decode_image(meta, [pixels[carried[lv]] for pixels, _, carried in coded]),
+            _energy_stats(cfg, [flags[lv] for _, flags, _ in coded]),
+        )
 
 
 def reconstruct(

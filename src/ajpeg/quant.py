@@ -9,6 +9,20 @@ which is what makes the shift variant strictly finer. Dequantization
 multiplies by whichever divisor matrix the decoder selects ("matched"
 reuses the encoder's, while "standard" reuses the unmodified table and
 exposes the mismatch).
+
+The pipeline's fused round trip (pipeline._round_trip) quantizes float64
+coefficients instead, in float forms of these integer quantizers that give
+the same integers (float_quantizer, round_half_away):
+
+- shift quantization and truncation: round_half_away(x * 2**-s); x * 2**-s
+  is exact, with at most 7 fractional bits;
+- division: round_half_away(x / q); the quotient's rounding error is far
+  smaller than its distance from any half-integer it is not equal to;
+- exact DC: round_half_away(x * round(256/q) / 256), exact with 8
+  fractional bits, which is floor((|x| round(256/q) + 128) / 256) with
+  x's sign;
+- dequantization: the rounded integer times the divisor, an integer far
+  below 2**53.
 """
 
 from __future__ import annotations
@@ -86,12 +100,17 @@ def dequantize(quantized, divisors) -> np.ndarray:
     return np.asarray(quantized, dtype=np.int64) * np.asarray(divisors, dtype=np.int64)
 
 
+def _reciprocal(q: int) -> int:
+    """round(256/q), the exact-DC mode's multiplier."""
+    return (2 * 256 + q) // (2 * q)
+
+
 def reciprocal_bits(q: int) -> list[int]:
     """Bit positions of round(256/q): the shift-add expansion of 1/q at 8
     fractional bits, used by the exact-DC mode."""
     if q < 1:
         raise ValueError("divisor must be positive")
-    recip = (2 * 256 + q) // (2 * q)  # round(256/q)
+    recip = _reciprocal(q)
     return [b for b in range(recip.bit_length()) if recip >> b & 1]
 
 
@@ -109,3 +128,51 @@ def quantize_dc_exact(dc, q: int, ops: IntOps = UNCOUNTED):
         acc = term if acc is None else ops.add(acc, term)
     c = ops.shr(ops.add(acc, 128), 8)
     return np.where(d < 0, -c, c)
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+_HALF_BITS = np.float64(0.5).view(np.uint64)
+
+
+def round_half_away(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x rounded half away from zero, in place, for a float64 array x;
+    scratch is a float64 array of x's shape.
+
+    Computed as trunc(x + copysign(0.5, x)), which is
+    sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
+    IEEE addition rounds symmetrically in sign, and -0.0 rounds to 0 as 0
+    does. Where |x| + 0.5 is exact, as for the quantizer's and truncation's
+    dyadic values, that is the exact rounding; the decoder's pixels are
+    defined by this float form. copysign(0.5, x) is formed from x's sign
+    bit with integer ops, several times faster here than np.copysign."""
+    half = scratch.view(np.uint64)
+    np.bitwise_and(x.view(np.uint64), _SIGN_BIT, out=half)
+    half |= _HALF_BITS
+    x += scratch
+    return np.trunc(x, out=x)
+
+
+def float_quantizer(qmat, smat, dc_exact: bool):
+    """(op, table): the quantizer of the config, on float64 coefficients c,
+    as round_half_away(op(c, table)), entrywise with an 8x8 table.
+
+    - shift (smat): op multiplies by 2**-s, so c * 2**-s is exact and the
+      rounding is that of quantize_shift;
+    - exact DC: the DC entry is round(256/q) / 256, so c * round(256/q) /
+      256 is exact, and rounding it half away from zero is
+      quantize_dc_exact's sign(c) * ((|c| round(256/q) + 128) >> 8);
+    - division (smat None): op divides by q. For integers |c| < 2**26 and
+      q <= 255, c / q is rounded by less than 2**-26, and the exact
+      quotient is either a half-integer, which float64 holds, or at least
+      1/(2q) away from every half-integer. So the rounding of the rounded
+      quotient, its float addition of 0.5 included, is that of the exact
+      one, quantize_div's floor((2|c| + q) / 2q) with c's sign.
+
+    Coefficients of 8-bit samples are far inside these bounds."""
+    if smat is None:
+        return np.divide, np.asarray(qmat, dtype=np.float64)
+    table = np.ldexp(1.0, -np.asarray(smat, dtype=np.int64))
+    if dc_exact:
+        q = int(qmat[0, 0])
+        table[0, 0] = _reciprocal(q) / 256
+    return np.multiply, table

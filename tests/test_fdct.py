@@ -33,8 +33,8 @@ from ajpeg.fdct import (
     ref_idct_2d,
 )
 from ajpeg.ops import OpCounter
-from ajpeg.pipeline import EncodeConfig, encode
-from ajpeg.quant import dequantize
+from ajpeg.pipeline import EncodeConfig, decode, encode, reconstruct
+from ajpeg.quant import dequantize, to_shift_matrix
 from ajpeg.raster import parse_pnm
 
 coord = st.integers(-4096, 4095)
@@ -367,6 +367,23 @@ def test_idct_rounding_matches_einsum_at_dc_ties():
     assert np.array_equal(_round_half_away(ref_idct_2d(c)), _round_half_away(_einsum_idct(c)))
 
 
+def test_lane_idct_with_folded_divisors_matches_einsum_at_ties():
+    # power-of-2 divisors of a rising table, 1 at DC: a DC of 8k + 4 puts
+    # every sample on a tie (every other block has a small AC term on top),
+    # and block 0's sample (1, 6) is the tie -0.5, which the products give
+    # as -0.4999999999999999
+    divisors = 1 << to_shift_matrix(np.add.outer(np.arange(8), np.arange(8)) * 9 + 1)
+    rng = np.random.default_rng(14)
+    q = np.zeros((261, 8, 8))
+    q[1:, 0, 0] = 8 * np.arange(-130, 130) + 4
+    q[1::2, 0, 1] = rng.integers(-3, 4, size=130)
+    q[0, 0, 0], q[0, 0, 2], q[0, 1, 2], q[0, 2, 0], q[0, 2, 1] = -4, 1, -1, -1, -1
+    lanes = np.ascontiguousarray(q.transpose(2, 1, 0))
+    out = np.empty(q.shape)
+    fdct._idct_lanes(lanes, q, np.empty_like(lanes), out, divisors)
+    assert np.array_equal(_round_half_away(out), _round_half_away(_einsum_idct(q * divisors)))
+
+
 def test_idct_rounding_matches_einsum_on_near_tie_image():
     # a bare _T.T @ c @ _T rounds 32 samples of this image differently
     img = _bench_image("rgb", 1, 6, 7)
@@ -374,3 +391,28 @@ def test_idct_rounding_matches_einsum_on_near_tie_image():
         assert np.array_equal(
             _round_half_away(ref_idct_2d(c)), _round_half_away(_einsum_idct(c))
         )
+
+
+def test_einsum_idct_does_not_follow_the_memory_layout():
+    # sample (1, 6) of this block is the tie -0.5; summed in the order of a
+    # transposed layout, the bare einsum gives -0.4999999999999998
+    c = np.zeros((1, 8, 8))
+    c[0, 0, 0], c[0, 0, 2], c[0, 1, 2], c[0, 2, 0], c[0, 2, 1] = -4, 16, -16, -16, -16
+    strided = np.ascontiguousarray(c.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert _einsum_idct(strided)[0, 1, 6] != fdct._einsum_idct(c)[0, 1, 6] == -0.5
+    assert np.array_equal(fdct._einsum_idct(strided), fdct._einsum_idct(c))
+
+
+def test_reconstruct_equals_the_codec_on_the_near_tie_image(monkeypatch):
+    # the fused round trip and decode both recompute near-tie blocks with
+    # the einsum, and round them alike
+    img = _bench_image("rgb", 1, 6, 7)
+    cfg = EncodeConfig(quality=90, trunc_level=2)
+    recomputed = []
+    exact = fdct._einsum_idct
+    monkeypatch.setattr(fdct, "_einsum_idct", lambda c: recomputed.append(len(c)) or exact(c))
+    direct = reconstruct(img, cfg)[0]
+    assert sum(recomputed) > 0
+    recomputed.clear()
+    assert decode(encode(img, cfg)[0]) == direct
+    assert sum(recomputed) > 0

@@ -18,6 +18,7 @@ from ajpeg.knobs import (
     truncate_block,
 )
 from ajpeg.ops import OpCounter
+from ajpeg.quant import quantize_shift
 
 
 def test_epsilon_ladder():
@@ -62,6 +63,19 @@ def test_truncate_matches_rounded_division(x, level):
     if x < 0:
         want = -want
     assert int(truncate_block(np.array([x]), level)[0]) == want
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_int16_truncation_stays_int16_with_the_quantizers_values_and_census(level):
+    # every int16 sample, -32768 included, whose |x| does not fit int16
+    samples = np.arange(-(2**15), 2**15).astype(np.int16)
+    narrow, wide = OpCounter(), OpCounter()
+    got = truncate_block(samples, level, narrow)
+    want = quantize_shift(samples, level, wide)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, want)
+    assert samples[0] == -(2**15)  # the input is left as it was
+    assert narrow == wide  # every count of the op census
 
 
 def test_truncate_is_multiplier_free():

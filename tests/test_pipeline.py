@@ -1,5 +1,6 @@
 """End-to-end pipeline: container round trips, knob semantics, stats."""
 
+import collections
 import hashlib
 import tracemalloc
 import warnings
@@ -529,6 +530,71 @@ def test_reconstruct_op_census_pinned(corpus, cfg, addsub, shifts):
     ops = OpCounter()
     reconstruct(corpus[5], cfg, ops=ops)
     assert (ops.addsub, ops.shifts, ops.muls) == (addsub, shifts, 0)
+
+
+@st.composite
+def _round_trip_configs(draw):
+    """Shift, division and exact-DC configs at the quality extremes, with
+    the custom table and every truncation level."""
+    quant = draw(st.sampled_from(["shift", "div", "dc_exact"]))
+    return EncodeConfig(
+        quality=draw(st.sampled_from([1, 50, 99])),
+        quant_mode="div" if quant == "div" else "shift",
+        dc_exact=quant == "dc_exact",
+        trunc_level=draw(st.sampled_from(TRUNC_LEVELS)),
+        qmatrix=None if quant == "dc_exact" else draw(st.sampled_from([None, _CUSTOM_Q])),
+    )
+
+
+_S = pipeline._SLICE_BLOCKS
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=_round_trip_configs(),
+    decode_matrix=st.sampled_from(["matched", "standard"]),
+    count=st.sampled_from([0, 1, _S - 1, _S, _S + 1, 2 * _S + 76]),
+    subset=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(EncodeConfig(dc_exact=True, trunc_level=4), "matched", 2 * _S + 76, False, 1)
+@example(EncodeConfig(quant_mode="div", qmatrix=_CUSTOM_Q), "standard", _S + 1, True, 2)
+@example(EncodeConfig(quality=1, trunc_level=1), "standard", 1, False, 3)
+@example(EncodeConfig(quality=99), "matched", 0, False, 4)
+# block 33 ends on the tie -0.5, which a strided einsum rounds to 0
+@example(EncodeConfig(quality=1, trunc_level=3, qmatrix=_CUSTOM_Q), "matched", _S - 1, False, 0)
+def test_round_trip_equals_the_stage_chain(cfg, decode_matrix, count, subset, seed):
+    # random tiles, every fifth all -128 and the next all 127; a subset
+    # gathers its blocks by index, the whole stack reads them in place
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(-128, 128, size=(count, 8, 8)).astype(np.int16)
+    blocks[::5] = -128
+    blocks[1::5] = 127
+    index = np.flatnonzero(rng.random(count) < 0.7) if subset else np.arange(count)
+    qmat, smat = pipeline._quant_tables(cfg)
+    meta = pipeline._container_meta(RasterImage(np.zeros((8, 8), np.uint8)), cfg, qmat, smat)
+    divisors = pipeline._decode_divisors(meta, decode_matrix)
+    chain, fused = OpCounter(), OpCounter()
+    quantized = pipeline._compress_blocks(blocks[index], cfg, smat, qmat, chain)
+    want = pipeline._decode_blocks(quantized, divisors, cfg.trunc_level)
+    census = pipeline._chain_census(cfg, smat, qmat)
+    got = pipeline._round_trip(blocks, index, cfg, smat, qmat, divisors, census, fused)
+    assert got.dtype == np.uint8 and got.shape == (len(index), 8, 8)
+    assert np.array_equal(got, want)
+    assert _census(fused) == _census(chain)
+
+
+def test_round_trip_memory_is_three_slice_buffers():
+    # five truncation levels are five groups: each round trip works in
+    # three float64 slice buffers beside the tiles and its uint8 pixel
+    # blocks, and a group's blocks are gone before the next one starts
+    img = RasterImage(np.random.default_rng(13).integers(0, 256, size=(256, 768), dtype=np.uint8))
+    configs = [EncodeConfig(trunc_level=lv) for lv in TRUNC_LEVELS]
+    tiles = 32 * 96 * 64 * np.dtype(np.int16).itemsize
+    assert tiles == 3 * _S * 128
+    _, peak = _traced_peak(lambda: collections.deque(reconstruct_many(img, configs), maxlen=0))
+    buffer = _S * 64 * np.dtype(np.float64).itemsize
+    assert peak < tiles + 2 * img.pixels.nbytes + 3 * buffer + 16384
 
 
 def _per_config_curve(kind, images, base, model):

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ajpeg import quant
 from ajpeg.ops import OpCounter
 from ajpeg.quant import (
     Q50,
     build_qmatrix,
     dequantize,
+    float_quantizer,
     quantize_dc_exact,
     quantize_div,
     quantize_shift,
@@ -188,3 +190,37 @@ def test_quantize_shift_is_multiplier_free():
     ops = OpCounter()
     quantize_shift(np.arange(-32, 32).reshape(8, 8), to_shift_matrix(Q50), ops)
     assert ops.muls == 0
+
+
+def _float_quantized(coeffs, qmat, smat, dc_exact):
+    """float_quantizer's form, round_half_away(op(c, table)), on 8x8 blocks."""
+    op, table = float_quantizer(qmat, smat, dc_exact)
+    x = op(coeffs.astype(np.float64), table)
+    return quant.round_half_away(x, np.empty_like(x))
+
+
+def test_float_quantizers_equal_the_integer_ones():
+    # every coefficient in +-2**13 (8-bit samples give |c| < 2**11) against
+    # every divisor in [1, 255], 64 divisors to a table
+    c = np.arange(-(2**13), 2**13 + 1).repeat(64).reshape(-1, 8, 8)
+    for first in range(1, 256, 64):
+        qmat = np.minimum(np.arange(first, first + 64), 255).reshape(8, 8)
+        smat = to_shift_matrix(qmat)
+        assert np.array_equal(_float_quantized(c, qmat, None, False), quantize_div(c, qmat))
+        assert np.array_equal(_float_quantized(c, qmat, smat, False), quantize_shift(c, smat))
+    # exact DC: the table's DC entry, for every DC divisor
+    dc = c[:, 0, 0]
+    for q in range(1, 256):
+        qmat = np.full((8, 8), q)
+        table = float_quantizer(qmat, to_shift_matrix(qmat), True)[1]
+        x = dc * table[0, 0]
+        assert np.array_equal(quant.round_half_away(x, np.empty_like(x)), quantize_dc_exact(dc, q))
+
+
+def test_round_half_away_keeps_the_float_form_of_the_decoder():
+    # sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
+    # 0.49999999999999994 + 0.5 rounds to 1, and 2**52 + 1.5 to 2**52 + 2
+    below_half = np.nextafter(0.5, 0)
+    x = np.array([0.5, -0.5, 1.5, -2.5, below_half, -below_half, -0.0, 2.0**52 + 1, 3.25, -3.75])
+    got = quant.round_half_away(x.copy(), np.empty_like(x))
+    assert got.tolist() == [1, -1, 2, -3, 1, -1, 0, 2.0**52 + 2, 3, -4]

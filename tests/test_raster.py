@@ -153,3 +153,30 @@ def test_block_grid_validates_shape():
         untile_blocks(np.zeros((2, 8, 8), dtype=np.uint8), 8, 8)
     with pytest.raises(ValueError):
         untile_blocks(np.zeros((1, 8, 8), dtype=np.uint8), 8, 9)
+
+
+def _untiled_by_reshape(blocks, height, width):
+    """The plane as the reshape/swapaxes form assembles it."""
+    bh, bw = -(-height // 8), -(-width // 8)
+    return blocks.reshape(bh, bw, 8, 8).swapaxes(1, 2).reshape(bh * 8, bw * 8)[:height, :width]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
+def test_untile_matches_the_reshape_form(dtype, contiguous):
+    # contiguous uint8 stacks move block rows as uint64 words; other dtypes
+    # and strided stacks take the reshape path
+    rng = np.random.default_rng(21)
+    for height in [*range(1, 16), 37]:
+        for width in [*range(1, 16), 53]:
+            n = -(-height // 8) * -(-width // 8)
+            stack = rng.integers(-128, 256, size=(n + 1, 8, 8)).astype(dtype)
+            if not contiguous:
+                stack = stack.transpose(0, 2, 1)
+            blocks = stack[:n]
+            assert blocks.flags.c_contiguous == contiguous
+            got = untile_blocks(blocks, height, width)
+            assert got.dtype == dtype
+            assert np.array_equal(got, _untiled_by_reshape(blocks, height, width))
+            with pytest.raises(ValueError):
+                untile_blocks(stack, height, width)  # one block too many
