@@ -3,6 +3,14 @@
 Subcommands: encode, decode, metrics, sweep, tune, report. Exit codes:
 0 on success, 1 on usage errors, 2 on data errors (unreadable/malformed
 inputs). All commands are deterministic for identical inputs.
+
+The codec flags of encode, sweep and report are EncodeConfig fields, and
+EncodeConfig alone checks them: each command's config is built once
+(_config) right after parsing, so a rejected flag or flag combination is a
+usage error before any image is read. Only a --qmatrix file, whose table
+is part of the config, is read first. Every input file is read through
+_read, so a file that cannot be read or parsed is a data error that names
+it.
 """
 
 from __future__ import annotations
@@ -12,21 +20,21 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import metrics as met
 from .energy import (
+    KNOBS,
     QECurve,
     default_activity_model,
     energy_saved,
     estimate_image_energy,
     extract_qe_curve,
 )
-from .entropy import MAX_PIXELS, CorruptStreamError, compression_ratio
-from .knobs import SKIP_LEVELS, TRUNC_LEVELS
-from .pipeline import EncodeConfig, decode, encode
-from .quant import QUALITY_LEVELS
-from .raster import PnmError, RasterImage, parse_pnm, write_pnm
+from .entropy import MAX_PIXELS, compression_ratio
+from .pipeline import DECODE_MATRICES, EncodeConfig, decode, encode
+from .raster import RasterImage, parse_pnm, write_pnm
 from .tuner import TunerInput, TunerResult, tune
 
 USAGE_EXIT = 1
@@ -44,20 +52,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _read_image(path: str) -> RasterImage:
+def _read(path: str, parse):
+    """parse applied to the bytes of the file at path. A file that cannot be
+    read, or that parse rejects with ValueError, is a DataError naming path."""
     try:
-        return parse_pnm(Path(path).read_bytes())
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except PnmError as exc:
+    try:
+        return parse(data)
+    except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, data) -> None:
@@ -79,29 +84,11 @@ def _corpus_images(directory: str) -> list[tuple[str, RasterImage]]:
     )
     if not names:
         raise DataError(f"no PNM images in {directory}")
-    return [(n, _read_image(str(d / n))) for n in names]
+    return [(n, _read(str(d / n), parse_pnm)) for n in names]
 
 
-def _skip_level(text: str) -> int | None:
-    if text == "off":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value not in SKIP_LEVELS:
-        raise argparse.ArgumentTypeError("skip level must be 'off' or 0..6")
-    return value
-
-
-def _quality_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value not in QUALITY_LEVELS:
-        raise argparse.ArgumentTypeError("quality must be an integer in [1, 99]")
-    return value
+def _off_or_level(text: str) -> int | None:
+    return None if text == "off" else int(text)
 
 
 def _positive_arg(text: str) -> int:
@@ -114,110 +101,74 @@ def _positive_arg(text: str) -> int:
     return value
 
 
-def _load_qmatrix(path: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        entries = [int(tok) for tok in Path(path).read_text().split()]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: quantization file must hold 64 integers") from exc
-    if len(entries) != 64:
-        raise DataError(f"{path}: expected 64 entries, found {len(entries)}")
-    try:
-        return EncodeConfig(qmatrix=[entries[r : r + 8] for r in range(0, 64, 8)]).qmatrix
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+def _qmatrix(data: bytes) -> tuple[tuple[int, ...], ...]:
+    """The table of a file of whitespace-separated divisors, 8 to a row."""
+    entries = [int(tok) for tok in data.split()]
+    rows = [entries[r : r + 8] for r in range(0, len(entries), 8)]
+    return EncodeConfig(qmatrix=rows).qmatrix
 
 
-def _config_from_args(args) -> EncodeConfig:
-    return EncodeConfig(
-        quality=args.quality,
-        quant_mode=args.quant,
-        trunc_level=args.truncate,
-        skip_level=args.skip,
-        dc_exact=args.dc_exact,
-        qmatrix=_load_qmatrix(args.qmatrix) if args.qmatrix else None,
-    )
+def _config(args) -> EncodeConfig:
+    """The EncodeConfig of the codec flags given in args; a flag not given
+    keeps the field's default. A --qmatrix file is read once the other
+    flags are checked."""
+    given = {f.name: getattr(args, f.name) for f in fields(EncodeConfig) if f.name in args}
+    path = given.pop("qmatrix", None)
+    cfg = EncodeConfig(**given)
+    return cfg if path is None else replace(cfg, qmatrix=_read(path, _qmatrix))
 
 
 def _cmd_encode(args) -> int:
-    img = _read_image(args.input)
-    data, _stats = encode(img, _config_from_args(args))
+    data, _stats = encode(_read(args.input, parse_pnm), args.codec)
     _write(args.output, data)
     return 0
 
 
 def _cmd_decode(args) -> int:
-    data = _read_bytes(args.input)
-    try:
-        img = decode(data, decode_matrix=args.decode_quant, max_pixels=args.max_pixels)
-    except CorruptStreamError as exc:
-        raise DataError(f"{args.input}: {exc}") from exc
-    _write(args.output, write_pnm(img))
+    def decoded(data: bytes):
+        return decode(data, decode_matrix=args.decode_quant, max_pixels=args.max_pixels)
+
+    _write(args.output, write_pnm(_read(args.input, decoded)))
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    ref = _read_image(args.ref)
-    test = _read_image(args.test)
-    try:
-        report = {
-            "sad_pct": met.sad_pct(ref, test),
-            "psnr": met.psnr(ref, test),
-            "ssim": met.ssim(ref, test),
-            "homogeneity": met.homogeneity(ref),
-            "compression_ratio": None,
-        }
-    except met.MetricError as exc:
-        raise DataError(str(exc)) from exc
+    ref = _read(args.ref, parse_pnm)
+    test = _read(args.test, parse_pnm)
+    report = {
+        "sad_pct": met.sad_pct(ref, test),
+        "psnr": met.psnr(ref, test),
+        "ssim": met.ssim(ref, test),
+        "homogeneity": met.homogeneity(ref),
+        "compression_ratio": None,
+    }
     _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     images = [img for _, img in _corpus_images(args.corpus)]
-    base = EncodeConfig(quality=args.quality, quant_mode=args.quant)
-    curve, _ = extract_qe_curve(args.knob, images, base)
+    curve, _ = extract_qe_curve(args.knob, images, args.codec)
     _write(args.out, curve.to_csv())
     return 0
 
 
-def _read_curve(path: str, kind: str) -> QECurve:
-    try:
-        curve = QECurve.from_csv(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if curve.kind != kind:
-        raise DataError(f"{path}: expected a {kind} curve, found {curve.kind}")
-    return curve
-
-
 def _cmd_tune(args) -> int:
-    loop = _read_curve(args.loop_curve, "loop")
-    trunc = _read_curve(args.trunc_curve, "trunc")
-    try:
-        result = tune(TunerInput(loop, trunc, args.bound))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    def curve(path: str) -> QECurve:
+        return _read(path, lambda data: QECurve.from_csv(data.decode()))
+
+    # TunerInput checks that the curves are of the loop and trunc knobs
+    result = tune(TunerInput(curve(args.loop_curve), curve(args.trunc_curve), args.bound))
     _write(args.out, result.to_json() + "\n")
     return 0
 
 
 def _cmd_report(args) -> int:
-    try:
-        cfg_json = TunerResult.from_json(Path(args.config).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {args.config}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{args.config}: {exc}") from exc
-    cfg = EncodeConfig(
-        quality=args.quality,
-        quant_mode=args.quant,
-        trunc_level=cfg_json.j,
-        skip_level=cfg_json.i,
-    )
+    def tuned(data: bytes) -> EncodeConfig:
+        result = TunerResult.from_json(data.decode())
+        return replace(args.codec, skip_level=result.i, trunc_level=result.j)
+
+    cfg = _read(args.config, tuned)
     model = default_activity_model()
     rows = []
     for name, img in _corpus_images(args.corpus):
@@ -226,8 +177,8 @@ def _cmd_report(args) -> int:
         rows.append(
             [
                 name,
-                cfg_json.i,
-                cfg_json.j,
+                cfg.skip_level,
+                cfg.trunc_level,
                 repr(met.sad_pct(img, out)),
                 repr(met.psnr(img, out)),
                 repr(met.ssim(img, out)),
@@ -254,13 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ajpeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="compress a PNM image")
+    # The codec flags: each is stored under its EncodeConfig field, and one
+    # that is not given is left out, so that the field keeps its default.
+    codec = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    codec.add_argument("--quality", type=int)
+    codec.add_argument("--quant", dest="quant_mode")
+    codec.set_defaults(codec=None)  # main builds it from the flags
+
+    enc = sub.add_parser(
+        "encode", parents=[codec], argument_default=argparse.SUPPRESS,
+        help="compress a PNM image",
+    )
     enc.add_argument("--input", required=True)
     enc.add_argument("--output", required=True)
-    enc.add_argument("--quality", type=_quality_arg, default=50)
-    enc.add_argument("--quant", choices=["shift", "div"], default="shift")
-    enc.add_argument("--truncate", type=int, choices=TRUNC_LEVELS, default=0)
-    enc.add_argument("--skip", type=_skip_level, default=None, metavar="off|0..6")
+    enc.add_argument("--truncate", dest="trunc_level", type=int)
+    enc.add_argument("--skip", dest="skip_level", type=_off_or_level, help="a level, or off")
     enc.add_argument("--dc-exact", action="store_true")
     enc.add_argument("--qmatrix", help="file with 64 divisor entries")
     enc.set_defaults(func=_cmd_encode)
@@ -268,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="decompress a container to PNM")
     dec.add_argument("--input", required=True)
     dec.add_argument("--output", required=True)
-    dec.add_argument(
-        "--decode-quant", choices=["matched", "standard"], default="matched"
-    )
+    dec.add_argument("--decode-quant", choices=DECODE_MATRICES, default="matched")
     dec.add_argument(
         "--max-pixels", type=_positive_arg, default=MAX_PIXELS,
         help="refuse (exit 2) a container whose header asks for more pixels",
@@ -283,11 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     mtr.add_argument("--out", required=True)
     mtr.set_defaults(func=_cmd_metrics)
 
-    swp = sub.add_parser("sweep", help="extract a knob quality/energy curve")
+    swp = sub.add_parser("sweep", parents=[codec], help="extract a knob quality/energy curve")
     swp.add_argument("--corpus", required=True)
-    swp.add_argument("--knob", choices=["loop", "trunc"], required=True)
-    swp.add_argument("--quality", type=_quality_arg, default=50)
-    swp.add_argument("--quant", choices=["shift", "div"], default="shift")
+    swp.add_argument("--knob", choices=KNOBS, required=True)
     swp.add_argument("--out", required=True)
     swp.set_defaults(func=_cmd_sweep)
 
@@ -298,11 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     tun.add_argument("--out", required=True)
     tun.set_defaults(func=_cmd_tune)
 
-    rpt = sub.add_parser("report", help="run a tuned config over a corpus")
+    rpt = sub.add_parser("report", parents=[codec], help="run a tuned config over a corpus")
     rpt.add_argument("--corpus", required=True)
     rpt.add_argument("--config", required=True)
-    rpt.add_argument("--quality", type=_quality_arg, default=50)
-    rpt.add_argument("--quant", choices=["shift", "div"], default="shift")
     rpt.add_argument("--out", required=True)
     rpt.set_defaults(func=_cmd_report)
 
@@ -313,11 +266,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "codec" in args:  # encode, sweep and report
+            try:
+                args.codec = _config(args)
+            except ValueError as exc:
+                parser.error(str(exc))
         return args.func(args)
-    except DataError as exc:
-        print(f"ajpeg: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"ajpeg: {exc}", file=sys.stderr)
         return DATA_EXIT
 

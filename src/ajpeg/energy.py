@@ -26,6 +26,9 @@ from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 
 DATAPATH_WIDTH = 8
 
+# Each knob kind: the EncodeConfig field it sets, and the levels it sweeps.
+KNOBS = {"loop": ("skip_level", SKIP_LEVELS), "trunc": ("trunc_level", TRUNC_LEVELS)}
+
 
 @dataclass
 class EnergyModel:
@@ -111,12 +114,12 @@ class QEPoint:
 class QECurve:
     """Quality-degradation / relative-energy curve for one knob."""
 
-    kind: str  # "loop" or "trunc"
+    kind: str  # a key of KNOBS
     points: list[QEPoint]
 
     def __post_init__(self):
-        if self.kind not in ("loop", "trunc"):
-            raise ValueError("curve kind must be 'loop' or 'trunc'")
+        if self.kind not in KNOBS:
+            raise ValueError(f"curve kind must be one of {', '.join(KNOBS)}")
         if not self.points:
             raise ValueError("curve must have at least one point")
         levels = [p.level for p in self.points]
@@ -142,10 +145,11 @@ class QECurve:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["kind", "level", "quality_degradation", "relative_energy"]:
             raise ValueError("bad curve CSV header")
-        kinds = {r[0] for r in rows[1:]}
+        # a row of any other length fails to unpack, with a ValueError
+        kinds = {kind for kind, _, _, _ in rows[1:]}
         if len(kinds) != 1:
             raise ValueError("curve CSV must describe exactly one knob")
-        points = [QEPoint(int(r[1]), float(r[2]), float(r[3])) for r in rows[1:]]
+        points = [QEPoint(int(lv), float(d), float(e)) for _, lv, d, e in rows[1:]]
         return cls(kinds.pop(), points)
 
 
@@ -177,15 +181,15 @@ def extract_qe_curve(
     """Sweep one knob over a corpus and assemble its quality/energy curve.
 
     Each level is measured against the same image reconstructed at level 0
-    of the knob, so the curve isolates the knob's own degradation and
-    starts at (0, 0.0, 1.0) exactly. Bounds, if given, are resolved to
-    levels via select_level.
+    of the knob, so the curve isolates the knob's own degradation. Level 0
+    is that reference and is not measured: its point is (0, 0.0, 1.0)
+    exactly. Bounds, if given, are resolved to levels via select_level.
 
     Each image's levels come from one pipeline.reconstruct_many call. The
     skip levels of the loop knob share one skip scan per plane and one
     transform pass: each block processed at any level is truncated,
-    transformed, quantized and decoded once. Truncation levels change every block's result, so each takes a
-    pass of its own.
+    transformed, quantized and decoded once. Truncation levels change every
+    block's result, so each takes a pass of its own.
     """
     from . import pipeline  # imported late; pipeline depends on this module
     from .metrics import sad_pct
@@ -193,30 +197,26 @@ def extract_qe_curve(
     if model is None:
         model = default_activity_model()
     base = base_config if base_config is not None else pipeline.EncodeConfig()
-    if kind == "loop":
-        levels = SKIP_LEVELS
-        configs = [replace(base, skip_level=lv) for lv in levels]
-    elif kind == "trunc":
-        levels = TRUNC_LEVELS
-        configs = [replace(base, trunc_level=lv) for lv in levels]
-    else:
-        raise ValueError("knob kind must be 'loop' or 'trunc'")
+    if kind not in KNOBS:
+        raise ValueError(f"knob kind must be one of {', '.join(KNOBS)}")
+    field, levels = KNOBS[kind]
+    configs = [replace(base, **{field: lv}) for lv in levels]
 
     if not images:
         raise ValueError("corpus is empty")
 
-    sums_d = np.zeros(len(levels))
+    sums_d = np.zeros(len(levels))  # level 0's stays 0, its own degradation
     sums_e = np.zeros(len(levels))
+    sums_e[0] = len(images)  # 1 per image, its own relative energy
     for img in images:
-        for idx, (out, stats) in enumerate(pipeline.reconstruct_many(img, configs)):
-            if idx == 0:
-                ref_img, ref_energy = out, estimate_image_energy(model, stats)
+        results = pipeline.reconstruct_many(img, configs)
+        ref_img, ref_stats = next(results)
+        ref_energy = estimate_image_energy(model, ref_stats)
+        for idx, (out, stats) in enumerate(results, start=1):
             sums_d[idx] += sad_pct(ref_img, out)
             sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
     mean_d = sums_d / len(images)
     mean_e = sums_e / len(images)
-    mean_d[0] = 0.0  # exact by construction
-    mean_e[0] = 1.0
 
     points = [
         QEPoint(lv, float(d), float(e))

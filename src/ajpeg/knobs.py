@@ -70,26 +70,13 @@ def skip_epsilon(level: int) -> int:
 
 def truncate_block(block, level: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Divide samples by 2**level, rounding half away from zero: the
-    quantizer's rounded power-of-2 division (quant.quantize_shift), whose
-    result is int64. Level 0 returns the samples as they are.
-
-    int16 samples, the tiles' type, stay int16, with the same values and
-    the same add and shift lanes: the magnitude |x| + 2**(level-1) is
-    formed as uint16, where |-32768| = 32768 does not overflow, and the
-    shifted magnitude, at most 16388, takes its sign back as int16."""
+    quantizer's rounded power-of-2 division (quant.quantize_shift), so
+    int16 samples, the tiles' type, stay int16. Level 0 returns the
+    samples as they are."""
     if level not in TRUNC_LEVELS:
         raise ValueError("truncation level must be in [0, 4]")
     m = np.asarray(block)
-    if level == 0:
-        return m
-    if m.dtype != np.int16:
-        return quantize_shift(m, level, ops)
-    mag = ops.shr(ops.add(np.abs(m).view(np.uint16), np.uint16(1 << (level - 1))), level)
-    out = mag.view(np.int16)
-    sign = m >> 15  # 0 or -1
-    out ^= sign
-    out -= sign
-    return out
+    return m if level == 0 else quantize_shift(m, level, ops)
 
 
 def skip_check(current, reference, epsilon: int, ops: IntOps = UNCOUNTED) -> bool:

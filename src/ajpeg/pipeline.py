@@ -90,6 +90,10 @@ from .raster import RasterImage, tile_blocks, untile_blocks
 
 @dataclass(frozen=True)
 class EncodeConfig:
+    """The codec's settings. Construction, dataclasses.replace included,
+    checks every field and every combination of fields; the CLI's codec
+    flags are checked here and nowhere else."""
+
     quality: int = 50
     quant_mode: str = "shift"  # "shift" or "div"
     trunc_level: int = 0
@@ -224,9 +228,14 @@ def encode(
     return entropy.write_container(meta, streams), _energy_stats(cfg, flags)
 
 
+# The divisors a decoder may dequantize with: the encoder's ("matched"), or
+# the unmodified quality-scaled table ("standard").
+DECODE_MATRICES = ("matched", "standard")
+
+
 def _check_decode_matrix(decode_matrix: str):
-    if decode_matrix not in ("matched", "standard"):
-        raise ValueError("decode_matrix must be 'matched' or 'standard'")
+    if decode_matrix not in DECODE_MATRICES:
+        raise ValueError(f"decode_matrix must be one of {', '.join(DECODE_MATRICES)}")
 
 
 def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndarray:

@@ -74,14 +74,21 @@ def quantize_shift(coeffs, smatrix, ops: IntOps = UNCOUNTED) -> np.ndarray:
     c = sign(d) * ((|d| + 2**(s-1)) >> s); for s = 0 the entry passes
     through unchanged. Equivalent to round_half_away(d / 2**s) but runs on
     the shift-add datapath (the rounding offset is one extra adder input).
-    The sign goes back on in place, as a two's-complement conditional
-    negation: with sign = d >> 63 (0 or -1), (mag ^ sign) - sign.
+
+    Signed integer coefficients keep their dtype; any others are cast to
+    int64. The magnitude is formed in the unsigned type of the same width,
+    where |-2**(w-1)| = 2**(w-1) does not overflow, and takes its sign
+    back in place, as a two's-complement conditional negation: with
+    sign = d >> (w - 1) (0 or -1), (mag ^ sign) - sign.
     """
-    d = np.asarray(coeffs, dtype=np.int64)
-    s = np.asarray(smatrix, dtype=np.int64)
-    offset = np.where(s > 0, np.int64(1) << np.maximum(s - 1, 0), 0)
-    mag = ops.shr(ops.add(np.abs(d), offset), s)
-    sign = d >> 63
+    d = np.asarray(coeffs)
+    if d.dtype.kind != "i":
+        d = d.astype(np.int64)
+    unsigned = np.dtype(f"u{d.itemsize}")
+    s = np.asarray(smatrix, dtype=unsigned)
+    offset = (unsigned.type(1) << s) >> 1  # 2**(s-1), and 0 for s = 0
+    mag = ops.shr(ops.add(np.abs(d).view(unsigned), offset), s).view(d.dtype)
+    sign = d >> (8 * d.itemsize - 1)
     mag ^= sign
     mag -= sign
     return mag

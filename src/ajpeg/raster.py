@@ -135,13 +135,12 @@ def untile_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     blocks, cropping the padding; the samples keep their dtype. A block
     count other than that of the plane raises ValueError.
 
-    A contiguous uint8 stack, the decoder's pixel blocks, moves each
-    block row of 8 samples as one uint64 word: the transposition copies
-    8 times fewer, wider items, and the bytes stay the same."""
+    Each block row of 8 samples moves as itemsize uint64 words of a
+    C-contiguous stack (the decoder's uint8 pixel blocks are one word a
+    row): the transposition copies fewer, wider items, and the bytes stay
+    the same."""
     bh, bw = -(-height // BLOCK), -(-width // BLOCK)
-    if blocks.dtype == np.uint8 and blocks.flags.c_contiguous:
-        words = blocks.view(np.uint64).reshape(bh, bw, BLOCK).swapaxes(1, 2)
-        plane = np.ascontiguousarray(words).view(np.uint8).reshape(bh * BLOCK, bw * BLOCK)
-    else:
-        plane = blocks.reshape(bh, bw, BLOCK, BLOCK).swapaxes(1, 2).reshape(bh * BLOCK, bw * BLOCK)
+    words = np.ascontiguousarray(blocks).view(np.uint64)
+    rows = words.reshape(bh, bw, BLOCK, blocks.itemsize).swapaxes(1, 2)
+    plane = np.ascontiguousarray(rows).view(blocks.dtype).reshape(bh * BLOCK, bw * BLOCK)
     return plane[:height, :width]

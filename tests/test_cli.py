@@ -128,9 +128,10 @@ _TUNED = '"j": 1, "predicted_quality": 0.01, "predicted_energy": 0.8'
         "{" + _TUNED + "}",
         '{"i": 2, "j": 1}',
         "not json",
+        '{"i": 9, ' + _TUNED + "}",
     ],
     ids=["null-level", "array", "fractional-level", "boolean-level", "missing-i",
-         "missing-predictions", "not-json"],
+         "missing-predictions", "not-json", "skip-level-out-of-range"],
 )
 def test_report_rejects_malformed_config(tmp_path, capsys, text):
     # a malformed tuner result is a data error, never a traceback or a
@@ -167,9 +168,18 @@ def test_decode_pixel_budget(tmp_path, pgm, capsys):
         ["decode", "--input", "x", "--output", "y", "--decode-quant", "odd"],
         ["decode", "--input", "x", "--output", "y", "--max-pixels", "0"],
         ["sweep", "--corpus", "c", "--knob", "zoom", "--out", "o"],
+        ["sweep", "--corpus", "c", "--knob", "loop", "--out", "o", "--quant", "odd"],
+        ["report", "--corpus", "c", "--config", "x", "--out", "o", "--quality", "0"],
+        # flag combinations that EncodeConfig rejects, found before the
+        # missing --input is read
+        ["encode", "--input", "x", "--output", "y", "--dc-exact", "--quant", "div"],
+        ["encode", "--input", "x", "--output", "y", "--dc-exact", "--qmatrix", "QMATRIX"],
     ],
 )
-def test_usage_errors_exit_1(argv):
+def test_usage_errors_exit_1(tmp_path, argv):
+    qmatrix = tmp_path / "q.txt"  # a valid table, read as part of the config
+    qmatrix.write_text(" ".join(["16"] * 64))
+    argv = [str(qmatrix) if a == "QMATRIX" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1

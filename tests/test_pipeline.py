@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ajpeg import pipeline
 from ajpeg.energy import (
+    KNOBS,
     QECurve,
     QEPoint,
     default_activity_model,
@@ -598,13 +599,10 @@ def test_round_trip_memory_is_three_slice_buffers():
 
 
 def _per_config_curve(kind, images, base, model):
-    """extract_qe_curve as one reconstruct call per level and image."""
-    if kind == "loop":
-        levels = SKIP_LEVELS
-        configs = [replace(base, skip_level=lv) for lv in levels]
-    else:
-        levels = TRUNC_LEVELS
-        configs = [replace(base, trunc_level=lv) for lv in levels]
+    """extract_qe_curve as one reconstruct call per level and image, level 0
+    measured against itself too."""
+    field, levels = KNOBS[kind]
+    configs = [replace(base, **{field: lv}) for lv in levels]
     sums_d = np.zeros(len(levels))
     sums_e = np.zeros(len(levels))
     for img in images:
@@ -616,8 +614,6 @@ def _per_config_curve(kind, images, base, model):
             sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
     mean_d = sums_d / len(images)
     mean_e = sums_e / len(images)
-    mean_d[0] = 0.0
-    mean_e[0] = 1.0
     points = [QEPoint(lv, float(d), float(e)) for lv, d, e in zip(levels, mean_d, mean_e)]
     return QECurve(kind, points)
 

@@ -164,8 +164,8 @@ def _untiled_by_reshape(blocks, height, width):
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
 @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
 def test_untile_matches_the_reshape_form(dtype, contiguous):
-    # contiguous uint8 stacks move block rows as uint64 words; other dtypes
-    # and strided stacks take the reshape path
+    # every stack moves its block rows as uint64 words: uint8 as one word a
+    # row, int16 as two, and a strided stack from a contiguous copy
     rng = np.random.default_rng(21)
     for height in [*range(1, 16), 37]:
         for width in [*range(1, 16), 53]:
