@@ -192,7 +192,7 @@ def extract_qe_curve(
     block's result, so each takes a pass of its own.
     """
     from . import pipeline  # imported late; pipeline depends on this module
-    from .metrics import sad_pct
+    from .metrics import sad_pct, sample_sum
 
     if model is None:
         model = default_activity_model()
@@ -212,8 +212,9 @@ def extract_qe_curve(
         results = pipeline.reconstruct_many(img, configs)
         ref_img, ref_stats = next(results)
         ref_energy = estimate_image_energy(model, ref_stats)
+        ref_sum = sample_sum(ref_img)
         for idx, (out, stats) in enumerate(results, start=1):
-            sums_d[idx] += sad_pct(ref_img, out)
+            sums_d[idx] += sad_pct(ref_img, out, ref_sum=ref_sum)
             sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
     mean_d = sums_d / len(images)
     mean_e = sums_e / len(images)

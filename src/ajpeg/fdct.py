@@ -54,7 +54,10 @@ block with a sample that close to a .5 tie can round differently, and that
 block is recomputed with the einsum; the rounded pixels are the same.
 ref_idct_2d runs it on each slice of a decoded stack, and the pipeline's
 fused round trip on the lanes its quantizer leaves, with the
-dequantization folded into the first product's matrices.
+dequantization folded into the first product's matrices. The round trip
+also keeps the np.rint that the tie check takes of every sample as its
+rounded pixels (rounded=True): outside the recomputed blocks it is the
+rounding half away from zero.
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -65,6 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import UNCOUNTED, IntOps, OpCounter
+from .quant import round_half_away
 
 
 def kernel_scaler(x, ops: IntOps = UNCOUNTED):
@@ -334,7 +338,7 @@ def ref_idct_2d(coeffs) -> np.ndarray:
 
 
 def _idct_lanes(
-    lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None
+    lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None, *, rounded=False
 ) -> None:
     """The inverse transform of k coefficient blocks into the float64 pixel
     blocks out (k, 8, 8), as two 8-term matrix products: per frequency
@@ -352,7 +356,14 @@ def _idct_lanes(
     recomputed with the einsum that defines the decoder's pixels, so
     rounding out half away from zero gives the einsum's integers in every
     block. The slice's largest |c| bounds every block's slack, so only the
-    blocks with a sample within that bound are checked one by one."""
+    blocks with a sample within that bound are checked one by one.
+
+    The check takes np.rint of every sample. Outside the recomputed blocks
+    that is the rounding half away from zero, since no sample there is
+    within its block's slack of a tie. So with rounded, the rounded pixels
+    are kept instead, as (k, 8, 8) blocks in scratch: np.rint of the
+    products, and quant.round_half_away of the einsum in the recomputed
+    blocks; out is then overwritten."""
     k = lanes.shape[-1]
     first = np.broadcast_to(_T, (8, 8, 8))
     largest = max(lanes.max(), -lanes.min())
@@ -364,9 +375,10 @@ def _idct_lanes(
         np.matmul(lanes[across].T, first[across], out=rows[across])
     np.matmul(rows.reshape(8, 8 * k).T, _T, out=out.reshape(8 * k, 8))
     # each sample's distance to the nearest integer; a tie is 0.5 away
-    pixels, dist = out.reshape(-1), scratch.reshape(-1)
-    np.rint(pixels, out=dist)
-    np.subtract(pixels, dist, out=dist)
+    pixels, nearest = out.reshape(-1), scratch.reshape(-1)
+    dist = pixels if rounded else nearest
+    np.rint(pixels, out=nearest)
+    np.subtract(pixels, nearest, out=dist)
     np.abs(dist, out=dist)
     candidates = np.flatnonzero(dist >= 0.5 - 64 * _TIE_SLACK * largest)
     if candidates.size:
@@ -376,7 +388,12 @@ def _idct_lanes(
             exact *= divisors
         slack = np.abs(exact).reshape(-1, 64).sum(axis=1) * _TIE_SLACK
         near = dist.reshape(k, 64)[candidates].max(axis=1) >= 0.5 - slack
-        out[candidates[near]] = _einsum_idct(exact[near])
+        samples, at = _einsum_idct(exact[near]), candidates[near]
+        if rounded:
+            spare = pixels[: samples.size].reshape(samples.shape)  # the distances are read
+            scratch.reshape(k, 8, 8)[at] = round_half_away(samples, spare)
+        else:
+            out[at] = samples
 
 
 def _einsum_idct(coeffs: np.ndarray) -> np.ndarray:

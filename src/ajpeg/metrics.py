@@ -37,16 +37,33 @@ def _check_same_shape(ref: RasterImage, test: RasterImage):
         raise MetricError("images must have identical dimensions and channels")
 
 
-def sad_pct(ref: RasterImage, test: RasterImage) -> float:
-    """Sum of absolute differences over the reference's total sample sum."""
+# |a - b| of uint8 samples is summed in uint32 partial sums of this many
+# samples each: 255 * 2**16 < 2**32, so no partial sum wraps
+_SAD_CHUNK = 1 << 16
+
+
+def sad_pct(ref: RasterImage, test: RasterImage, *, ref_sum: int | None = None) -> float:
+    """Sum of absolute differences over the reference's total sample sum.
+
+    ref_sum, when given, is that sum (sample_sum(ref)), so that a caller
+    measuring many images against one reference sums it once."""
     _check_same_shape(ref, test)
-    a, b = ref.samples, test.samples
-    denom = int(a.sum(dtype=np.int64))
-    if denom == 0:
+    if ref_sum is None:
+        ref_sum = sample_sum(ref)
+    if ref_sum == 0:
         raise MetricError("SAD undefined for an all-zero reference")
-    diff = np.subtract(a, b, dtype=np.int16)  # uint8 differences fit int16
-    np.abs(diff, out=diff)
-    return float(diff.sum(dtype=np.int64)) / denom
+    a, b = ref.samples, test.samples
+    diff = np.maximum(a, b)
+    diff -= np.minimum(a, b)  # |a - b|, exact in uint8
+    whole = diff.size - diff.size % _SAD_CHUNK
+    chunks = diff[:whole].reshape(-1, _SAD_CHUNK).sum(axis=1, dtype=np.uint32)
+    total = int(chunks.sum(dtype=np.uint64)) + int(diff[whole:].sum(dtype=np.uint32))
+    return float(total) / ref_sum
+
+
+def sample_sum(img: RasterImage) -> int:
+    """The sum of every sample of an image, sad_pct's denominator."""
+    return int(img.samples.sum(dtype=np.int64))
 
 
 def psnr(ref: RasterImage, test: RasterImage) -> float:

@@ -25,9 +25,14 @@ reconstruct() reaches the same integers without the entropy layer, which
 is lossless, and without the stage chain: its round trip (_round_trip)
 fuses truncation, FDCT, quantization, dequantization, IDCT and rounding
 into one pass per slice on float64 lanes. Each step there is an exact
-float form of its integer spec (quant.float_quantizer and
-quant.round_half_away, fdct._transform, fdct._idct_lanes), and a
-differential test holds the round trip to
+float form of its integer spec (quant.shift_scale and quant.float_quantizer,
+fdct._transform, fdct._idct_lanes), and each rounding one np.rint pass:
+truncation and quantization multiply by a table nudged so that np.rint
+rounds half away from zero, and the pixels are the np.rint that the IDCT's
+tie check takes, but in the blocks it recomputes with the decoder's einsum,
+which are rounded by quant.round_half_away as decode rounds every block.
+_restore, the undoing of truncation and the level shift, serves both
+paths. A differential test holds the round trip to
 _decode_blocks(_compress_blocks(...)) byte for byte and in its op census:
 it charges each block the chain's census of one block (_chain_census).
 encode() and decode() still call every stage by name.
@@ -83,6 +88,7 @@ from .quant import (
     quantize_div,
     quantize_shift,
     round_half_away,
+    shift_scale,
     to_shift_matrix,
 )
 from .raster import RasterImage, tile_blocks, untile_blocks
@@ -253,29 +259,27 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
 
 
 def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
-    """uint8 pixel blocks of quantized blocks: dequantize, invert, then
-    _restore the IDCT's float64 result."""
+    """uint8 pixel blocks of quantized blocks: dequantize, invert, round the
+    IDCT's float64 samples half away from zero, and _restore them."""
     pixels = ref_idct_2d(dequantize(quantized, divisors))
     out = np.empty(pixels.shape, dtype=np.uint8)
-    _restore(pixels, np.empty_like(pixels), trunc_level, out)
+    _restore(round_half_away(pixels, np.empty_like(pixels)), trunc_level, out)
     return out
 
 
-def _restore(pixels: np.ndarray, scratch: np.ndarray, trunc_level: int, out: np.ndarray) -> None:
-    """Round the float64 IDCT samples half away from zero, undo truncation
-    and the level shift, and clip them into the uint8 array out, of
-    pixels' shape. pixels and scratch (float64, of pixels' shape) are
-    overwritten.
+def _restore(rounded: np.ndarray, trunc_level: int, out: np.ndarray) -> None:
+    """Undo truncation and the level shift of the rounded float64 IDCT
+    samples, and clip them into the uint8 array out, of their shape.
+    rounded is overwritten.
 
     The rounded integers times 2**trunc_level are exact wherever they are
     not clipped away. They are clipped to the int8 range and written as
     int8, and the level shift is a flip of the top bit: x + 128 = x ^ 0x80
     for an int8 x read as uint8."""
-    round_half_away(pixels, scratch)
     if trunc_level:
-        pixels *= 1 << trunc_level
-    np.clip(pixels, -128, 127, out=pixels)
-    np.copyto(out.view(np.int8), pixels, casting="unsafe")
+        rounded *= 1 << trunc_level
+    np.clip(rounded, -128, 127, out=rounded)
+    np.copyto(out.view(np.int8), rounded, casting="unsafe")
     out ^= 0x80
 
 
@@ -303,18 +307,20 @@ def _round_trip(
     _SLICE_BLOCKS blocks.
 
     Each slice is gathered from the int16 tiles into float64 [col, row,
-    block] lanes, then truncated as round_half_away(x * 2**-B),
-    transformed (fdct._transform), quantized in float_quantizer's form,
-    dequantized and inverted (fdct._idct_lanes) and restored (_restore),
-    in three float64 lane buffers allocated once for the stack. Each step
-    is an exact float form of its integer spec. ops is charged census, the
-    chain's census of one block, for each block (nothing when census is
-    None)."""
+    block] lanes, truncated as np.rint(x * shift_scale(B)),
+    transformed (fdct._transform), quantized as np.rint(c * t) with t from
+    float_quantizer, dequantized, inverted and rounded (fdct._idct_lanes,
+    which leaves the rounded pixels) and restored (_restore), in three
+    float64 lane buffers allocated once for the stack. Each step is an
+    exact float form of its integer spec, and each rounding one np.rint
+    pass but for the blocks the IDCT recomputes with the decoder's einsum.
+    ops is charged census, the chain's census of one block, for each block
+    (nothing when census is None)."""
     n = len(index)
     if census is not None:
         ops.charge_blocks(census, n)
-    quantize, table = float_quantizer(qmat, smat, cfg.dc_exact)
-    table = np.ascontiguousarray(table.T[:, :, None])  # as [freq across, freq down] lanes
+    # the quantizer's table as [freq across, freq down] lanes
+    table = np.ascontiguousarray(float_quantizer(qmat, smat, cfg.dc_exact).T[:, :, None])
     out = np.empty((n, 8, 8), dtype=np.uint8)
     buffers = np.empty((3, 64 * min(n, _SLICE_BLOCKS)))
     dense = n == len(blocks)  # index is then every block, in order
@@ -322,16 +328,17 @@ def _round_trip(
         at = index[start : start + _SLICE_BLOCKS]
         k = len(at)
         coef, scratch, pixels = fdct._lanes(buffers, k)
-        pixels = pixels.reshape(k, 8, 8)
         np.copyto(coef, (blocks[start : start + k] if dense else blocks[at]).transpose(2, 1, 0))
         if cfg.trunc_level:
-            coef *= 2.0**-cfg.trunc_level
-            round_half_away(coef, scratch)
+            coef *= shift_scale(cfg.trunc_level)
+            np.rint(coef, out=coef)
         fdct._transform(coef, scratch)
-        quantize(coef, table, out=coef)
-        round_half_away(coef, scratch)
-        fdct._idct_lanes(coef, coef.transpose(2, 1, 0), scratch, pixels, divisors)
-        _restore(pixels, scratch.reshape(k, 8, 8), cfg.trunc_level, out[start : start + k])
+        coef *= table
+        np.rint(coef, out=coef)
+        fdct._idct_lanes(
+            coef, coef.transpose(2, 1, 0), scratch, pixels.reshape(k, 8, 8), divisors, rounded=True
+        )
+        _restore(scratch.reshape(k, 8, 8), cfg.trunc_level, out[start : start + k])
     return out
 
 

@@ -11,18 +11,24 @@ reuses the encoder's, while "standard" reuses the unmodified table and
 exposes the mismatch).
 
 The pipeline's fused round trip (pipeline._round_trip) quantizes float64
-coefficients instead, in float forms of these integer quantizers that give
-the same integers (float_quantizer, round_half_away):
+coefficients instead, as np.rint(c * t) with a nudged float table t
+(float_quantizer, shift_scale), and gets the same integers. Each entry of t
+is the quantizer's scale times 1 + 2**-24:
 
-- shift quantization and truncation: round_half_away(x * 2**-s); x * 2**-s
-  is exact, with at most 7 fractional bits;
-- division: round_half_away(x / q); the quotient's rounding error is far
-  smaller than its distance from any half-integer it is not equal to;
-- exact DC: round_half_away(x * round(256/q) / 256), exact with 8
-  fractional bits, which is floor((|x| round(256/q) + 128) / 256) with
-  x's sign;
-- dequantization: the rounded integer times the divisor, an integer far
-  below 2**53.
+- shift quantization and truncation: 2**-s, and c * t is exact;
+- exact DC: round(256/q) / 256, and c * t is exact;
+- division: 1/q, and c * t carries a few ulps of rounding error.
+
+np.rint rounds half to even, and the nudge turns that into half away from
+zero. An exact tie x = c * scale, a half-integer, moves by |x| 2**-24 away
+from zero, far more than any rounding error, so it rounds away from zero.
+Every other x is at least 1/510 from every half-integer: 2**-s with s <= 8
+in the dyadic forms, and 1/(2q) with q <= 255 in division. As |x| <= |c|,
+the nudge moves it by less than that while |c| < 2**24 / 510 (about 2**15),
+rounding errors included. FDCT coefficients of 8-bit samples are below
+2**13; tests/test_quant.py checks that, and every c in +-2**13 against
+every scale the pipeline uses. Dequantization is the rounded integer times
+the divisor, an integer far below 2**53.
 """
 
 from __future__ import annotations
@@ -148,10 +154,13 @@ def round_half_away(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     Computed as trunc(x + copysign(0.5, x)), which is
     sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
     IEEE addition rounds symmetrically in sign, and -0.0 rounds to 0 as 0
-    does. Where |x| + 0.5 is exact, as for the quantizer's and truncation's
-    dyadic values, that is the exact rounding; the decoder's pixels are
-    defined by this float form. copysign(0.5, x) is formed from x's sign
-    bit with integer ops, several times faster here than np.copysign."""
+    does. copysign(0.5, x) is formed from x's sign bit with integer ops,
+    several times faster here than np.copysign.
+
+    This float form defines the decoder's pixels only: decode rounds its
+    IDCT samples here, and the fused round trip rounds here only the blocks
+    it recomputes with the decoder's einsum (fdct._idct_lanes). Every other
+    rounding of the round trip is one np.rint pass (float_quantizer)."""
     half = scratch.view(np.uint64)
     np.bitwise_and(x.view(np.uint64), _SIGN_BIT, out=half)
     half |= _HALF_BITS
@@ -159,27 +168,27 @@ def round_half_away(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.trunc(x, out=x)
 
 
-def float_quantizer(qmat, smat, dc_exact: bool):
-    """(op, table): the quantizer of the config, on float64 coefficients c,
-    as round_half_away(op(c, table)), entrywise with an 8x8 table.
+# 1 + 2**-24: a table scaled by it makes np.rint round ties away from zero
+_AWAY = 1 + 2.0**-24
 
-    - shift (smat): op multiplies by 2**-s, so c * 2**-s is exact and the
-      rounding is that of quantize_shift;
-    - exact DC: the DC entry is round(256/q) / 256, so c * round(256/q) /
-      256 is exact, and rounding it half away from zero is
-      quantize_dc_exact's sign(c) * ((|c| round(256/q) + 128) >> 8);
-    - division (smat None): op divides by q. For integers |c| < 2**26 and
-      q <= 255, c / q is rounded by less than 2**-26, and the exact
-      quotient is either a half-integer, which float64 holds, or at least
-      1/(2q) away from every half-integer. So the rounding of the rounded
-      quotient, its float addition of 0.5 included, is that of the exact
-      one, quantize_div's floor((2|c| + q) / 2q) with c's sign.
 
-    Coefficients of 8-bit samples are far inside these bounds."""
+def shift_scale(s):
+    """2**-s * (1 + 2**-24), exact, entrywise: np.rint(c * shift_scale(s))
+    is quantize_shift(c, s) for 0 <= s <= 8 and integers |c| < 2**24 / 510
+    (see the module docstring)."""
+    return np.ldexp(_AWAY, -np.asarray(s, dtype=np.int64))
+
+
+def float_quantizer(qmat, smat, dc_exact: bool) -> np.ndarray:
+    """The config's quantizer on float64 coefficients c as one 8x8 table
+    t: np.rint(c * t) entrywise is the integer quantizer's result.
+
+    Each entry is the quantizer's scale times 1 + 2**-24 (see the module
+    docstring): 2**-s in shift mode (smat), round(256/q) / 256 at the DC
+    entry in exact-DC mode, and 1/q in division mode (smat None)."""
     if smat is None:
-        return np.divide, np.asarray(qmat, dtype=np.float64)
-    table = np.ldexp(1.0, -np.asarray(smat, dtype=np.int64))
+        return _AWAY / np.asarray(qmat, dtype=np.float64)
+    table = shift_scale(smat)
     if dc_exact:
-        q = int(qmat[0, 0])
-        table[0, 0] = _reciprocal(q) / 256
-    return np.multiply, table
+        table[0, 0] = np.ldexp(_reciprocal(int(qmat[0, 0])) * _AWAY, -8)
+    return table

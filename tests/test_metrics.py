@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ajpeg import metrics
 from ajpeg.metrics import (
     SSIM_C1,
     SSIM_C2,
@@ -13,6 +14,7 @@ from ajpeg.metrics import (
     pearson,
     psnr,
     sad_pct,
+    sample_sum,
     ssim,
 )
 from ajpeg.raster import RasterImage
@@ -55,6 +57,24 @@ def test_sad_matches_int64_formula(shape):
     test = RasterImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
     assert sad_pct(ref, test) == _sad_int64(ref, test)
     assert sad_pct(test, ref) == _sad_int64(test, ref)
+
+
+@pytest.mark.parametrize("size", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+def test_sad_matches_int64_formula_at_the_chunk_edges(size):
+    # |a - b| is summed in uint32 partial sums of 2**16 samples each
+    assert metrics._SAD_CHUNK == 2**16
+    rng = np.random.default_rng(size)
+    ref = RasterImage(rng.integers(0, 256, size=(1, size), dtype=np.uint8))
+    test = RasterImage(rng.integers(0, 256, size=(1, size), dtype=np.uint8))
+    assert sad_pct(ref, test) == _sad_int64(ref, test)
+    assert sad_pct(ref, test, ref_sum=sample_sum(ref)) == _sad_int64(ref, test)
+
+
+def test_sad_beyond_a_uint32_sum():
+    # the difference sum and the reference sum are both 255 * 4112**2 > 2**32
+    white, black = _const(255, (4112, 4112)), _const(0, (4112, 4112))
+    assert 255 * white.pixels.size > 2**32
+    assert sad_pct(white, black) == 1.0
 
 
 def test_sad_full_scale_differences():

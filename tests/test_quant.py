@@ -13,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ajpeg import quant
+from ajpeg.fdct import fdct_2d
+from ajpeg.knobs import TRUNC_LEVELS, truncate_block
 from ajpeg.ops import OpCounter
 from ajpeg.quant import (
     Q50,
@@ -23,6 +25,7 @@ from ajpeg.quant import (
     quantize_div,
     quantize_shift,
     reciprocal_bits,
+    shift_scale,
     to_shift_matrix,
 )
 
@@ -192,29 +195,42 @@ def test_quantize_shift_is_multiplier_free():
     assert ops.muls == 0
 
 
-def _float_quantized(coeffs, qmat, smat, dc_exact):
-    """float_quantizer's form, round_half_away(op(c, table)), on 8x8 blocks."""
-    op, table = float_quantizer(qmat, smat, dc_exact)
-    x = op(coeffs.astype(np.float64), table)
-    return quant.round_half_away(x, np.empty_like(x))
-
-
 def test_float_quantizers_equal_the_integer_ones():
-    # every coefficient in +-2**13 (8-bit samples give |c| < 2**11) against
-    # every divisor in [1, 255], 64 divisors to a table
+    # every coefficient in +-2**13 (8-bit samples give |c| <= 2**10, see
+    # below) against every divisor in [1, 255], 64 divisors to a table,
+    # quantized as np.rint(c * t)
     c = np.arange(-(2**13), 2**13 + 1).repeat(64).reshape(-1, 8, 8)
     for first in range(1, 256, 64):
         qmat = np.minimum(np.arange(first, first + 64), 255).reshape(8, 8)
         smat = to_shift_matrix(qmat)
-        assert np.array_equal(_float_quantized(c, qmat, None, False), quantize_div(c, qmat))
-        assert np.array_equal(_float_quantized(c, qmat, smat, False), quantize_shift(c, smat))
+        assert np.array_equal(np.rint(c * float_quantizer(qmat, None, False)), quantize_div(c, qmat))
+        assert np.array_equal(np.rint(c * float_quantizer(qmat, smat, False)), quantize_shift(c, smat))
     # exact DC: the table's DC entry, for every DC divisor
     dc = c[:, 0, 0]
     for q in range(1, 256):
         qmat = np.full((8, 8), q)
-        table = float_quantizer(qmat, to_shift_matrix(qmat), True)[1]
-        x = dc * table[0, 0]
-        assert np.array_equal(quant.round_half_away(x, np.empty_like(x)), quantize_dc_exact(dc, q))
+        t = float_quantizer(qmat, to_shift_matrix(qmat), True)[0, 0]
+        assert np.array_equal(np.rint(dc * t), quantize_dc_exact(dc, q))
+    # truncation: the same form at s = B
+    for level in TRUNC_LEVELS[1:]:
+        assert np.array_equal(np.rint(dc * shift_scale(level)), truncate_block(dc, level))
+
+
+def test_fdct_coefficients_stay_inside_the_nudge_margin():
+    # np.rint(c * t) is exact for |c| < 2**24 / 510 (quant's docstring), and
+    # the test above checks every |c| <= 2**13. The FDCT is linear up to
+    # its floors, which move a coefficient by a few units at most: the
+    # 2**20-scaled unit blocks give its weights, whose L1 norms bound the
+    # linear part, and the 8-bit blocks that follow each coefficient's
+    # weight signs reach that bound.
+    units = fdct_2d(np.eye(64, dtype=np.int64).reshape(64, 8, 8) << 20).reshape(64, 64)
+    weights = units.T / 2**20  # [coefficient, sample]
+    assert 128 * np.abs(weights).sum(axis=1).max() < 2**10 + 1
+    up = np.where(weights > 0, 127, -128).reshape(64, 8, 8)
+    extremes = fdct_2d(np.concatenate([up, -1 - up])).reshape(128, 64)
+    largest = np.abs(extremes).max()
+    assert largest == 2**10  # the DC of a flat -128 block
+    assert 2**10 < 2**13 < 2**24 / 510
 
 
 def test_round_half_away_keeps_the_float_form_of_the_decoder():
