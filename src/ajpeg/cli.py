@@ -118,6 +118,20 @@ def _config(args) -> EncodeConfig:
     return cfg if path is None else replace(cfg, qmatrix=_read(path, _qmatrix))
 
 
+def _scores(ref: RasterImage, test: RasterImage, data: bytes | None = None) -> dict:
+    """The comparison scores of test against ref, in the order both metrics
+    and report write them; the compression ratio is that of the container
+    data, or None without one."""
+    ratio = None if data is None else compression_ratio(ref.width, ref.height, ref.channels, data)
+    return {
+        "sad_pct": met.sad_pct(ref, test),
+        "psnr": met.psnr(ref, test),
+        "ssim": met.ssim(ref, test),
+        "homogeneity": met.homogeneity(ref),
+        "compression_ratio": ratio,
+    }
+
+
 def _cmd_encode(args) -> int:
     data, _stats = encode(_read(args.input, parse_pnm), args.codec)
     _write(args.output, data)
@@ -133,15 +147,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    ref = _read(args.ref, parse_pnm)
-    test = _read(args.test, parse_pnm)
-    report = {
-        "sad_pct": met.sad_pct(ref, test),
-        "psnr": met.psnr(ref, test),
-        "ssim": met.ssim(ref, test),
-        "homogeneity": met.homogeneity(ref),
-        "compression_ratio": None,
-    }
+    report = _scores(_read(args.ref, parse_pnm), _read(args.test, parse_pnm))
     _write(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
@@ -173,21 +179,9 @@ def _cmd_report(args) -> int:
     rows = []
     for name, img in _corpus_images(args.corpus):
         data, stats = encode(img, cfg)
-        out = decode(data)
-        rows.append(
-            [
-                name,
-                cfg.skip_level,
-                cfg.trunc_level,
-                repr(met.sad_pct(img, out)),
-                repr(met.psnr(img, out)),
-                repr(met.ssim(img, out)),
-                repr(met.homogeneity(img)),
-                repr(compression_ratio(img.width, img.height, img.channels, data)),
-                repr(estimate_image_energy(model, stats)),
-                repr(energy_saved(model, stats)),
-            ]
-        )
+        scores = _scores(img, decode(data), data).values()
+        energy = (estimate_image_energy(model, stats), energy_saved(model, stats))
+        rows.append([name, cfg.skip_level, cfg.trunc_level, *map(repr, [*scores, *energy])])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,6 +126,12 @@ class QECurve:
         levels = [p.level for p in self.points]
         if levels != sorted(set(levels)):
             raise ValueError("curve levels must be strictly increasing")
+        knob_levels = KNOBS[self.kind][1]
+        if any(lv not in knob_levels for lv in levels):
+            raise ValueError(f"{self.kind} curve levels must be in [0, {knob_levels[-1]}]")
+        if not all(math.isfinite(p.quality_degradation) and math.isfinite(p.relative_energy)
+                   for p in self.points):
+            raise ValueError("curve degradations and energies must be finite")
         first = self.points[0]
         if first.level != 0 or first.quality_degradation != 0.0 or first.relative_energy != 1.0:
             raise ValueError("curve point 0 must be (0, 0.0, 1.0)")

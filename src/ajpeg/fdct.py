@@ -355,8 +355,9 @@ def _idct_lanes(
     A block with a sample within _TIE_SLACK * sum|c| of a .5 tie is
     recomputed with the einsum that defines the decoder's pixels, so
     rounding out half away from zero gives the einsum's integers in every
-    block. The slice's largest |c| bounds every block's slack, so only the
-    blocks with a sample within that bound are checked one by one.
+    block. The slice's largest |c| bounds every block's slack, so only when
+    a sample of the slice is within that bound of a tie are the blocks
+    checked one by one, each by its sample nearest a tie.
 
     The check takes np.rint of every sample. Outside the recomputed blocks
     that is the rounding half away from zero, since no sample there is
@@ -380,14 +381,15 @@ def _idct_lanes(
     np.rint(pixels, out=nearest)
     np.subtract(pixels, nearest, out=dist)
     np.abs(dist, out=dist)
-    candidates = np.flatnonzero(dist >= 0.5 - 64 * _TIE_SLACK * largest)
-    if candidates.size:
-        candidates = np.unique(candidates >> 6)
+    bound = 0.5 - 64 * _TIE_SLACK * largest
+    if dist.max() >= bound:  # rare: a sample of the slice is near a tie
+        nearest_tie = dist.reshape(k, 64).max(axis=1)  # per block
+        candidates = np.flatnonzero(nearest_tie >= bound)
         exact = np.asarray(blocks)[candidates].astype(np.float64)
         if divisors is not None:
             exact *= divisors
         slack = np.abs(exact).reshape(-1, 64).sum(axis=1) * _TIE_SLACK
-        near = dist.reshape(k, 64)[candidates].max(axis=1) >= 0.5 - slack
+        near = nearest_tie[candidates] >= 0.5 - slack
         samples, at = _einsum_idct(exact[near]), candidates[near]
         if rounded:
             spare = pixels[: samples.size].reshape(samples.shape)  # the distances are read

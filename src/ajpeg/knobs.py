@@ -15,21 +15,14 @@ whose result it carries. perforate and the pipeline's decode and
 reconstruct expand results through that index, and nothing else does:
 the encoder and the entropy layer handle the processed blocks only.
 
-The scan rests on a distance form of the band test. For one sample x,
-reference sample r and tolerance eps, x <= min(r + eps, 127) holds exactly
-when x <= r + eps and x <= 127, and x >= max(r - eps, -128) exactly when
-x >= r - eps and x >= -128. So x lies in the clamped band exactly when
-|x - r| <= eps and -128 <= x <= 127; and block e lies inside the band of
-reference r exactly when max|b_e - b_r| <= eps and every sample of b_e
-lies in [-128, 127]. Neither the distance nor the range test depends on
-eps, so one pass over a plane serves every skip level: it tables the
-distance from each block to each of its next _TABLE_WIDTH (16) blocks
-once, and each tolerance walks its skip runs through that table.
-
-The table and the compares run on int16 when every |sample| and every
-|eps| are below 2**14: a distance is then at most 2**15 - 2, and the entry
-2**15 - 1 can stand for "never inside". Otherwise they run on int64. The
-flags are the same either way.
+The scan runs on the tiles' domain, level-shifted 8-bit samples, where
+every sample lies in [-128, 127] and skip_check's clamp never binds: block
+e lies inside the band of reference r exactly when max|b_e - b_r| <= eps.
+That distance does not depend on eps, so one pass over a plane serves
+every skip level: it tables the distance from each block to each of its
+next _TABLE_WIDTH (16) blocks once, in int16, and each tolerance walks its
+skip runs through that table. A stack with a sample outside that range is
+decided block by block with skip_check itself, the spec of the band.
 
 The op census charges what the band hardware does, not what the software
 does: one band (an add and a sub per sample, 128 lanes per 8x8 block) per
@@ -94,36 +87,21 @@ def skip_check(current, reference, epsilon: int, ops: IntOps = UNCOUNTED) -> boo
 # tabled; a run that reaches the table's edge goes on in growing windows.
 _TABLE_WIDTH = 16
 
-# skip_flags_many runs on int16 when every |sample| and |epsilon| are below
-# this: a distance is then at most 2**15 - 2, so the int16 maximum can mark
-# a block that is never inside a band, and every epsilon is below it.
-_INT16_INPUT = 2**14
 
-
-def _in_range(b: np.ndarray) -> np.ndarray:
-    """Per block, whether every sample lies in [SAMPLE_MIN, SAMPLE_MAX]."""
-    valid = np.empty(len(b), dtype=bool)
-    for start in range(0, len(b), _SLICE_BLOCKS):
-        s = b[start:start + _SLICE_BLOCKS]
-        valid[start:start + len(s)] = (s.min(axis=1) >= SAMPLE_MIN) & (s.max(axis=1) <= SAMPLE_MAX)
-    return valid
-
-
-def _reach_table(b: np.ndarray, lanes, valid: np.ndarray | None) -> np.ndarray:
+def _reach_table(b: np.ndarray) -> np.ndarray:
     """reach[d - 1, r] = max over d' = 1 .. d of the distance from block r to
     block r + d', for each reference candidate r = 0 .. n-2 and d = 1 ..
-    _TABLE_WIDTH, or the lane type's maximum once a block past the end or
-    out of the sample range (valid False; None when every block is in it)
-    comes in. Block r's run at epsilon is thus the number of entries of
-    column r that are at most epsilon.
+    _TABLE_WIDTH, or the int16 maximum once a block past the end comes in.
+    Block r's run at epsilon is thus the number of entries of column r that
+    are at most epsilon.
 
-    Each slice of blocks is cast and transposed to [sample, block] lanes,
-    so a diagonal, max over samples of |b[r + d] - b[r]|, runs over
+    Each slice of blocks is cast and transposed to int16 [sample, block]
+    lanes, so a diagonal, max over samples of |b[r + d] - b[r]|, runs over
     contiguous rows."""
-    n, far = len(b), np.iinfo(lanes).max
-    reach = np.full((_TABLE_WIDTH, n - 1), far, dtype=lanes)
+    n = len(b)
+    reach = np.full((_TABLE_WIDTH, n - 1), np.iinfo(np.int16).max, dtype=np.int16)
     for start in range(0, n - 1, _SLICE_BLOCKS):
-        lane = np.array(b[start:start + _SLICE_BLOCKS + _TABLE_WIDTH].T, dtype=lanes, order="C")
+        lane = np.array(b[start:start + _SLICE_BLOCKS + _TABLE_WIDTH].T, dtype=np.int16, order="C")
         flat = lane.ravel()
         diff = np.empty_like(flat)
         count = min(_SLICE_BLOCKS, n - 1 - start)  # reference candidates in this slice
@@ -133,26 +111,21 @@ def _reach_table(b: np.ndarray, lanes, valid: np.ndarray | None) -> np.ndarray:
             np.subtract(flat[d:], flat[:-d], out=diff[:-d])
             np.abs(diff[:-d], out=diff[:-d])
             c = min(count, lane.shape[1] - d)
-            row = reach[d - 1, start:start + c]
-            diff.reshape(lane.shape)[:, :c].max(axis=0, out=row)
-            if valid is not None:
-                row[~valid[start + d:start + d + c]] = far
+            diff.reshape(lane.shape)[:, :c].max(axis=0, out=reach[d - 1, start:start + c])
     for d in range(1, _TABLE_WIDTH):
         np.maximum(reach[d], reach[d - 1], out=reach[d])
     return reach
 
 
-def _run_end(b: np.ndarray, lanes, valid, r: int, e: int, epsilon: int) -> int:
+def _run_end(b: np.ndarray, r: int, e: int, epsilon: int) -> int:
     """The first block from e on outside the band of reference r, or n if
     none is: windows of _TABLE_WIDTH, then twice as many, ... blocks (at
     most _SLICE_BLOCKS) are tested until one misses."""
-    reference = np.asarray(b[r], dtype=lanes)
+    reference = np.asarray(b[r], dtype=np.int16)
     width = _TABLE_WIDTH
     while e < len(b):
-        window = np.asarray(b[e:e + width], dtype=lanes)
+        window = np.asarray(b[e:e + width], dtype=np.int16)
         outside = np.abs(window - reference).max(axis=1) > epsilon
-        if valid is not None:
-            outside |= ~valid[e:e + width]
         miss = int(np.argmax(outside))
         if outside[miss]:
             return e + miss
@@ -177,10 +150,11 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
     fills the table goes on in growing windows (_run_end). The first miss
     is processed and becomes the new reference.
 
-    The table and compares run on int16 when every |sample| and |epsilon|
-    are below 2**14, else on int64; each slice or window is cast on its
-    own, so the stack is never copied. The flags and the census are the
-    same either way."""
+    The table runs only on stacks of 8-bit samples, [-128, 127], with each
+    epsilon clamped to [-1, 255] since their distances lie in [0, 255]; each
+    slice or window is cast on its own, so the stack is never copied. Any
+    other stack is decided block by block by skip_check, with the same
+    census."""
     epsilons = list(epsilons)
     n = len(blocks)
     skipped = np.zeros((len(epsilons), n), dtype=bool)
@@ -190,12 +164,16 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
     lanes_charged = 64 * (n - 1) * len(epsilons)
     ops.charge(adds=lanes_charged, subs=lanes_charged)
     b = np.asarray(blocks).reshape(n, -1)
-    lo, hi = b.min(), b.max()
-    narrow = -_INT16_INPUT < lo and hi < _INT16_INPUT and max(map(abs, epsilons)) < _INT16_INPUT
-    lanes = np.int16 if narrow else np.int64
-    valid = None if SAMPLE_MIN <= lo and hi <= SAMPLE_MAX else _in_range(b)
-    reach = _reach_table(b, lanes, valid)
+    if b.min() < SAMPLE_MIN or b.max() > SAMPLE_MAX:
+        for flags, epsilon in zip(skipped, epsilons):
+            r = 0  # the last processed block; its band is charged above
+            for k in range(1, n):
+                flags[k] = skip_check(b[k], b[r], epsilon)
+                r = r if flags[k] else k
+        return skipped
+    reach = _reach_table(b)
     for flags, epsilon in zip(skipped, epsilons):
+        epsilon = min(max(epsilon, -1), 255)
         runs = np.count_nonzero(reach <= epsilon, axis=0)
         refs = np.flatnonzero(runs)
         lengths = runs[refs].tolist()
@@ -205,18 +183,17 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
             r, length = refs[i], lengths[i]
             end = r + 1 + length  # the first miss, or n
             if length == _TABLE_WIDTH:
-                end = _run_end(b, lanes, valid, r, end, epsilon)
+                end = _run_end(b, r, end, epsilon)
             flags[r + 1:end] = True
             i = bisect_left(refs, end, i + 1)  # block end is the new reference
     return skipped
 
 
 def skip_flags(blocks, epsilon: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """Skip flag per block: block k skips when it lies inside the band of the
-    most recent block that was processed, not the most recent block seen,
-    that is when max|b_k - b_ref| <= epsilon and every sample of b_k lies
-    in [-128, 127] (see the module docstring). Block 0 always processes.
-    The one-epsilon call of skip_flags_many."""
+    """Skip flag per block: block k skips when skip_check puts it inside the
+    band of the most recent block that was processed, not the most recent
+    block seen. Block 0 always processes. The one-epsilon call of
+    skip_flags_many."""
     return skip_flags_many(blocks, [epsilon], ops)[0]
 
 

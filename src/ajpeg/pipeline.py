@@ -59,6 +59,7 @@ row strips the same way.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -94,6 +95,11 @@ from .quant import (
 from .raster import RasterImage, tile_blocks, untile_blocks
 
 
+def _is_level(value, levels) -> bool:
+    """Whether value is an integer among levels: 2.0 and True are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in levels
+
+
 @dataclass(frozen=True)
 class EncodeConfig:
     """The codec's settings. Construction, dataclasses.replace included,
@@ -111,14 +117,14 @@ class EncodeConfig:
     qmatrix: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.quality not in QUALITY_LEVELS:
-            raise ValueError("quality must be in [1, 99]")
+        if not _is_level(self.quality, QUALITY_LEVELS):
+            raise ValueError("quality must be an integer in [1, 99]")
         if self.quant_mode not in ("shift", "div"):
             raise ValueError("quant_mode must be 'shift' or 'div'")
-        if self.trunc_level not in TRUNC_LEVELS:
-            raise ValueError("trunc_level must be in [0, 4]")
-        if self.skip_level is not None and self.skip_level not in SKIP_LEVELS:
-            raise ValueError("skip_level must be in [0, 6] or None")
+        if not _is_level(self.trunc_level, TRUNC_LEVELS):
+            raise ValueError("trunc_level must be an integer in [0, 4]")
+        if self.skip_level is not None and not _is_level(self.skip_level, SKIP_LEVELS):
+            raise ValueError("skip_level must be an integer in [0, 6] or None")
         if self.dc_exact and self.quant_mode != "shift":
             raise ValueError("exact-DC mode applies to shift quantization only")
         if self.dc_exact and self.qmatrix is not None:

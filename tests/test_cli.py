@@ -115,6 +115,21 @@ def test_tune_and_report(tmp_path):
     assert lines[1].split(",")[2] == str(result.j)
 
 
+@pytest.mark.parametrize("row", ["loop,9,0.1,0.5", "loop,1,nan,0.5", "loop,1,0.1,nan"])
+def test_tune_rejects_a_curve_outside_its_knob(tmp_path, capsys, row):
+    # a level the knob lacks, or a value that is not finite, is a data error
+    # naming the CSV, not a tuned config that report then refuses
+    loop_csv = tmp_path / "loop.csv"
+    loop_csv.write_text("kind,level,quality_degradation,relative_energy\nloop,0,0.0,1.0\n" + row + "\n")
+    trunc_csv = tmp_path / "trunc.csv"
+    trunc_csv.write_text("kind,level,quality_degradation,relative_energy\ntrunc,0,0.0,1.0\n")
+    out = tmp_path / "cfg.json"
+    assert main(["tune", "--loop-curve", str(loop_csv), "--trunc-curve", str(trunc_csv),
+                 "--bound", "0.2", "--out", str(out)]) == 2
+    assert str(loop_csv) in capsys.readouterr().err
+    assert not out.exists()
+
+
 _TUNED = '"j": 1, "predicted_quality": 0.01, "predicted_energy": 0.8'
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ajpeg.energy import (
+    KNOBS,
     EnergyModel,
     EnergyStats,
     QECurve,
@@ -92,6 +93,8 @@ def _curve(kind, degr, energy):
 
 def test_qecurve_validation():
     _curve("loop", [0.0, 0.1], [1.0, 0.8])  # valid
+    for kind, (_, levels) in KNOBS.items():  # so is every level of the knob
+        QECurve(kind, [QEPoint(lv, 0.01 * lv, 1.0 - 0.1 * lv) for lv in levels])
     with pytest.raises(ValueError, match="kind"):
         _curve("zoom", [0.0, 0.1], [1.0, 0.8])
     with pytest.raises(ValueError, match="at least one"):
@@ -104,6 +107,26 @@ def test_qecurve_validation():
         _curve("loop", [0.0, 0.2], [1.0, 1.2])
     with pytest.raises(ValueError, match="strictly increasing"):
         QECurve("loop", [QEPoint(0, 0.0, 1.0), QEPoint(0, 0.1, 0.9)])
+
+
+@pytest.mark.parametrize(
+    "kind, point, match",
+    [
+        ("loop", QEPoint(7, 0.1, 0.8), "levels must be in"),  # loop levels are 0 .. 6
+        ("loop", QEPoint(9, 0.1, 0.8), "levels must be in"),
+        ("trunc", QEPoint(5, 0.1, 0.8), "levels must be in"),  # trunc levels are 0 .. 4
+        ("loop", QEPoint(1, float("nan"), 0.8), "finite"),
+        ("loop", QEPoint(1, float("inf"), 0.8), "finite"),
+        ("trunc", QEPoint(1, 0.1, float("nan")), "finite"),
+        ("trunc", QEPoint(1, 0.1, -float("inf")), "finite"),
+    ],
+)
+def test_qecurve_rejects_levels_outside_the_knob_and_non_finite_values(kind, point, match):
+    with pytest.raises(ValueError, match=match):
+        QECurve(kind, [QEPoint(0, 0.0, 1.0), point])
+    with pytest.raises(ValueError, match=match):
+        QECurve.from_csv(QECurve(kind, [QEPoint(0, 0.0, 1.0)]).to_csv()
+                         + f"{kind},{point.level},{point.quality_degradation!r},{point.relative_energy!r}\n")
 
 
 def test_qecurve_allows_flat_energy():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from ajpeg.fdct import _SLICE_BLOCKS
 from ajpeg.knobs import (
     _TABLE_WIDTH,
+    SAMPLE_MAX,
+    SAMPLE_MIN,
     perforate,
     skip_check,
     skip_epsilon,
@@ -139,7 +141,7 @@ def _drifting_stack(n, seed, drift, noise, offset):
     return base + walk + rng.integers(-noise, noise + 1, size=(n, 8, 8))
 
 
-stacks = st.builds(
+_any_stacks = st.builds(
     _drifting_stack,
     n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 400)),
     seed=st.integers(0, 2**32 - 1),
@@ -147,6 +149,9 @@ stacks = st.builds(
     noise=st.integers(0, 20),
     offset=st.integers(-250, 250),
 )
+# the same stacks clipped to the 8-bit domain, where the distance table
+# decides; a stack with a sample outside it is decided by skip_check
+stacks = st.one_of(_any_stacks, _any_stacks.map(lambda b: np.clip(b, SAMPLE_MIN, SAMPLE_MAX)))
 
 
 @given(stacks, st.sampled_from([skip_epsilon(lv) for lv in range(7)]))
@@ -160,6 +165,13 @@ stacks = st.builds(
 @example(_consts(100, 100 + 2**16, -(2**14), 1 - 2**14, 0), 5)
 @example(_consts(0, 127, -128, 2**14, 200), 2**14)
 @example(_consts(0, 127, -128, 2**14, 200), 2**15)
+# 8-bit stacks at the distance table's extremes: 255 apart, and epsilons
+# on both sides of the [-1, 255] range the compares run in
+@example(_consts(-128, 127, 127, -128, 0), 254)
+@example(_consts(-128, 127, 127, -128, 0), 255)
+@example(_consts(-128, 127, 127, -128, 0), 256)
+@example(_consts(-128, 127, 127, -128, 0), 10**9)
+@example(_consts(3, 3, 2, 3), -1)
 def test_skip_flags_matches_sequential_scan(blocks, epsilon):
     assert np.array_equal(skip_flags(blocks, epsilon), _sequential_skip_flags(blocks, epsilon))
 
@@ -175,6 +187,7 @@ _LEVEL_EPSILONS = [skip_epsilon(lv) for lv in range(7)]
         [*_LEVEL_EPSILONS, 2**14 - 1],
         [2**14, 5, 0],  # one epsilon at 2**14 takes every level to int64
         [-1, 5],  # a negative tolerance: an empty band
+        [-2, 254, 255, 256, 2**15, 10**9],  # beyond every 8-bit distance
     ]),
 )
 @example(_consts(*[0] * 600, 40, 40, 0), _LEVEL_EPSILONS)
@@ -185,6 +198,7 @@ _LEVEL_EPSILONS = [skip_epsilon(lv) for lv in range(7)]
 @example(_consts(100, 100 + 2**16, -(2**14), 1 - 2**14, 0), _LEVEL_EPSILONS)
 @example(_consts(0, 127, -128, 2**14, 200), [2**14, 5, 0])
 @example(_consts(0, 127, -128, 2**14, 200), [2**15, *_LEVEL_EPSILONS])
+@example(_consts(-128, 127, 127, -128, 0), [-2, 254, 255, 256, 2**15, 10**9])
 def test_skip_flags_many_matches_sequential_scan_at_each_epsilon(blocks, epsilons):
     flags = skip_flags_many(blocks, epsilons)
     assert flags.shape == (len(epsilons), len(blocks)) and flags.dtype == bool
@@ -240,9 +254,9 @@ def test_skip_flags_across_slice_edges(n, lanes):
 
 
 def test_skip_flags_memory_is_bounded_by_the_stack():
-    # int16 tiles are scanned in their own dtype: no widened copy of the
-    # stack, and the distance table is filled one slice at a time
-    blocks = _drifting_stack(16384, 3, 2, 4, 0).astype(np.int16)
+    # 8-bit int16 tiles are scanned in their own dtype: no widened copy of
+    # the stack, and the distance table is filled one slice at a time
+    blocks = np.clip(_drifting_stack(16384, 3, 2, 4, 0), SAMPLE_MIN, SAMPLE_MAX).astype(np.int16)
     tracemalloc.start()
     try:
         flags = skip_flags(blocks, 15)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ajpeg import pipeline
+from ajpeg import knobs, pipeline
 from ajpeg.energy import (
     KNOBS,
     QECurve,
@@ -211,6 +211,11 @@ def test_config_validation():
         dict(qmatrix=np.full((8, 8), np.nan)),
         dict(qmatrix=np.full((8, 8), np.inf)),
         dict(qmatrix=np.full((8, 8), -np.inf)),
+        # levels equal to an allowed integer but not integers themselves
+        dict(quality=50.0),
+        dict(trunc_level=2.0),
+        dict(skip_level=3.0),
+        dict(trunc_level=True),
     ):
         with warnings.catch_warnings(), pytest.raises(ValueError):
             warnings.simplefilter("error")
@@ -487,6 +492,24 @@ def test_shared_skip_levels_scan_each_plane_once(monkeypatch, color):
     shared = list(reconstruct_many(img, _LOOP))
     assert calls == [[5 * lv for lv in SKIP_LEVELS]] * (3 if color else 1)
     assert len(shared) == len(_LOOP)
+
+
+@pytest.mark.parametrize("color", [False, True])
+@pytest.mark.parametrize("shape", [(37, 53), (9, 15)])
+def test_the_pipeline_never_decides_skips_with_skip_check(monkeypatch, color, shape):
+    # tiles are level-shifted 8-bit samples, so the distance table decides
+    # every skip; skip_check decides only stacks outside [-128, 127]
+    def spec(*args, **kwargs):
+        raise AssertionError("skip_check called")
+
+    monkeypatch.setattr(knobs, "skip_check", spec)
+    img = _image(shape, color, 3, 12)
+    img.pixels[::4, ::3] = 0  # the sample range's ends
+    img.pixels[2::4, 1::3] = 255
+    configs = [EncodeConfig(skip_level=lv) for lv in SKIP_LEVELS]
+    for cfg in configs:
+        assert decode(encode(img, cfg)[0]).pixels.shape == img.pixels.shape
+    assert len(list(reconstruct_many(img, configs))) == len(configs)
 
 
 @pytest.mark.parametrize("color", [False, True])
