@@ -73,6 +73,7 @@ from .color import plane_shapes
 from .fdct import _SLICE_BLOCKS
 from .knobs import SKIP_LEVELS, TRUNC_LEVELS
 from .quant import QUALITY_LEVELS
+from .raster import block_grid
 
 MAGIC = b"AJPG"
 VERSION = 1
@@ -675,7 +676,8 @@ def read_container(
 
     channels = []
     for want_id, (h, w) in enumerate(plane_shapes(height, width, meta.color)):
-        want_blocks = -(-h // 8) * -(-w // 8)
+        rows, cols = block_grid(h, w)
+        want_blocks = rows * cols
         cid, block_count = cur.unpack(">BI")
         if cid != want_id:
             raise CorruptStreamError("unexpected channel id")

@@ -42,22 +42,21 @@ IntOps n times _BLOCK_CENSUS, the census of _flowgraph on one block's 16
 1-D transforms, measured once at import (as knobs.skip_flags_many charges
 the skip bands it computes in another form).
 
-The float-matrix references ref_dct_2d/ref_idct_2d serve as oracles and as
-the decoder's inverse transform. The decoder's pixels are defined by
-rounding the einsum form of the inverse (_einsum_idct) half away from zero.
-The lane IDCT, _idct_lanes, computes the same samples faster, from
-coefficients on float64 [freq across, freq down, block] lanes: one
-(k x 8) @ (8 x 8) product per frequency across, then one (8k x 8) @ (8 x 8)
-product that leaves the pixels block by block. Any summation order of these
+ref_dct_2d is a float-matrix oracle. ref_idct_2d is the decoder's inverse
+transform, and its rounding: the decoder's pixels are defined by rounding
+the einsum form of the inverse (_einsum_idct) half away from zero
+(round_half_away), and that rule lives here alone. The lane IDCT,
+_idct_lanes, computes the same pixels faster, from coefficients on float64
+[freq across, freq down, block] lanes: one (k x 8) @ (8 x 8) product per
+frequency across, then one (8k x 8) @ (8 x 8) product that leaves the
+samples block by block, rounded by np.rint. Any summation order of these
 8-term products lies within _TIE_SLACK * sum|c| of the einsum, so only a
-block with a sample that close to a .5 tie can round differently, and that
-block is recomputed with the einsum; the rounded pixels are the same.
+block with a sample that close to a .5 tie can round differently (np.rint
+rounds ties to even), and that block is recomputed with the einsum and
+rounded half away from zero; everywhere else np.rint is that rounding.
 ref_idct_2d runs it on each slice of a decoded stack, and the pipeline's
 fused round trip on the lanes its quantizer leaves, with the
-dequantization folded into the first product's matrices. The round trip
-also keeps the np.rint that the tie check takes of every sample as its
-rounded pixels (rounded=True): outside the recomputed blocks it is the
-rounding half away from zero.
+dequantization folded into the first product's matrices.
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -68,7 +67,6 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import UNCOUNTED, IntOps, OpCounter
-from .quant import round_half_away
 
 
 def kernel_scaler(x, ops: IntOps = UNCOUNTED):
@@ -314,12 +312,12 @@ _TIE_SLACK = 2.0**-47
 
 
 def ref_idct_2d(coeffs) -> np.ndarray:
-    """Float inverse 2-D DCT; exact inverse of ref_dct_2d up to float error.
+    """The decoder's inverse 2-D DCT: the float64 samples of coefficient
+    blocks (..., 8, 8), the einsum's (_einsum_idct) rounded half away from
+    zero.
 
-    A stack is inverted in slices of _SLICE_BLOCKS blocks: each slice is
-    laid out as [col, row, block] lanes in the result's own memory and
-    inverted by _idct_lanes into the result, so rounding it half away from
-    zero gives the einsum's integers in every block.
+    A stack is inverted in slices of _SLICE_BLOCKS blocks by _idct_lanes,
+    in one slice buffer of lanes and products, into the result's memory.
     """
     c = np.asarray(coeffs)
     if c.shape[-2:] != (8, 8):
@@ -327,59 +325,52 @@ def ref_idct_2d(coeffs) -> np.ndarray:
     blocks = c.reshape(-1, 8, 8)
     n = len(blocks)
     out = np.empty((n, 8, 8))
-    scratch = np.empty(64 * min(n, _SLICE_BLOCKS))
+    buffer = np.empty(64 * min(n, _SLICE_BLOCKS))
     for start in range(0, n, _SLICE_BLOCKS):
         part = blocks[start : start + _SLICE_BLOCKS]
-        pixels = out[start : start + len(part)]
-        lanes = pixels.reshape(8, 8, len(part))  # the slice's own memory
+        lanes = buffer[: 64 * len(part)].reshape(8, 8, len(part))
         np.copyto(lanes, part.transpose(2, 1, 0))
-        _idct_lanes(lanes, part, scratch[: pixels.size].reshape(lanes.shape), pixels)
+        _idct_lanes(lanes, part, lanes, out[start : start + len(part)])
     return out.reshape(c.shape)
 
 
 def _idct_lanes(
-    lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None, *, rounded=False
+    lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None
 ) -> None:
-    """The inverse transform of k coefficient blocks into the float64 pixel
-    blocks out (k, 8, 8), as two 8-term matrix products: per frequency
-    across, (k x 8) @ (8 x 8) into [freq across, block, row], then one
-    (8k x 8) @ (8 x 8) product into [block, row, col].
+    """The decoder's pixels of k coefficient blocks, rounded, into the
+    float64 blocks out (k, 8, 8), from two 8-term matrix products: per
+    frequency across, (k x 8) @ (8 x 8) into [freq across, block, row] in
+    out, then one (8k x 8) @ (8 x 8) product into [block, row, col] in
+    scratch.
 
     lanes holds the blocks' values as float64 [freq across, freq down,
-    block] lanes, and blocks the same values as (k, 8, 8) blocks; lanes may
-    share out's memory, blocks may not. The coefficients are those values
-    times divisors (8 x 8, entrywise), when given: the dequantization is
-    folded into the first product's matrices. scratch is a contiguous
-    float64 array of lanes' shape.
+    block] lanes, and blocks the same values as (k, 8, 8) blocks. The
+    coefficients are those values times divisors (8 x 8, entrywise), when
+    given: the dequantization is folded into the first product's matrices.
+    scratch is a contiguous float64 array of lanes' shape, and may be lanes
+    itself. out shares no memory with lanes or scratch, nor blocks with
+    scratch or out: blocks is read after both are written.
 
-    A block with a sample within _TIE_SLACK * sum|c| of a .5 tie is
-    recomputed with the einsum that defines the decoder's pixels, so
-    rounding out half away from zero gives the einsum's integers in every
-    block. The slice's largest |c| bounds every block's slack, so only when
-    a sample of the slice is within that bound of a tie are the blocks
-    checked one by one, each by its sample nearest a tie.
-
-    The check takes np.rint of every sample. Outside the recomputed blocks
-    that is the rounding half away from zero, since no sample there is
-    within its block's slack of a tie. So with rounded, the rounded pixels
-    are kept instead, as (k, 8, 8) blocks in scratch: np.rint of the
-    products, and quant.round_half_away of the einsum in the recomputed
-    blocks; out is then overwritten."""
+    Each product sample is rounded by np.rint, and its distance to the
+    nearest integer (a tie is 0.5 away) is left in scratch. A block with a
+    sample within _TIE_SLACK * sum|c| of a tie is recomputed with the
+    einsum and rounded half away from zero (see the module docstring). The
+    slice's largest |c| bounds every block's slack, so only when a sample
+    of the slice is within that bound of a tie are the blocks checked one
+    by one, each by its sample nearest a tie."""
     k = lanes.shape[-1]
     first = np.broadcast_to(_T, (8, 8, 8))
     largest = max(lanes.max(), -lanes.min())
     if divisors is not None:
         first = np.asarray(divisors, dtype=np.float64).T[:, :, None] * _T
         largest *= np.max(divisors)
-    rows = scratch.reshape(8, k, 8)
+    rows = out.reshape(8, k, 8)
     for across in range(8):
         np.matmul(lanes[across].T, first[across], out=rows[across])
-    np.matmul(rows.reshape(8, 8 * k).T, _T, out=out.reshape(8 * k, 8))
-    # each sample's distance to the nearest integer; a tie is 0.5 away
-    pixels, nearest = out.reshape(-1), scratch.reshape(-1)
-    dist = pixels if rounded else nearest
-    np.rint(pixels, out=nearest)
-    np.subtract(pixels, nearest, out=dist)
+    np.matmul(rows.reshape(8, 8 * k).T, _T, out=scratch.reshape(8 * k, 8))
+    pixels, dist = out.reshape(-1), scratch.reshape(-1)
+    np.rint(dist, out=pixels)
+    np.subtract(dist, pixels, out=dist)
     np.abs(dist, out=dist)
     bound = 0.5 - 64 * _TIE_SLACK * largest
     if dist.max() >= bound:  # rare: a sample of the slice is near a tie
@@ -390,12 +381,9 @@ def _idct_lanes(
             exact *= divisors
         slack = np.abs(exact).reshape(-1, 64).sum(axis=1) * _TIE_SLACK
         near = nearest_tie[candidates] >= 0.5 - slack
-        samples, at = _einsum_idct(exact[near]), candidates[near]
-        if rounded:
-            spare = pixels[: samples.size].reshape(samples.shape)  # the distances are read
-            scratch.reshape(k, 8, 8)[at] = round_half_away(samples, spare)
-        else:
-            out[at] = samples
+        samples = _einsum_idct(exact[near])
+        spare = dist[: samples.size].reshape(samples.shape)  # the distances are read
+        out[candidates[near]] = round_half_away(samples, spare)
 
 
 def _einsum_idct(coeffs: np.ndarray) -> np.ndarray:
@@ -404,3 +392,28 @@ def _einsum_idct(coeffs: np.ndarray) -> np.ndarray:
     C-contiguous float64 array. The einsum's summation order follows its
     operands' memory layout, so a strided view could round differently."""
     return np.einsum("ji,...jk,kl->...il", _T, np.ascontiguousarray(coeffs, dtype=np.float64), _T)
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+_HALF_BITS = np.float64(0.5).view(np.uint64)
+
+
+def round_half_away(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x rounded half away from zero, in place, for a float64 array x;
+    scratch is a float64 array of x's shape.
+
+    Computed as trunc(x + copysign(0.5, x)), which is
+    sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
+    IEEE addition rounds symmetrically in sign, and -0.0 rounds to 0 as 0
+    does. copysign(0.5, x) is formed from x's sign bit with integer ops,
+    several times faster here than np.copysign.
+
+    This float form, applied to the einsum's samples, defines the decoder's
+    pixels. _idct_lanes applies it to the blocks it recomputes with the
+    einsum; every other sample it rounds by np.rint, which agrees away from
+    ties."""
+    half = scratch.view(np.uint64)
+    np.bitwise_and(x.view(np.uint64), _SIGN_BIT, out=half)
+    half |= _HALF_BITS
+    x += scratch
+    return np.trunc(x, out=x)

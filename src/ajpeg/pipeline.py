@@ -13,7 +13,7 @@ reference's coefficients again would give.
 
 Decode: entropy-decode each channel's coded blocks, dequantize with either
 the encoder's divisors ("matched") or the unmodified quality-scaled table
-("standard"), invert with the float reference IDCT, round, undo
+("standard"), invert and round with fdct.ref_idct_2d, undo
 truncation by rescaling and the level shift into clipped uint8 pixel
 blocks, and gather every block's pixels. Each plane's blocks are then
 untiled and cropped to the plane's size, and for color the chroma planes
@@ -26,13 +26,11 @@ is lossless, and without the stage chain: its round trip (_round_trip)
 fuses truncation, FDCT, quantization, dequantization, IDCT and rounding
 into one pass per slice on float64 lanes. Each step there is an exact
 float form of its integer spec (quant.shift_scale and quant.float_quantizer,
-fdct._transform, fdct._idct_lanes), and each rounding one np.rint pass:
-truncation and quantization multiply by a table nudged so that np.rint
-rounds half away from zero, and the pixels are the np.rint that the IDCT's
-tie check takes, but in the blocks it recomputes with the decoder's einsum,
-which are rounded by quant.round_half_away as decode rounds every block.
-_restore, the undoing of truncation and the level shift, serves both
-paths. A differential test holds the round trip to
+fdct._transform), truncation and quantization each one np.rint pass by a
+table nudged so that np.rint rounds half away from zero. The IDCT is
+fdct._idct_lanes, ref_idct_2d's kernel, so both paths round every pixel in
+the same code, and _restore, the undoing of truncation and the level
+shift, serves both. A differential test holds the round trip to
 _decode_blocks(_compress_blocks(...)) byte for byte and in its op census:
 it charges each block the chain's census of one block (_chain_census).
 encode() and decode() still call every stage by name.
@@ -49,9 +47,9 @@ Working set: only narrow arrays are image-sized, the uint8 planes and
 pixel blocks, the int16 tiles and quantized coded blocks, the bool skip
 flags and the entropy coder's 3-byte symbol records. Every wide temporary
 lives in one slice of at most fdct._SLICE_BLOCKS blocks: encode gathers,
-compresses and entropy-codes, decode entropy-decodes, dequantizes, inverts
-and rounds, and reconstruct_many runs its round trip, slice by slice, so
-none of them holds a plane's coefficients. The entropy layer drives
+compresses and entropy-codes, decode entropy-decodes, dequantizes and
+inverts to rounded samples, and reconstruct_many runs its round trip,
+slice by slice, so none of them holds a plane's coefficients. The entropy layer drives
 decode's slices (entropy.decode_channel calls the invert step), and the
 round trip works in three float64 slice buffers. The color layer works in
 row strips the same way.
@@ -88,7 +86,6 @@ from .quant import (
     quantize_dc_exact,
     quantize_div,
     quantize_shift,
-    round_half_away,
     shift_scale,
     to_shift_matrix,
 )
@@ -125,6 +122,8 @@ class EncodeConfig:
             raise ValueError("trunc_level must be an integer in [0, 4]")
         if self.skip_level is not None and not _is_level(self.skip_level, SKIP_LEVELS):
             raise ValueError("skip_level must be an integer in [0, 6] or None")
+        if not isinstance(self.dc_exact, bool):
+            raise ValueError("dc_exact must be True or False")
         if self.dc_exact and self.quant_mode != "shift":
             raise ValueError("exact-DC mode applies to shift quantization only")
         if self.dc_exact and self.qmatrix is not None:
@@ -265,11 +264,11 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
 
 
 def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
-    """uint8 pixel blocks of quantized blocks: dequantize, invert, round the
-    IDCT's float64 samples half away from zero, and _restore them."""
+    """uint8 pixel blocks of quantized blocks: dequantize, invert to the
+    decoder's rounded float64 samples (ref_idct_2d), and _restore them."""
     pixels = ref_idct_2d(dequantize(quantized, divisors))
     out = np.empty(pixels.shape, dtype=np.uint8)
-    _restore(round_half_away(pixels, np.empty_like(pixels)), trunc_level, out)
+    _restore(pixels, trunc_level, out)
     return out
 
 
@@ -316,7 +315,7 @@ def _round_trip(
     block] lanes, truncated as np.rint(x * shift_scale(B)),
     transformed (fdct._transform), quantized as np.rint(c * t) with t from
     float_quantizer, dequantized, inverted and rounded (fdct._idct_lanes,
-    which leaves the rounded pixels) and restored (_restore), in three
+    as ref_idct_2d does for decode) and restored (_restore), in three
     float64 lane buffers allocated once for the stack. Each step is an
     exact float form of its integer spec, and each rounding one np.rint
     pass but for the blocks the IDCT recomputes with the decoder's einsum.
@@ -341,10 +340,9 @@ def _round_trip(
         fdct._transform(coef, scratch)
         coef *= table
         np.rint(coef, out=coef)
-        fdct._idct_lanes(
-            coef, coef.transpose(2, 1, 0), scratch, pixels.reshape(k, 8, 8), divisors, rounded=True
-        )
-        _restore(scratch.reshape(k, 8, 8), cfg.trunc_level, out[start : start + k])
+        rounded = pixels.reshape(k, 8, 8)
+        fdct._idct_lanes(coef, coef.transpose(2, 1, 0), scratch, rounded, divisors)
+        _restore(rounded, cfg.trunc_level, out[start : start + k])
     return out
 
 

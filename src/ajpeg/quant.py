@@ -29,6 +29,10 @@ rounding errors included. FDCT coefficients of 8-bit samples are below
 2**13; tests/test_quant.py checks that, and every c in +-2**13 against
 every scale the pipeline uses. Dequantization is the rounded integer times
 the divisor, an integer far below 2**53.
+
+The decoder's last rounding, of the inverse transform's samples, is not a
+quantizer: it lives in fdct (round_half_away), beside the einsum that
+defines the decoder's pixels.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ def quantize_shift(coeffs, smatrix, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Quantize by right shift, rounding half away from zero, entrywise.
 
     c = sign(d) * ((|d| + 2**(s-1)) >> s); for s = 0 the entry passes
-    through unchanged. Equivalent to round_half_away(d / 2**s) but runs on
-    the shift-add datapath (the rounding offset is one extra adder input).
+    through unchanged. Equivalent to d / 2**s rounded half away from zero,
+    but runs on the shift-add datapath (the rounding offset is one extra
+    adder input).
 
     Signed integer coefficients keep their dtype; any others are cast to
     int64. The magnitude is formed in the unsigned type of the same width,
@@ -141,31 +146,6 @@ def quantize_dc_exact(dc, q: int, ops: IntOps = UNCOUNTED):
         acc = term if acc is None else ops.add(acc, term)
     c = ops.shr(ops.add(acc, 128), 8)
     return np.where(d < 0, -c, c)
-
-
-_SIGN_BIT = np.uint64(1 << 63)
-_HALF_BITS = np.float64(0.5).view(np.uint64)
-
-
-def round_half_away(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """x rounded half away from zero, in place, for a float64 array x;
-    scratch is a float64 array of x's shape.
-
-    Computed as trunc(x + copysign(0.5, x)), which is
-    sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
-    IEEE addition rounds symmetrically in sign, and -0.0 rounds to 0 as 0
-    does. copysign(0.5, x) is formed from x's sign bit with integer ops,
-    several times faster here than np.copysign.
-
-    This float form defines the decoder's pixels only: decode rounds its
-    IDCT samples here, and the fused round trip rounds here only the blocks
-    it recomputes with the decoder's einsum (fdct._idct_lanes). Every other
-    rounding of the round trip is one np.rint pass (float_quantizer)."""
-    half = scratch.view(np.uint64)
-    np.bitwise_and(x.view(np.uint64), _SIGN_BIT, out=half)
-    half |= _HALF_BITS
-    x += scratch
-    return np.trunc(x, out=x)
 
 
 # 1 + 2**-24: a table scaled by it makes np.rint round ties away from zero

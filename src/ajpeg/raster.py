@@ -112,6 +112,12 @@ def write_pnm(img: RasterImage) -> bytes:
     return header + img.pixels.tobytes()
 
 
+def block_grid(height: int, width: int) -> tuple[int, int]:
+    """The block rows and columns of a height x width plane: each size in
+    8-sample blocks, rounded up."""
+    return -(-height // BLOCK), -(-width // BLOCK)
+
+
 def tile_blocks(plane: np.ndarray) -> np.ndarray:
     """Level-shifted (n, 8, 8) int16 blocks of a grayscale plane, in
     row-major block order, with the edges padded by replication."""
@@ -120,8 +126,7 @@ def tile_blocks(plane: np.ndarray) -> np.ndarray:
     h, w = plane.shape
     if h < 1 or w < 1:
         raise ValueError("cannot tile a zero-dimension plane")
-    bw = -(-w // BLOCK)
-    bh = -(-h // BLOCK)
+    bh, bw = block_grid(h, w)
     if h % BLOCK or w % BLOCK:
         plane = np.pad(plane, ((0, bh * BLOCK - h), (0, bw * BLOCK - w)), mode="edge")
     blocks = np.empty((bh * bw, BLOCK, BLOCK), dtype=np.int16)
@@ -139,7 +144,7 @@ def untile_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     C-contiguous stack (the decoder's uint8 pixel blocks are one word a
     row): the transposition copies fewer, wider items, and the bytes stay
     the same."""
-    bh, bw = -(-height // BLOCK), -(-width // BLOCK)
+    bh, bw = block_grid(height, width)
     words = np.ascontiguousarray(blocks).view(np.uint64)
     rows = words.reshape(bh, bw, BLOCK, blocks.itemsize).swapaxes(1, 2)
     plane = np.ascontiguousarray(rows).view(blocks.dtype).reshape(bh * BLOCK, bw * BLOCK)

@@ -364,7 +364,7 @@ def test_idct_rounding_matches_einsum_at_dc_ties():
     # c00 = 8k + 4 puts all 64 samples of the block on the tie k + 1/2
     c = np.zeros((260, 8, 8), dtype=np.int64)
     c[:, 0, 0] = 8 * np.arange(-130, 130) + 4
-    assert np.array_equal(_round_half_away(ref_idct_2d(c)), _round_half_away(_einsum_idct(c)))
+    assert np.array_equal(ref_idct_2d(c), _round_half_away(_einsum_idct(c)))
 
 
 def test_lane_idct_with_folded_divisors_matches_einsum_at_ties():
@@ -381,16 +381,37 @@ def test_lane_idct_with_folded_divisors_matches_einsum_at_ties():
     lanes = np.ascontiguousarray(q.transpose(2, 1, 0))
     out = np.empty(q.shape)
     fdct._idct_lanes(lanes, q, np.empty_like(lanes), out, divisors)
-    assert np.array_equal(_round_half_away(out), _round_half_away(_einsum_idct(q * divisors)))
+    assert np.array_equal(out, _round_half_away(_einsum_idct(q * divisors)))
 
 
 def test_idct_rounding_matches_einsum_on_near_tie_image():
     # a bare _T.T @ c @ _T rounds 32 samples of this image differently
     img = _bench_image("rgb", 1, 6, 7)
     for c in _dequantized_blocks(img, EncodeConfig(quality=90, trunc_level=2)):
-        assert np.array_equal(
-            _round_half_away(ref_idct_2d(c)), _round_half_away(_einsum_idct(c))
-        )
+        assert np.array_equal(ref_idct_2d(c), _round_half_away(_einsum_idct(c)))
+
+
+@pytest.mark.parametrize("count", [_S - 1, _S, _S + 1, 2 * _S + 76])
+def test_ref_idct_returns_the_einsum_rounded_half_away(count):
+    # random coefficients, and every seventh block a DC of 8k + 4 alone,
+    # which puts all 64 samples on a tie: the result is already rounded
+    rng = np.random.default_rng(count)
+    c = rng.integers(-64, 65, size=(count, 8, 8)) * rng.integers(1, 17, size=(8, 8))
+    ties = c[::7]
+    ties[:] = 0
+    ties[:, 0, 0] = 8 * rng.integers(-128, 128, size=len(ties)) + 4
+    got = ref_idct_2d(c)
+    assert got.dtype == np.float64 and got.shape == c.shape
+    assert np.array_equal(got, _round_half_away(_einsum_idct(c)))
+
+
+def test_round_half_away_keeps_the_float_form_of_the_decoder():
+    # sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
+    # 0.49999999999999994 + 0.5 rounds to 1, and 2**52 + 1.5 to 2**52 + 2
+    below_half = np.nextafter(0.5, 0)
+    x = np.array([0.5, -0.5, 1.5, -2.5, below_half, -below_half, -0.0, 2.0**52 + 1, 3.25, -3.75])
+    got = fdct.round_half_away(x.copy(), np.empty_like(x))
+    assert got.tolist() == [1, -1, 2, -3, 1, -1, 0, 2.0**52 + 2, 3, -4]
 
 
 def test_einsum_idct_does_not_follow_the_memory_layout():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ajpeg import knobs, pipeline
+from ajpeg import fdct, knobs, pipeline
 from ajpeg.energy import (
     KNOBS,
     QECurve,
@@ -216,6 +216,10 @@ def test_config_validation():
         dict(trunc_level=2.0),
         dict(skip_level=3.0),
         dict(trunc_level=True),
+        # dc_exact is a bool, not a truthy value
+        dict(dc_exact="no"),
+        dict(dc_exact=1),
+        dict(dc_exact=None),
     ):
         with warnings.catch_warnings(), pytest.raises(ValueError):
             warnings.simplefilter("error")
@@ -269,12 +273,16 @@ def _rounding_probes():
 
 @pytest.mark.parametrize("trunc_level", TRUNC_LEVELS)
 def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
+    # the decoder's rounding, which ref_idct_2d applies, on the probes, and
+    # _decode_blocks on the samples it leaves
     x = _rounding_probes()
     assert np.signbit(x).any() and (x == 0).any()  # -0.0 is among them
-    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: x.copy())
+    rounded = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    samples = fdct.round_half_away(x.copy(), np.empty_like(x))
+    assert np.array_equal(samples, rounded)
+    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: samples.copy())
     zeros = np.zeros(x.shape, dtype=np.int64)
     got = pipeline._decode_blocks(zeros, np.ones((8, 8), dtype=np.int64), trunc_level)
-    rounded = np.sign(x) * np.floor(np.abs(x) + 0.5)
     want = np.clip((rounded.astype(np.int64) << trunc_level) + 128, 0, 255).astype(np.uint8)
     assert np.array_equal(got, want)
 
@@ -296,7 +304,8 @@ def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
 def test_decode_rounds_ties_away_and_clips(monkeypatch, trunc_level, samples, want):
     x = np.zeros((1, 8, 8))
     x.flat[: len(samples)] = samples
-    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: x.copy())
+    rounded = fdct.round_half_away(x, np.empty_like(x))
+    monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: rounded.copy())
     zeros = np.zeros((1, 8, 8), dtype=np.int64)
     got = pipeline._decode_blocks(zeros, np.ones((8, 8), dtype=np.int64), trunc_level)
     assert got.dtype == np.uint8
@@ -619,6 +628,27 @@ def test_round_trip_memory_is_three_slice_buffers():
     _, peak = _traced_peak(lambda: collections.deque(reconstruct_many(img, configs), maxlen=0))
     buffer = _S * 64 * np.dtype(np.float64).itemsize
     assert peak < tiles + 2 * img.pixels.nbytes + 3 * buffer + 16384
+
+
+@pytest.mark.parametrize("image, slices", [("noise", 3), ("smooth", 5)])
+def test_decode_memory_is_slice_buffers(image, slices):
+    # every block is coded, so decode's uint8 pixel blocks are as large as
+    # its output. Per entropy slice it holds the int64 values and their
+    # dequantization, and ref_idct_2d its float64 result and one lane
+    # buffer that also takes the products: four slice-sized arrays, beside
+    # the entropy decoder's own. Noise fills the entropy layer's 8 KB
+    # lookahead window within 259 blocks; the smooth image's slices are
+    # _SLICE_BLOCKS long, and a second lane buffer breaks its bound.
+    if image == "noise":
+        pixels = np.random.default_rng(12).integers(0, 256, size=(1024, 1024), dtype=np.uint8)
+    else:
+        yy, xx = np.mgrid[0:1024, 0:1024]
+        pixels = np.clip(128 + 60 * np.sin(xx / 37) + 50 * np.cos(yy / 23), 0, 255).astype(np.uint8)
+    data, stats = encode(RasterImage(pixels))
+    assert stats.blocks_skipped == 0
+    out, peak = _traced_peak(lambda: decode(data))
+    buffer = _S * 64 * np.dtype(np.float64).itemsize
+    assert peak < len(data) + out.pixels.nbytes + slices * buffer
 
 
 def _per_config_curve(kind, images, base, model):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ajpeg import quant
 from ajpeg.fdct import fdct_2d
 from ajpeg.knobs import TRUNC_LEVELS, truncate_block
 from ajpeg.ops import OpCounter
@@ -231,12 +230,3 @@ def test_fdct_coefficients_stay_inside_the_nudge_margin():
     largest = np.abs(extremes).max()
     assert largest == 2**10  # the DC of a flat -128 block
     assert 2**10 < 2**13 < 2**24 / 510
-
-
-def test_round_half_away_keeps_the_float_form_of_the_decoder():
-    # sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
-    # 0.49999999999999994 + 0.5 rounds to 1, and 2**52 + 1.5 to 2**52 + 2
-    below_half = np.nextafter(0.5, 0)
-    x = np.array([0.5, -0.5, 1.5, -2.5, below_half, -below_half, -0.0, 2.0**52 + 1, 3.25, -3.75])
-    got = quant.round_half_away(x.copy(), np.empty_like(x))
-    assert got.tolist() == [1, -1, 2, -3, 1, -1, 0, 2.0**52 + 2, 3, -4]
