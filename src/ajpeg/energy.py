@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class EnergyModel:
     skip_output_ops: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) and v >= 0 for v in astuple(self)):
+            raise ValueError("op counts must be finite and non-negative")
+        if self._baseline() == 0:
+            raise ValueError("the baseline (dct, quant and entropy ops) must be positive")
         for b in TRUNC_LEVELS:
             if not self.skip_cost() < self.process_cost(b):
                 raise ValueError("skip cost must stay below every process cost")

@@ -25,17 +25,20 @@ floor(n / 256) and n = 142 d5 - 213 d6. As -v = ceil(-n / 256) =
 floor((255 - n) / 256), out3 = floor((255 - n) / 512): the same form with
 an offset of 255/512. Each 1-D pass is thus y = floor(_A @ x), then
 floor(_B @ [a4, a7, c5, c6] + offset) on the odd rows. Pass 1 runs it on
-the rows and pass 2 on the columns, in float64 lanes.
+the rows and pass 2 on the columns, in float lanes.
 
 The float form is exact while every value it holds is. Each product,
 partial sum and result is a multiple of 2**-10, which float64 holds exactly
-below 2**43. tests/test_fdct.py measures two gains per unit of the largest
-|sample|: 8926, the largest L1 gain of the spec's intermediates, and about
-11.2, the float form's own bound. fdct_2d accepts |sample| < _EXACT_INPUT =
-2**28, where even the larger gain gives 8926 * 2**28 * 2**10 = 2**51.1 in
-units of 2**-10, about 4x inside 2**53, and raises ValueError beyond it.
-Float samples would slip past the floors, so only integer dtypes are
-accepted (TypeError otherwise).
+below 2**43, and float32 below 2**14. tests/test_fdct.py measures two gains
+per unit of the largest |sample|: 8926, the largest L1 gain of the spec's
+intermediates, and about 11.2, the float form's own bound. fdct_2d accepts
+|sample| < _EXACT_INPUT = 2**28, where even the larger gain gives
+8926 * 2**28 * 2**10 = 2**51.1 in units of 2**-10, about 4x inside 2**53,
+and raises ValueError beyond it. Float samples would slip past the floors,
+so only integer dtypes are accepted (TypeError otherwise). On level-shifted
+8-bit samples every value stays below 2**12 (see _pass), so the pipeline's
+round trip runs the same transform on float32 lanes; fdct_2d stays on
+float64.
 
 The op census is the hardware's, not the software's: fdct_2d charges its
 IntOps n times _BLOCK_CENSUS, the census of _flowgraph on one block's 16
@@ -211,18 +214,31 @@ _B = np.array([
     [-251, 50, -251, 50],  # 50 d7 - 251 d4
 ]) / 512
 _OUT3_OFFSET = 255 / 512
+# _A and _B in each lane type; every entry, and _OUT3_OFFSET, is a multiple
+# of 2**-10 of magnitude at most 1, so float32 holds them exactly too.
+_MATRICES = {np.dtype(t): (_A.astype(t), _B.astype(t)) for t in (np.float64, np.float32)}
 
 
 def _pass(x: np.ndarray, scratch: np.ndarray) -> None:
-    """The 1-D transform of the float64 lanes x (..., 8, lanes), in place
-    along the second-to-last axis. scratch is a contiguous float64 array of
-    x's shape that holds each matrix product; every elementwise step runs
-    on contiguous operands, so numpy allocates no iteration buffer."""
-    np.matmul(_A, x, out=scratch)
+    """The 1-D transform of the float lanes x (..., 8, lanes), in place
+    along the second-to-last axis, in x's dtype (float64 or float32).
+    scratch is a contiguous array of x's shape and dtype that holds each
+    matrix product; every elementwise step runs on contiguous operands, so
+    numpy allocates no iteration buffer.
+
+    float32 lanes are exact on level-shifted 8-bit samples, |x| <= 128,
+    truncated or not: every product and partial sum of _A and _B is then a
+    multiple of 2**-10 of magnitude below 2**12 (the row L1 norms of _A
+    and _B, at most 2.83 and 1.39, bound every value of pass 1 by 432 and
+    of pass 2 by 1,450), and float32 holds every such multiple below 2**14
+    exactly, whatever order BLAS sums in. tests/test_fdct.py checks the
+    bound and the stacks that drive each pass to its extremes."""
+    a, b = _MATRICES[x.dtype]
+    np.matmul(a, x, out=scratch)
     np.floor(scratch, out=x)
     odd = x[..., 1::2, :]
     t = scratch.reshape(-1)[: odd.size].reshape(odd.shape)
-    np.matmul(_B, odd, out=t)
+    np.matmul(b, odd, out=t)
     for out3 in t.reshape(-1, 4, t.shape[-1])[:, 1]:
         out3 += _OUT3_OFFSET
     np.floor(t, out=t)
@@ -265,14 +281,16 @@ def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
 
 
 def _lanes(buffers: np.ndarray, k: int) -> list[np.ndarray]:
-    """Each of the flat float64 buffers (rows of at least 64 k entries) as
+    """Each of the flat buffers (rows of at least 64 k entries) as
     the [col, row, block] lanes of k blocks."""
     return [b[: 64 * k].reshape(8, 8, k) for b in buffers]
 
 
 def _transform(lanes: np.ndarray, scratch: np.ndarray) -> None:
-    """fdct_2d of integer samples in the float64 lanes [col, row, block],
-    in place: the coefficients come out as [freq across, freq down, block]."""
+    """fdct_2d of integer samples in the float lanes [col, row, block], in
+    place: the coefficients come out as [freq across, freq down, block].
+    float64 lanes are exact below _EXACT_INPUT, float32 lanes on 8-bit
+    samples (see _pass)."""
     k = lanes.shape[-1]
     _pass(lanes.reshape(8, 8 * k), scratch.reshape(8, 8 * k))  # rows: [freq across, row, block]
     _pass(lanes, scratch)  # columns: [freq across, freq down, block]
@@ -338,10 +356,10 @@ def _idct_lanes(
     lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None
 ) -> None:
     """The decoder's pixels of k coefficient blocks, rounded, into the
-    float64 blocks out (k, 8, 8), from two 8-term matrix products: per
-    frequency across, (k x 8) @ (8 x 8) into [freq across, block, row] in
-    out, then one (8k x 8) @ (8 x 8) product into [block, row, col] in
-    scratch.
+    float64 blocks out (k, 8, 8), from two 8-term matrix products: one
+    product batched over the frequency across, (k x 8) @ (8 x 8) each, into
+    [freq across, block, row] in out, then one (8k x 8) @ (8 x 8) product
+    into [block, row, col] in scratch.
 
     lanes holds the blocks' values as float64 [freq across, freq down,
     block] lanes, and blocks the same values as (k, 8, 8) blocks. The
@@ -351,8 +369,9 @@ def _idct_lanes(
     itself. out shares no memory with lanes or scratch, nor blocks with
     scratch or out: blocks is read after both are written.
 
-    Each product sample is rounded by np.rint, and its distance to the
-    nearest integer (a tie is 0.5 away) is left in scratch. A block with a
+    Each product sample is rounded by np.rint, and its signed distance to
+    that integer (a tie is 0.5 away) is left in scratch; the largest and
+    the smallest of them find the sample nearest a tie. A block with a
     sample within _TIE_SLACK * sum|c| of a tie is recomputed with the
     einsum and rounded half away from zero (see the module docstring). The
     slice's largest |c| bounds every block's slack, so only when a sample
@@ -365,16 +384,15 @@ def _idct_lanes(
         first = np.asarray(divisors, dtype=np.float64).T[:, :, None] * _T
         largest *= np.max(divisors)
     rows = out.reshape(8, k, 8)
-    for across in range(8):
-        np.matmul(lanes[across].T, first[across], out=rows[across])
+    np.matmul(lanes.transpose(0, 2, 1), first, out=rows)  # one product per frequency across
     np.matmul(rows.reshape(8, 8 * k).T, _T, out=scratch.reshape(8 * k, 8))
     pixels, dist = out.reshape(-1), scratch.reshape(-1)
     np.rint(dist, out=pixels)
-    np.subtract(dist, pixels, out=dist)
-    np.abs(dist, out=dist)
+    np.subtract(dist, pixels, out=dist)  # signed, in [-0.5, 0.5]
     bound = 0.5 - 64 * _TIE_SLACK * largest
-    if dist.max() >= bound:  # rare: a sample of the slice is near a tie
-        nearest_tie = dist.reshape(k, 64).max(axis=1)  # per block
+    if max(dist.max(), -dist.min()) >= bound:  # rare: a sample of the slice is near a tie
+        signed = dist.reshape(k, 64)
+        nearest_tie = np.maximum(signed.max(axis=1), -signed.min(axis=1))  # per block
         candidates = np.flatnonzero(nearest_tie >= bound)
         exact = np.asarray(blocks)[candidates].astype(np.float64)
         if divisors is not None:

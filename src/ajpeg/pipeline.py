@@ -24,10 +24,12 @@ color reassembly live here alone (_planes_of and _decode_image).
 reconstruct() reaches the same integers without the entropy layer, which
 is lossless, and without the stage chain: its round trip (_round_trip)
 fuses truncation, FDCT, quantization, dequantization, IDCT and rounding
-into one pass per slice on float64 lanes. Each step there is an exact
-float form of its integer spec (quant.shift_scale and quant.float_quantizer,
-fdct._transform), truncation and quantization each one np.rint pass by a
-table nudged so that np.rint rounds half away from zero. The IDCT is
+into one pass per slice on float lanes, float32 up to the FDCT's
+coefficients and float64 from quantization on. Each step there is an
+exact float form of its integer spec (quant.sample_shift_scale,
+fdct._transform and quant.float_quantizer), truncation and quantization
+each one np.rint pass by a scale nudged so that np.rint rounds half away
+from zero. The IDCT is
 fdct._idct_lanes, ref_idct_2d's kernel, so both paths round every pixel in
 the same code, and _restore, the undoing of truncation and the level
 shift, serves both. A differential test holds the round trip to
@@ -86,7 +88,7 @@ from .quant import (
     quantize_dc_exact,
     quantize_div,
     quantize_shift,
-    shift_scale,
+    sample_shift_scale,
     to_shift_matrix,
 )
 from .raster import RasterImage, tile_blocks, untile_blocks
@@ -212,14 +214,18 @@ def _container_meta(img: RasterImage, cfg: EncodeConfig, qmat, smat) -> entropy.
 def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps):
     """A plane's skip flags and its coded blocks' quantized values. Each
     slice gathers its own coded tiles, so the tiles are the only
-    image-sized input, and they are gone once this returns."""
+    image-sized input, and they are gone once this returns. A slice is
+    gathered from the tiles' [col, row, block] lanes and stays lane-major,
+    so fdct_2d casts it into its own lanes in one contiguous copy."""
     skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
     index = np.flatnonzero(~skipped)
+    tiles = blocks.transpose(2, 1, 0)
     # quantized coefficients are below 2**11 in magnitude, so int16 holds them
     coded = np.empty((len(index), 8, 8), dtype=np.int16)
     for start in range(0, len(index), _SLICE_BLOCKS):
         at = index[start : start + _SLICE_BLOCKS]
-        coded[start : start + len(at)] = _compress_blocks(blocks[at], cfg, smat, qmat, ops)
+        part = np.take(tiles, at, axis=2).transpose(2, 1, 0)
+        coded[start : start + len(at)] = _compress_blocks(part, cfg, smat, qmat, ops)
     return skipped, coded
 
 
@@ -309,18 +315,24 @@ def _round_trip(
     """uint8 pixel blocks of blocks[index] (index sorted and unique): those
     of _decode_blocks(_compress_blocks(blocks[index], cfg, smat, qmat),
     divisors, cfg.trunc_level), in one fused pass per slice of
-    _SLICE_BLOCKS blocks.
+    _SLICE_BLOCKS blocks. blocks are level-shifted 8-bit samples, as
+    tile_blocks leaves them, in any (n, 8, 8) layout.
 
-    Each slice is gathered from the int16 tiles into float64 [col, row,
-    block] lanes, truncated as np.rint(x * shift_scale(B)),
-    transformed (fdct._transform), quantized as np.rint(c * t) with t from
-    float_quantizer, dequantized, inverted and rounded (fdct._idct_lanes,
-    as ref_idct_2d does for decode) and restored (_restore), in three
-    float64 lane buffers allocated once for the stack. Each step is an
-    exact float form of its integer spec, and each rounding one np.rint
-    pass but for the blocks the IDCT recomputes with the decoder's einsum.
-    ops is charged census, the chain's census of one block, for each block
-    (nothing when census is None)."""
+    The forward half runs in float32 [col, row, block] lanes, two of them
+    inside the scratch buffer: each slice is cast from the tiles' lanes
+    (blocks.transpose(2, 1, 0)), one contiguous copy for consecutive
+    tile_blocks blocks, or gathered first by np.take into an int16 view of
+    the coefficient buffer; then truncated as np.rint(x *
+    sample_shift_scale(B)) and transformed (fdct._transform), both exact
+    in float32 on 8-bit samples. The coefficients are cast into the
+    float64 coefficient lanes and quantized there as np.rint(c * t) with t
+    from float_quantizer, then dequantized, inverted and rounded
+    (fdct._idct_lanes, as ref_idct_2d does for decode) and restored
+    (_restore). The three float64 lane buffers are allocated once for the
+    stack. Each step is an exact float form of its integer spec, and each
+    rounding one np.rint pass but for the blocks the IDCT recomputes with
+    the decoder's einsum. ops is charged census, the chain's census of one
+    block, for each block (nothing when census is None)."""
     n = len(index)
     if census is not None:
         ops.charge_blocks(census, n)
@@ -328,16 +340,24 @@ def _round_trip(
     table = np.ascontiguousarray(float_quantizer(qmat, smat, cfg.dc_exact).T[:, :, None])
     out = np.empty((n, 8, 8), dtype=np.uint8)
     buffers = np.empty((3, 64 * min(n, _SLICE_BLOCKS)))
+    tiles = blocks.transpose(2, 1, 0)  # [col, row, block]
     dense = n == len(blocks)  # index is then every block, in order
     for start in range(0, n, _SLICE_BLOCKS):
         at = index[start : start + _SLICE_BLOCKS]
         k = len(at)
         coef, scratch, pixels = fdct._lanes(buffers, k)
-        np.copyto(coef, (blocks[start : start + k] if dense else blocks[at]).transpose(2, 1, 0))
+        x, x_scratch = fdct._lanes(scratch.reshape(-1).view(np.float32).reshape(2, -1), k)
+        if dense:
+            np.copyto(x, tiles[:, :, start : start + k])
+        else:
+            # mode "clip" (at is in range) takes straight into out, unbuffered
+            gathered = coef.reshape(-1).view(np.int16)[: 64 * k].reshape(8, 8, k)
+            np.copyto(x, np.take(tiles, at, axis=2, out=gathered, mode="clip"))
         if cfg.trunc_level:
-            coef *= shift_scale(cfg.trunc_level)
-            np.rint(coef, out=coef)
-        fdct._transform(coef, scratch)
+            x *= sample_shift_scale(cfg.trunc_level)
+            np.rint(x, out=x)
+        fdct._transform(x, x_scratch)
+        np.copyto(coef, x)
         coef *= table
         np.rint(coef, out=coef)
         rounded = pixels.reshape(k, 8, 8)
@@ -436,13 +456,18 @@ def _reconstruct_group(
         pixels = _round_trip(blocks, index, shared, smat, qmat, divisors, census, ops)
         position = np.cumsum(union) - 1  # of each union block among the union
         # composed into one index per level: gathering the level's coded
-        # blocks first and then expanding them would copy the pixels twice
-        carried = {lv: position[np.flatnonzero(~s)[reuse_index(s)]] for lv, s in flags.items()}
+        # blocks first and then expanding them would copy the pixels twice.
+        # A level that skips nothing carries every block in order, and
+        # takes the pixels as they are (None).
+        carried = {
+            lv: position[np.flatnonzero(~s)[reuse_index(s)]] if s.any() else None
+            for lv, s in flags.items()
+        }
         coded.append((pixels, flags, carried))
     for cfg in group:
         lv = cfg.skip_level
         yield (
-            _decode_image(meta, [pixels[carried[lv]] for pixels, _, carried in coded]),
+            _decode_image(meta, [p if c[lv] is None else p[c[lv]] for p, _, c in coded]),
             _energy_stats(cfg, [flags[lv] for _, flags, _ in coded]),
         )
 

@@ -15,7 +15,7 @@ coefficients instead, as np.rint(c * t) with a nudged float table t
 (float_quantizer, shift_scale), and gets the same integers. Each entry of t
 is the quantizer's scale times 1 + 2**-24:
 
-- shift quantization and truncation: 2**-s, and c * t is exact;
+- shift quantization: 2**-s, and c * t is exact;
 - exact DC: round(256/q) / 256, and c * t is exact;
 - division: 1/q, and c * t carries a few ulps of rounding error.
 
@@ -29,6 +29,14 @@ rounding errors included. FDCT coefficients of 8-bit samples are below
 2**13; tests/test_quant.py checks that, and every c in +-2**13 against
 every scale the pipeline uses. Dequantization is the rounded integer times
 the divisor, an integer far below 2**53.
+
+The round trip truncates in float32 instead, where 1 + 2**-24 rounds to 1,
+so it nudges by 1 + 2**-9 (sample_shift_scale). Its samples are the tiles'
+level-shifted 8-bit integers, |x| <= 128: x * 2**-B * (1 + 2**-9) holds at
+most 17 significant bits, so float32 forms it exactly; an exact tie moves
+away from zero by |x| 2**-B-9 > 0, and every other x 2**-B lies at least
+2**-B from every half-integer, four times more than the nudge's largest
+move, 128 * 2**-B-9.
 
 The decoder's last rounding, of the inverse transform's samples, is not a
 quantizer: it lives in fdct (round_half_away), beside the einsum that
@@ -157,6 +165,13 @@ def shift_scale(s):
     is quantize_shift(c, s) for 0 <= s <= 8 and integers |c| < 2**24 / 510
     (see the module docstring)."""
     return np.ldexp(_AWAY, -np.asarray(s, dtype=np.int64))
+
+
+def sample_shift_scale(s: int) -> np.float32:
+    """2**-s * (1 + 2**-9) as float32, exact: np.rint(x * scale) in float32
+    is quantize_shift(x, s) for integer samples |x| <= 128, the tiles'
+    level-shifted 8-bit domain (see the module docstring)."""
+    return np.float32(np.ldexp(1 + 2.0**-9, -s))
 
 
 def float_quantizer(qmat, smat, dc_exact: bool) -> np.ndarray:

@@ -7,8 +7,9 @@ level-shifts samples by -128 into signed range; untiling only reassembles
 and crops, since the decoder's pixel blocks are already uint8.
 
 Working set: the image-sized arrays here are narrow. Tiling pads in uint8
-and writes the level-shifted samples as int16 in one pass; untiling keeps
-the blocks' dtype.
+and writes the level-shifted samples as int16 in one pass, into
+[col, row, block] lanes (a Fortran-ordered (n, 8, 8) array); untiling
+keeps the blocks' dtype and returns a new array.
 """
 
 from __future__ import annotations
@@ -120,7 +121,14 @@ def block_grid(height: int, width: int) -> tuple[int, int]:
 
 def tile_blocks(plane: np.ndarray) -> np.ndarray:
     """Level-shifted (n, 8, 8) int16 blocks of a grayscale plane, in
-    row-major block order, with the edges padded by replication."""
+    row-major block order, with the edges padded by replication.
+
+    The samples are written once, lane-major: the blocks are a
+    Fortran-ordered array, so blocks.transpose(2, 1, 0) is C-contiguous
+    [col, row, block] lanes, 64 rows of n samples each. A run of
+    consecutive blocks is then one contiguous stretch of every lane (the
+    round trip casts it in one copy), and a sample of every block is one
+    contiguous row (the skip scan reads the rows in place)."""
     if plane.ndim != 2:
         raise ValueError("tile_blocks expects a single-channel plane")
     h, w = plane.shape
@@ -129,9 +137,9 @@ def tile_blocks(plane: np.ndarray) -> np.ndarray:
     bh, bw = block_grid(h, w)
     if h % BLOCK or w % BLOCK:
         plane = np.pad(plane, ((0, bh * BLOCK - h), (0, bw * BLOCK - w)), mode="edge")
-    blocks = np.empty((bh * bw, BLOCK, BLOCK), dtype=np.int16)
-    tiles = plane.reshape(bh, BLOCK, bw, BLOCK).swapaxes(1, 2)
-    np.subtract(tiles, 128, out=blocks.reshape(bh, bw, BLOCK, BLOCK), dtype=np.int16)
+    blocks = np.empty((bh * bw, BLOCK, BLOCK), dtype=np.int16, order="F")
+    tiles = plane.reshape(bh, BLOCK, bw, BLOCK).transpose(3, 1, 0, 2)  # [col, row, bh, bw]
+    np.subtract(tiles, 128, out=blocks.T.reshape(BLOCK, BLOCK, bh, bw), dtype=np.int16)
     return blocks
 
 
@@ -143,9 +151,10 @@ def untile_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     Each block row of 8 samples moves as itemsize uint64 words of a
     C-contiguous stack (the decoder's uint8 pixel blocks are one word a
     row): the transposition copies fewer, wider items, and the bytes stay
-    the same."""
+    the same. The plane is a new array, even where the transposition
+    moves nothing (a plane one block wide)."""
     bh, bw = block_grid(height, width)
     words = np.ascontiguousarray(blocks).view(np.uint64)
     rows = words.reshape(bh, bw, BLOCK, blocks.itemsize).swapaxes(1, 2)
-    plane = np.ascontiguousarray(rows).view(blocks.dtype).reshape(bh * BLOCK, bw * BLOCK)
+    plane = rows.copy().view(blocks.dtype).reshape(bh * BLOCK, bw * BLOCK)
     return plane[:height, :width]

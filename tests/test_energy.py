@@ -51,6 +51,28 @@ def test_model_rejects_skip_cost_above_process_cost():
         EnergyModel(dct_ops=10.0, skip_output_ops=1e6)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        dict(dct_ops=976.0, skip_check_ops=-64.0),  # check_cost() would be -0.0615
+        dict(dct_ops=-976.0, entropy_ops=2000.0),
+        dict(dct_ops=976.0, quant_ops=float("nan")),
+        dict(dct_ops=float("inf")),
+        dict(dct_ops=976.0, skip_output_ops=-1.0),
+    ],
+)
+def test_model_rejects_negative_and_non_finite_op_counts(counts):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        EnergyModel(**counts)
+
+
+def test_model_rejects_a_zero_baseline():
+    # every cost is a fraction of the baseline, which would divide by zero
+    with pytest.raises(ValueError, match="baseline"):
+        EnergyModel(dct_ops=0.0, entropy_ops=0.0)
+    assert EnergyModel(dct_ops=0.0).process_cost(0) == 1.0
+
+
 def test_estimate_image_energy_spot_value():
     model = default_activity_model()
     stats = EnergyStats(blocks_processed=60, blocks_skipped=40,

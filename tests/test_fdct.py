@@ -32,6 +32,7 @@ from ajpeg.fdct import (
     ref_dct_2d,
     ref_idct_2d,
 )
+from ajpeg.knobs import TRUNC_LEVELS, truncate_block
 from ajpeg.ops import OpCounter
 from ajpeg.pipeline import EncodeConfig, decode, encode, reconstruct
 from ajpeg.quant import dequantize, to_shift_matrix
@@ -250,6 +251,60 @@ def _extreme_blocks(peak):
     ways round: the blocks that maximise each output's magnitude."""
     signs = np.sign(np.einsum("vi,uj->vuij", _T, _T)).astype(np.int64).reshape(64, 8, 8)
     return peak * np.concatenate([signs, -signs])
+
+
+def test_float32_lanes_are_exact_on_8_bit_samples():
+    # The round trip transforms level-shifted 8-bit samples, |x| <= 128, in
+    # float32 lanes. Every value of the float form is then a multiple of
+    # 2**-10 below 2**12, and float32 steps by 2**-10 or less below 2**14,
+    # so each value is exact whatever order a product sums in.
+    assert 1449 < _float_form_bound(128) < 1450 < 2**12
+    for coefficients in (_A, _B, _OUT3_OFFSET):
+        assert np.array_equal(np.asarray(coefficients, dtype=np.float32), coefficients)
+    assert np.spacing(np.float32(2**14 - 2**-10)) == 2**-10
+    a, b = fdct._MATRICES[np.dtype(np.float32)]
+    assert a.dtype == b.dtype == np.float32
+
+
+def _float32_transform(blocks):
+    """fdct._transform of 8x8 blocks on float32 [col, row, block] lanes, as
+    the pipeline's round trip runs it, read back as int64 blocks."""
+    lanes = np.ascontiguousarray(np.asarray(blocks).transpose(2, 1, 0), dtype=np.float32)
+    fdct._transform(lanes, np.empty_like(lanes))
+    assert lanes.dtype == np.float32
+    return lanes.transpose(2, 1, 0).astype(np.int64)
+
+
+def _pass_extremes():
+    """Blocks that drive each float32 pass to its extremes: +-128 blocks
+    whose every row follows the sign pattern of one linear form of a pass
+    and every column that of another (a row of _A, or a row of _B composed
+    with _A's odd rows, which maps the inputs to out1, out3, out5 and
+    out7), both ways round; the same clipped to 127; constant -128 and
+    127 blocks; and checkerboards of -128 and 127."""
+    forms = np.concatenate([_A, _B @ _A[1::2]])
+    signs = np.where(forms >= 0, 1, -1)
+    signs = np.concatenate([signs, -signs])
+    patterns = (128 * signs[:, None, :, None] * signs[None, :, None, :]).reshape(-1, 8, 8)
+    board = np.where(np.indices((8, 8)).sum(axis=0) % 2, 127, -128)
+    flat = np.stack([np.full((8, 8), -128), np.full((8, 8), 127), board, -1 - board])
+    return np.concatenate([patterns, np.minimum(patterns, 127), flat])
+
+
+def test_float32_transform_matches_fdct_2d_at_the_extremes():
+    blocks = _pass_extremes()
+    assert len(blocks) == 2 * 24 * 24 + 4 and np.abs(blocks).max() == 128
+    assert np.array_equal(_float32_transform(blocks), fdct_2d(blocks))
+
+
+@pytest.mark.parametrize("count", [1, _S - 1, _S, _S + 1, 2 * _S + 76])
+def test_float32_transform_matches_fdct_2d_across_slice_edges(count):
+    # random 8-bit stacks, as they are and truncated at every level, as
+    # the round trip's lanes hold them
+    blocks = np.random.default_rng(count).integers(-128, 128, size=(count, 8, 8)).astype(np.int16)
+    for level in TRUNC_LEVELS:
+        samples = truncate_block(blocks, level)
+        assert np.array_equal(_float32_transform(samples), fdct_2d(samples))
 
 
 def test_samples_inside_the_exactness_bound_match_the_spec():

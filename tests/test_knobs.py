@@ -21,6 +21,7 @@ from ajpeg.knobs import (
 )
 from ajpeg.ops import OpCounter
 from ajpeg.quant import quantize_shift
+from ajpeg.raster import tile_blocks
 
 
 def test_epsilon_ladder():
@@ -188,6 +189,9 @@ _LEVEL_EPSILONS = [skip_epsilon(lv) for lv in range(7)]
         [2**14, 5, 0],  # one epsilon at 2**14 takes every level to int64
         [-1, 5],  # a negative tolerance: an empty band
         [-2, 254, 255, 256, 2**15, 10**9],  # beyond every 8-bit distance
+        # not integers: a distance is within 2.5 when it is within 2, and
+        # within no NaN band
+        [2.5, -0.5, 4.99, 254.5, float("nan")],
     ]),
 )
 @example(_consts(*[0] * 600, 40, 40, 0), _LEVEL_EPSILONS)
@@ -266,6 +270,35 @@ def test_skip_flags_memory_is_bounded_by_the_stack():
     assert peak < 2 * blocks.nbytes
     assert flags.any() and not flags.all()
     assert np.array_equal(flags, skip_flags(blocks.astype(np.int64), 15))
+
+
+def _tiled_plane():
+    """tile_blocks of a 1024 x 768 plane: a slow ramp with a little noise,
+    where runs outlast the distance table, beside noise, where few blocks
+    skip."""
+    rng = np.random.default_rng(17)
+    x = np.arange(768)[None, :]
+    ramp = 60 + x / 8 + rng.integers(-3, 4, size=(1024, 768))
+    plane = np.where(x < 512, ramp, rng.integers(0, 256, size=(1024, 768)))
+    return tile_blocks(plane.astype(np.uint8))
+
+
+def test_skip_flags_many_reads_the_tiles_in_place():
+    # tile_blocks' lane-major tiles are scanned as [sample, block] rows in
+    # place: the scan's peak stays below the stack's own bytes, so it never
+    # holds a copy of the stack, and a block-major copy gives the same flags
+    tiles = _tiled_plane()
+    assert not tiles.flags.c_contiguous and tiles.transpose(2, 1, 0).flags.c_contiguous
+    tracemalloc.start()
+    try:
+        flags = skip_flags_many(tiles, _LEVEL_EPSILONS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tiles.nbytes
+    counts = flags.sum(axis=1)
+    assert counts[0] < counts[1] < counts[-1] < len(tiles) - 1
+    assert np.array_equal(flags, skip_flags_many(np.ascontiguousarray(tiles), _LEVEL_EPSILONS))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 2 * _SLICE_BLOCKS + 1])

@@ -23,7 +23,7 @@ from ajpeg.energy import (
 from ajpeg.entropy import CorruptStreamError, read_container
 from ajpeg.knobs import SKIP_LEVELS, TRUNC_LEVELS
 from ajpeg.metrics import psnr, sad_pct, ssim
-from ajpeg.ops import OpCounter
+from ajpeg.ops import UNCOUNTED, OpCounter
 from ajpeg.pipeline import EncodeConfig, decode, encode, reconstruct, reconstruct_many
 from ajpeg.raster import RasterImage
 
@@ -615,6 +615,36 @@ def test_round_trip_equals_the_stage_chain(cfg, decode_matrix, count, subset, se
     assert got.dtype == np.uint8 and got.shape == (len(index), 8, 8)
     assert np.array_equal(got, want)
     assert _census(fused) == _census(chain)
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["dense", "gathered"])
+def test_round_trip_reads_tiles_in_either_layout(subset):
+    # tile_blocks' lane-major tiles and a block-major copy of them give the
+    # same pixels, dense slices and gathered ones alike
+    plane = np.random.default_rng(14).integers(0, 256, size=(400, 344), dtype=np.uint8)
+    tiles = pipeline.tile_blocks(plane)
+    assert tiles.transpose(2, 1, 0).flags.c_contiguous and len(tiles) > 2 * _S
+    index = np.arange(len(tiles))
+    if subset:
+        index = np.flatnonzero(np.random.default_rng(15).random(len(tiles)) < 0.6)
+    cfg = EncodeConfig(trunc_level=3, dc_exact=True)
+    qmat, smat = pipeline._quant_tables(cfg)
+    args = (index, cfg, smat, qmat, qmat, None, UNCOUNTED)
+    got = pipeline._round_trip(tiles, *args)
+    assert np.array_equal(got, pipeline._round_trip(np.ascontiguousarray(tiles), *args))
+    quantized = pipeline._compress_blocks(tiles[index], cfg, smat, qmat, UNCOUNTED)
+    assert np.array_equal(got, pipeline._decode_blocks(quantized, qmat, cfg.trunc_level))
+
+
+def test_configs_that_skip_nothing_get_images_of_their_own():
+    # a level that skips nothing takes its group's pixel blocks as they are;
+    # every image still owns its pixels, one block wide or wider
+    for shape in [(40, 8), (40, 24)]:
+        img = RasterImage(np.random.default_rng(16).integers(0, 256, size=shape, dtype=np.uint8))
+        configs = [EncodeConfig(), EncodeConfig(skip_level=0)]
+        (a, _), (b, stats) = reconstruct_many(img, configs)
+        assert stats.blocks_skipped == 0 and a == b
+        assert not np.shares_memory(a.pixels, b.pixels)
 
 
 def test_round_trip_memory_is_three_slice_buffers():

@@ -24,6 +24,7 @@ from ajpeg.quant import (
     quantize_div,
     quantize_shift,
     reciprocal_bits,
+    sample_shift_scale,
     shift_scale,
     to_shift_matrix,
 )
@@ -213,6 +214,21 @@ def test_float_quantizers_equal_the_integer_ones():
     # truncation: the same form at s = B
     for level in TRUNC_LEVELS[1:]:
         assert np.array_equal(np.rint(dc * shift_scale(level)), truncate_block(dc, level))
+
+
+def test_float32_truncation_equals_truncate_block():
+    # the round trip truncates level-shifted 8-bit samples in float32, where
+    # the 1 + 2**-24 nudge rounds away: every int16 sample of the 8-bit
+    # domain at every level, ties included, and each product exact (the
+    # float64 product of the same operands)
+    x = np.arange(-128, 128, dtype=np.int16)
+    for level in TRUNC_LEVELS:
+        scale = sample_shift_scale(level)
+        assert scale.dtype == np.float32 and np.float32(1 + 2.0**-24) == 1
+        product = x.astype(np.float32) * scale
+        assert product.dtype == np.float32
+        assert np.array_equal(product, x * np.float64(scale))
+        assert np.array_equal(np.rint(product), truncate_block(x, level))
 
 
 def test_fdct_coefficients_stay_inside_the_nudge_margin():

@@ -148,6 +148,28 @@ def test_tile_untile_round_trip(w, h, seed):
     assert np.array_equal(untile_blocks(blocks, h, w), plane)
 
 
+@pytest.mark.parametrize("h, w", [(8, 8), (9, 9), (37, 53), (64, 8), (8, 64), (1, 1), (512, 512)])
+def test_tiles_are_lane_major_views_of_the_block_order(h, w):
+    # the samples live as C-contiguous [col, row, block] lanes, and the
+    # blocks are the same values the block-major form gives
+    plane = np.random.default_rng(h * w).integers(0, 256, size=(h, w), dtype=np.uint8)
+    blocks = tile_blocks(plane)
+    bh, bw = -(-h // 8), -(-w // 8)
+    padded = np.pad(plane, ((0, 8 * bh - h), (0, 8 * bw - w)), mode="edge").astype(np.int16) - 128
+    want = padded.reshape(bh, 8, bw, 8).swapaxes(1, 2).reshape(bh * bw, 8, 8)
+    assert blocks.shape == want.shape and blocks.dtype == np.int16
+    assert np.array_equal(blocks, want)
+    assert blocks.transpose(2, 1, 0).flags.c_contiguous
+
+
+def test_untile_never_returns_a_view_of_the_blocks():
+    # a plane one block wide moves no word, and is still copied
+    blocks = np.arange(3 * 64, dtype=np.uint8).reshape(3, 8, 8)
+    plane = untile_blocks(blocks, 24, 8)
+    assert np.array_equal(plane, blocks.reshape(24, 8))
+    assert not np.shares_memory(plane, blocks)
+
+
 def test_block_grid_validates_shape():
     with pytest.raises(ValueError):
         untile_blocks(np.zeros((2, 8, 8), dtype=np.uint8), 8, 8)
