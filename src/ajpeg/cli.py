@@ -10,7 +10,8 @@ EncodeConfig alone checks them: each command's config is built once
 usage error before any image is read. Only a --qmatrix file, whose table
 is part of the config, is read first. Every input file is read through
 _read, so a file that cannot be read or parsed is a data error that names
-it.
+it; report names a corpus image the codec or the metrics reject the same
+way (sweep does not yet: extract_qe_curve's errors name no image).
 """
 
 from __future__ import annotations
@@ -178,8 +179,11 @@ def _cmd_report(args) -> int:
     model = default_activity_model()
     rows = []
     for name, img in _corpus_images(args.corpus):
-        data, stats = encode(img, cfg)
-        scores = _scores(img, decode(data), data).values()
+        try:
+            data, stats = encode(img, cfg)
+            scores = _scores(img, decode(data), data).values()
+        except ValueError as exc:
+            raise DataError(f"{Path(args.corpus) / name}: {exc}") from exc
         energy = (estimate_image_energy(model, stats), energy_saved(model, stats))
         rows.append([name, cfg.skip_level, cfg.trunc_level, *map(repr, [*scores, *energy])])
     buf = io.StringIO()

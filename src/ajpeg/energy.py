@@ -31,7 +31,7 @@ DATAPATH_WIDTH = 8
 KNOBS = {"loop": ("skip_level", SKIP_LEVELS), "trunc": ("trunc_level", TRUNC_LEVELS)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyModel:
     """Per-block op counts; costs are fractions of the B=0 process cost."""
 
@@ -115,7 +115,7 @@ class QEPoint:
     relative_energy: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class QECurve:
     """Quality-degradation / relative-energy curve for one knob."""
 

@@ -10,37 +10,39 @@ table per channel, built from the actual symbol frequencies of that
 channel (two-pass), with code lengths capped at 16 bits.
 
 The channel codec sees coded blocks only: encode_channel takes the
-quantized blocks that were processed, in order, with one skip flag per
-block, and decode_channel returns those coded blocks. Skipped blocks emit
-nothing; the container carries a per-channel skip bitmap, and the
-pipeline gives each skipped block the pixels of its reference, the most
-recent coded block.
+quantized blocks that were processed, in order, as the caller's slices,
+with one skip flag per block, and decode_channel returns those coded
+blocks. Skipped blocks emit nothing; the container carries a per-channel
+skip bitmap, and the pipeline gives each skipped block the pixels of its
+reference, the most recent coded block.
 
-Both directions work in slices of at most fdct._SLICE_BLOCKS coded
-blocks, so no int64 array and no per-bit lookahead covers a channel; the
-encoder's symbol records, 3 bytes a symbol, are the one per-symbol store
-that does. The encoder makes two passes. The first zigzags and widens one
-slice at a time, carrying the DC predictor, and builds its symbols at
-once: DC differences from the shifted DC column, zero runs from the gaps
-between nonzero scan positions, ZRLs and EOBs placed from per-block symbol
-counts, and size categories from the magnitudes' bit lengths. It keeps
-each slice's symbols as narrow records and counts their frequencies. The
-second builds the table and adds each slice's (code << size) | amplitude
-words, in 64-bit lanes, into the big-endian 32-bit words of the payload,
-carrying the partial last word to the next slice. The decoder reads each
-payload in place, a view of the container, one window at a time: it
-builds the big-endian 32-bit word at every byte and looks up the symbol
-and total length of the code at every bit position in a 16-bit lookahead
-table (as in ITU-T T.81 Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A
-symbol's total length is its code length plus its low nibble in every
-context, since DC size categories and AC symbols share the amplitude rule
-and ZRL and EOB carry no amplitude, so one Python loop step per symbol
-follows the block structure and checks the stream, carrying the bit
-position from slice to slice. A slice also ends where the window moves
-on, so its amplitudes are read from the window's words in one array
-operation; its DC values are a cumulative sum of the differences, carried
-on from the slice before. decode_channel hands each slice's int64 values
-to a step of the caller's, so the pipeline inverts them slice by slice.
+Both directions work in slices, so no int64 array and no per-bit lookahead
+covers a channel; the encoder's symbol records, 3 bytes a symbol, are the
+one per-symbol store that does. The encoder reads the slices its caller
+makes (the pipeline's hold at most fdct._SLICE_BLOCKS blocks, compressed
+as they are taken), so no array of a channel's quantized blocks exists
+either. It makes two passes. The first zigzags and widens each slice as it
+arrives, carrying the DC predictor, and builds its symbols at once: DC
+differences from the shifted DC column, zero runs from the gaps between
+nonzero scan positions, ZRLs and EOBs placed from per-block symbol counts,
+and size categories from the magnitudes' bit lengths. It keeps each
+slice's symbols as narrow records and counts their frequencies. The second
+builds the table and adds each slice's (code << size) | amplitude words,
+in 64-bit lanes, into the big-endian 32-bit words of the payload, carrying
+the partial last word to the next slice. The decoder reads each payload in
+place, a view of the container, one window at a time: it builds the
+big-endian 32-bit word at every byte and looks up the symbol and total
+length of the code at every bit position in a 16-bit lookahead table (as
+in ITU-T T.81 Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A symbol's
+total length is its code length plus its low nibble in every context,
+since DC size categories and AC symbols share the amplitude rule and ZRL
+and EOB carry no amplitude, so one Python loop step per symbol follows the
+block structure and checks the stream, carrying the bit position from
+slice to slice. A slice also ends where the window moves on, so its
+amplitudes are read from the window's words in one array operation; its DC
+values are a cumulative sum of the differences, carried on from the slice
+before. decode_channel hands each slice's int64 values to a step of the
+caller's, so the pipeline inverts them slice by slice.
 
 read_container checks the header's pixel count against a budget
 (MAX_PIXELS by default) before it reads any channel, and raises
@@ -209,23 +211,26 @@ def _amplitude_values(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.where(bits < top >> 1, bits - top + 1, bits)
 
 
-def _channel_symbols(coded: np.ndarray, dc: int):
-    """Symbol stream of coded zigzag vectors (m, 64) in stream order, the
-    first DC difference taken from the predictor dc, as narrow arrays
-    (symbol, amplitude bits). Every symbol's amplitude size is its low
-    nibble.
+def _channel_symbols(part: np.ndarray, dc: int):
+    """Symbol stream of a slice of coded blocks (m, 8, 8) in stream order,
+    the first DC difference taken from the predictor dc, as narrow arrays
+    (symbol, amplitude bits), and the slice's last DC value (dc plus its
+    differences), the next slice's predictor. Every symbol's amplitude
+    size is its low nibble.
 
     Each block is its DC symbol, then per nonzero AC coefficient run // 16
     ZRLs and one (run % 16, size) symbol, then EOB unless its last
     coefficient is nonzero. The positions of DC, coefficient and EOB symbols
     follow from per-block symbol counts; every other slot holds a ZRL.
     """
+    coded = zigzag(part).astype(np.int64)
     m = len(coded)
     diff = np.diff(coded[:, 0], prepend=dc)
     dc_size = _size_category(diff)
     rows, k = np.nonzero(coded[:, 1:])
     k += 1  # scan position of each nonzero AC coefficient
     ac = coded[rows, k]
+    del coded
     ac_size = _size_category(ac)
     bad_dc = np.flatnonzero(dc_size > MAX_SIZE)
     bad_ac = rows[ac_size > MAX_SIZE]
@@ -270,7 +275,7 @@ def _channel_symbols(coded: np.ndarray, dc: int):
     sym[coeff_at] = run
     del run
     amp[coeff_at] = _amplitude_bits(ac, ac_size)
-    return sym, amp
+    return sym, amp, dc + int(diff.sum())
 
 
 _PACK_CHUNK = 1 << 13  # codes per transient packing step
@@ -304,31 +309,32 @@ def _pack(chunks) -> bytes:
     return bytes(out)
 
 
-def encode_channel(coded: np.ndarray, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
-    """Entropy-code a channel from its coded blocks' quantized values
-    (m, 8, 8), in order, and one skip flag per block, m of them unset.
+def encode_channel(coded, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
+    """Entropy-code a channel from its coded blocks' quantized values, an
+    iterable of (k, 8, 8) slices in order, and one skip flag per block.
+    Together the slices hold one block per unset flag.
 
-    Two passes over slices of at most _SLICE_BLOCKS coded blocks. The first
-    widens and zigzags one slice at a time, carrying the DC predictor, and
-    keeps each slice's symbols as narrow records (3 bytes per symbol) and
-    their frequencies. The second packs each slice's codes after the bits
-    of the slices before it."""
+    Two passes. The first builds each slice's symbols as it arrives,
+    carrying the DC predictor, and keeps them as narrow records (3 bytes
+    per symbol) and their frequencies; only the records outlive the slice.
+    The second packs each slice's codes after the bits of the slices
+    before it."""
     skip_flags = np.asarray(skip_flags, dtype=bool)
-    coded = np.asarray(coded)
-    if skip_flags.ndim != 1 or coded.shape != (np.count_nonzero(~skip_flags), 8, 8):
+    if skip_flags.ndim != 1:
         raise ValueError("coded block count must match the unskipped flags")
     if len(skip_flags) and skip_flags[0]:
         raise CorruptStreamError("block 0 cannot be skipped")
 
     records = []
     freqs = np.zeros(256, dtype=np.int64)
-    dc = 0
-    for lo in range(0, len(coded), _SLICE_BLOCKS):
-        vectors = zigzag(coded[lo : lo + _SLICE_BLOCKS]).astype(np.int64)
-        sym, amp = _channel_symbols(vectors, dc)
-        dc = vectors[-1, 0]
+    dc = count = 0
+    for part in coded:
+        sym, amp, dc = _channel_symbols(part, dc)
+        count += len(part)
         freqs += np.bincount(sym, minlength=256)
         records.append((sym, amp))
+    if count != np.count_nonzero(~skip_flags):
+        raise ValueError("coded block count must match the unskipped flags")
     codes = canonical_codes(code_lengths({int(s): int(freqs[s]) for s in np.flatnonzero(freqs)}))
     code_of = np.zeros(256, dtype=np.int64)
     len_of = np.zeros(256, dtype=np.int64)

@@ -95,10 +95,7 @@ def _sample_rows(blocks: np.ndarray) -> np.ndarray:
     """The [sample, block] rows, (64, n), of a stack of n blocks: a view of
     tile_blocks' lanes, or of a block-major stack, in whichever sample
     order that memory holds (a distance does not depend on it)."""
-    try:
-        return np.reshape(blocks.T, (-1, len(blocks)), copy=False)
-    except ValueError:
-        return blocks.reshape(len(blocks), -1).T
+    return blocks.T.reshape(-1, len(blocks), order="A")
 
 
 def _reach_table(rows: np.ndarray) -> np.ndarray:

@@ -46,15 +46,18 @@ helpers as encode() and decode(), so decode(encode(img)) equals
 reconstruct(img) bit for bit.
 
 Working set: only narrow arrays are image-sized, the uint8 planes and
-pixel blocks, the int16 tiles and quantized coded blocks, the bool skip
-flags and the entropy coder's 3-byte symbol records. Every wide temporary
-lives in one slice of at most fdct._SLICE_BLOCKS blocks: encode gathers,
-compresses and entropy-codes, decode entropy-decodes, dequantizes and
-inverts to rounded samples, and reconstruct_many runs its round trip,
-slice by slice, so none of them holds a plane's coefficients. The entropy layer drives
-decode's slices (entropy.decode_channel calls the invert step), and the
-round trip works in three float64 slice buffers. The color layer works in
-row strips the same way.
+pixel blocks, the int16 tiles, the bool skip flags and the entropy
+coder's 3-byte symbol records. Every wide temporary lives in one slice of
+at most fdct._SLICE_BLOCKS blocks: encode gathers, compresses and
+entropy-codes, decode entropy-decodes, dequantizes and inverts to rounded
+samples, and reconstruct_many runs its round trip, slice by slice, so
+none of them holds a plane's coefficients. The entropy layer drives the
+slices both ways: entropy.encode_channel takes each plane's quantized
+coded blocks from a generator of slices (_coded_blocks), so they are
+never image-sized and the plane's tiles live until the channel is coded,
+and entropy.decode_channel calls decode's invert step. The round trip
+works in three float64 slice buffers. The color layer works in row
+strips the same way.
 """
 
 from __future__ import annotations
@@ -212,21 +215,18 @@ def _container_meta(img: RasterImage, cfg: EncodeConfig, qmat, smat) -> entropy.
 
 
 def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps):
-    """A plane's skip flags and its coded blocks' quantized values. Each
-    slice gathers its own coded tiles, so the tiles are the only
-    image-sized input, and they are gone once this returns. A slice is
-    gathered from the tiles' [col, row, block] lanes and stays lane-major,
-    so fdct_2d casts it into its own lanes in one contiguous copy."""
+    """A plane's skip flags, and its coded blocks' quantized values as a
+    lazy iterable of slices for entropy.encode_channel. Each slice gathers
+    its coded tiles from the tiles' [col, row, block] lanes (blocks.T) and
+    stays lane-major, so fdct_2d casts it into its own lanes in one
+    contiguous copy. The tiles live until the last slice is taken."""
     skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
     index = np.flatnonzero(~skipped)
-    tiles = blocks.transpose(2, 1, 0)
     # quantized coefficients are below 2**11 in magnitude, so int16 holds them
-    coded = np.empty((len(index), 8, 8), dtype=np.int16)
-    for start in range(0, len(index), _SLICE_BLOCKS):
-        at = index[start : start + _SLICE_BLOCKS]
-        part = np.take(tiles, at, axis=2).transpose(2, 1, 0)
-        coded[start : start + len(at)] = _compress_blocks(part, cfg, smat, qmat, ops)
-    return skipped, coded
+    return skipped, (
+        _compress_blocks(np.take(blocks.T, at, axis=2).T, cfg, smat, qmat, ops).astype(np.int16)
+        for at in np.split(index, range(_SLICE_BLOCKS, len(index), _SLICE_BLOCKS))
+    )
 
 
 def encode(

@@ -160,6 +160,28 @@ def test_report_rejects_malformed_config(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "pixels, message",
+    [
+        (np.full((4, 4), 99, dtype=np.uint8), "smaller than the SSIM window"),
+        (np.zeros((16, 16), dtype=np.uint8), "all-zero reference"),
+    ],
+    ids=["smaller-than-the-ssim-window", "all-black"],
+)
+def test_report_names_the_image_it_cannot_score(tmp_path, capsys, pixels, message):
+    # an image the metrics reject is a data error that names the image
+    d = _corpus_dir(tmp_path)
+    bad = d / "bad.pgm"
+    bad.write_bytes(write_pnm(RasterImage(pixels)))
+    cfg_json = tmp_path / "cfg.json"
+    cfg_json.write_text('{"i": 2, ' + _TUNED + "}")
+    out = tmp_path / "report.csv"
+    assert main(["report", "--corpus", str(d), "--config", str(cfg_json), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and message in err
+    assert not out.exists()
+
+
 def test_decode_pixel_budget(tmp_path, pgm, capsys):
     ok = tmp_path / "ok.ajpg"
     back = tmp_path / "back.pgm"

@@ -1,5 +1,7 @@
 """Energy proxy model, Q-E curves, and level selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,18 @@ def test_model_rejects_a_zero_baseline():
     with pytest.raises(ValueError, match="baseline"):
         EnergyModel(dct_ops=0.0, entropy_ops=0.0)
     assert EnergyModel(dct_ops=0.0).process_cost(0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("skip_check_ops", -64.0), ("dct_ops", 0.0), ("kind", "x"), ("points", [])],
+)
+def test_models_and_curves_are_immutable(field, value):
+    # the checks of __post_init__ hold for an object's whole life: a field
+    # set afterwards would skip them
+    target = default_activity_model() if field.endswith("_ops") else _curve("loop", [0.0], [1.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(target, field, value)
 
 
 def test_estimate_image_energy_spot_value():

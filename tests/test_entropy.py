@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ajpeg import entropy
 from ajpeg.entropy import (
     _BLOCK_BITS,
+    _SLICE_BLOCKS,
     EOB,
     MAX_CODE_LEN,
     MAX_SIZE,
@@ -150,7 +151,7 @@ def _random_blocks(rng, n):
 def test_channel_round_trip_no_skips():
     rng = np.random.default_rng(3)
     blocks = _random_blocks(rng, 17)
-    stream = encode_channel(blocks, np.zeros(17, dtype=bool), channel_id=1)
+    stream = encode_channel([blocks], np.zeros(17, dtype=bool), channel_id=1)
     assert stream.channel_id == 1 and stream.block_count == 17
     assert np.array_equal(decode_channel(stream), blocks)
 
@@ -161,11 +162,11 @@ def test_channel_round_trip_with_skips():
     flags = np.zeros(12, dtype=bool)
     flags[[2, 3, 7, 11]] = True
     coded = blocks[~flags]
-    stream = encode_channel(coded, flags)
+    stream = encode_channel([coded], flags)
     assert stream.block_count == 12 and np.array_equal(stream.skip_flags, flags)
     assert np.array_equal(decode_channel(stream), coded)
     # skipped blocks emit nothing: the payload is that of the coded blocks alone
-    alone = encode_channel(coded, np.zeros(len(coded), dtype=bool))
+    alone = encode_channel([coded], np.zeros(len(coded), dtype=bool))
     assert (stream.table, stream.bit_length, stream.payload) == (
         alone.table, alone.bit_length, alone.payload
     )
@@ -173,7 +174,7 @@ def test_channel_round_trip_with_skips():
 
 def test_channel_all_zero_blocks():
     blocks = np.zeros((3, 8, 8), dtype=np.int64)
-    stream = encode_channel(blocks, np.zeros(3, dtype=bool))
+    stream = encode_channel([blocks], np.zeros(3, dtype=bool))
     assert np.array_equal(decode_channel(stream), blocks)
 
 
@@ -182,7 +183,7 @@ def test_extreme_coefficients_round_trip():
     blocks[0, 0, 0] = -1024
     blocks[0, 7, 7] = 1023
     blocks[1, 0, 0] = 1023  # DC diff 2047, the widest legal size
-    stream = encode_channel(blocks, np.zeros(2, dtype=bool))
+    stream = encode_channel([blocks], np.zeros(2, dtype=bool))
     assert np.array_equal(decode_channel(stream), blocks)
 
 
@@ -356,7 +357,7 @@ def _agrees_with_oracle(stream):
 @example(EXTREME_CHANNEL)
 def test_channel_round_trip_sparse(spec):
     coded, flags = _channel(spec)
-    stream = encode_channel(coded, flags)
+    stream = encode_channel([coded], flags)
     assert (stream.table, stream.bit_length, stream.payload) == oracle_encode(coded)
     assert np.array_equal(decode_channel(stream), coded)
     assert np.array_equal(oracle_decode(stream), coded)
@@ -384,7 +385,7 @@ def _mutate(stream, data):
 @given(st.one_of(st.just(EXTREME_CHANNEL), channel_spec), st.data())
 def test_mutated_channel_decodes_or_fails_structurally(spec, data):
     coded, flags = _channel(spec)
-    mutated = _mutate(encode_channel(coded, flags), data)
+    mutated = _mutate(encode_channel([coded], flags), data)
     assert _agrees_with_oracle(mutated)
     try:
         out = decode_channel(mutated)
@@ -396,7 +397,7 @@ def test_mutated_channel_decodes_or_fails_structurally(spec, data):
 # The smallest lookahead window moves on at almost every block, so each
 # slice ends at a window move rather than after _SLICE_BLOCKS blocks.
 _SMALL_WINDOW = _BLOCK_BITS // 8 + 1
-_MULTI_WINDOW = encode_channel(_random_blocks(np.random.default_rng(9), 60), np.zeros(60, dtype=bool))
+_MULTI_WINDOW = encode_channel([_random_blocks(np.random.default_rng(9), 60)], np.zeros(60, dtype=bool))
 
 
 @given(st.data())
@@ -420,6 +421,11 @@ def _edge_channel(coded_count, seed):
     return blocks, flags
 
 
+def _slices(coded, size=_SLICE_BLOCKS):
+    """coded in slices of size blocks, as the pipeline gives them."""
+    return [coded[lo : lo + size] for lo in range(0, len(coded), size)]
+
+
 @pytest.mark.parametrize(
     "coded_count, window",
     [(1023, None), (1024, None), (1025, None), (2049, None), (2049, _SMALL_WINDOW)],
@@ -431,7 +437,7 @@ def test_slice_edges_match_the_oracle(monkeypatch, coded_count, window):
     if window:
         monkeypatch.setattr(entropy, "_WINDOW_CHUNK", window)
     coded, flags = _edge_channel(coded_count, coded_count)
-    stream = encode_channel(coded, flags)
+    stream = encode_channel(_slices(coded), flags)
     assert (stream.table, stream.bit_length, stream.payload) == oracle_encode(coded)
     assert np.array_equal(decode_channel(stream), coded)
     assert _agrees_with_oracle(stream)
@@ -448,7 +454,7 @@ def test_slice_edges_match_the_oracle(monkeypatch, coded_count, window):
     if coded_count > 1024:
         # a DC step out of range only from the predictor the last slice carried
         coded[1023, 0, 0], coded[1024, 0, 0] = -1000, 1100
-        for coder in (oracle_encode, lambda c: encode_channel(c, flags)):
+        for coder in (oracle_encode, lambda c: encode_channel(_slices(c), flags)):
             with pytest.raises(CorruptStreamError, match="DC difference"):
                 coder(coded)
 
@@ -462,7 +468,7 @@ def test_non_final_slice_overrun_is_a_payload_overrun(monkeypatch, window):
         monkeypatch.setattr(entropy, "_WINDOW_CHUNK", window)
     coded, flags = _edge_channel(1030, 5)
     coded[1023, 7, 7] = 5
-    stream = encode_channel(coded, flags)
+    stream = encode_channel(_slices(coded), flags)
     length = {s: ln for s, ln in stream.table}
     head = _oracle_symbols(zigzag(coded[:1024]))
     cut = sum(length[sym] + size for sym, _, size in head) - 1
@@ -472,6 +478,46 @@ def test_non_final_slice_overrun_is_a_payload_overrun(monkeypatch, window):
         decode_channel(cut_stream)
     with pytest.raises(CorruptStreamError, match="overrun"):
         oracle_decode(cut_stream)
+
+
+def _splits(coded):
+    """The same coded blocks split every way the tests try: one slice,
+    1-block slices, _SLICE_BLOCKS slices, int16 slices from a generator,
+    and cuts at random points, some of them repeated (empty slices)."""
+    n = len(coded)
+    cuts = np.sort(np.random.default_rng(n).integers(0, n + 1, size=12))
+    return {
+        "one": [coded],
+        "blocks": _slices(coded, 1),
+        "slice blocks": _slices(coded),
+        "int16 generator": (part.astype(np.int16) for part in _slices(coded)),
+        "empty slices": [coded[:0], *np.split(coded, [0, *cuts, cuts[-1], n]), coded[n:]],
+    }
+
+
+def test_stream_is_the_same_however_the_blocks_are_split():
+    coded, flags = _edge_channel(1100, 21)
+    want = encode_channel([coded], flags)
+    for name, split in _splits(coded).items():
+        got = encode_channel(split, flags)
+        assert (got.table, got.bit_length, got.payload) == (
+            want.table, want.bit_length, want.payload
+        ), name
+        assert got.block_count == want.block_count and np.array_equal(got.skip_flags, flags)
+    assert np.array_equal(decode_channel(want), coded)
+
+
+@pytest.mark.parametrize("count", [1099, 1101])
+def test_a_wrong_block_count_is_found_after_the_last_slice(count):
+    # the count is known only once the slices run out, so every slice is
+    # taken before the error
+    coded, flags = _edge_channel(1100, 22)
+    coded = np.resize(coded, (count, 8, 8))  # one block short, or block 0 again
+    for name, split in _splits(coded).items():
+        taken = []
+        with pytest.raises(ValueError, match="coded block count"):
+            encode_channel((taken.append(len(p)) or p for p in split), flags)
+        assert sum(taken) == len(coded), name
 
 
 def _conftest_image(corpus, kind):
@@ -504,13 +550,12 @@ def test_coefficient_overflow_rejected():
     blocks = np.zeros((1, 8, 8), dtype=np.int64)
     blocks[0, 3, 3] = 5000
     with pytest.raises(CorruptStreamError, match="out of range"):
-        encode_channel(blocks, np.zeros(1, dtype=bool))
+        encode_channel([blocks], np.zeros(1, dtype=bool))
 
 
 def test_block_zero_cannot_be_skipped():
     with pytest.raises(CorruptStreamError, match="block 0"):
-        encode_channel(np.zeros((1, 8, 8), dtype=np.int64),
-                       np.array([True, False]))
+        encode_channel([np.zeros((1, 8, 8), dtype=np.int64)], np.array([True, False]))
 
 
 def test_skip_flag_length_checked():
@@ -521,7 +566,7 @@ def test_skip_flag_length_checked():
     ]
     for coded, flags in cases:
         with pytest.raises(ValueError, match="coded block count"):
-            encode_channel(np.zeros((coded, 8, 8), dtype=np.int64), np.array(flags))
+            encode_channel([np.zeros((coded, 8, 8), dtype=np.int64)], np.array(flags))
 
 
 @pytest.mark.parametrize("quant_mode, offset, value, message", [
@@ -555,7 +600,7 @@ def _gray_container(skip_level=None, flags_on=()):
     flags[list(flags_on)] = True
     coded = blocks[~flags]
     meta = _meta(skip_level=skip_level)
-    return meta, [encode_channel(coded, flags)], coded
+    return meta, [encode_channel([coded], flags)], coded
 
 
 def test_writer_rejects_header_the_reader_rejects():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ajpeg import fdct, knobs, pipeline
+from ajpeg import entropy, fdct, knobs, pipeline
 from ajpeg.energy import (
     KNOBS,
     QECurve,
@@ -350,6 +350,30 @@ def test_entropy_memory_is_bounded_by_image():
     assert out == reconstruct(img)[0]
     assert encode_peak < 10 * img.pixels.nbytes
     assert decode_peak < 10 * img.pixels.nbytes
+
+
+def test_encode_memory_is_tiles_records_and_slice_buffers(corpus, monkeypatch):
+    # a smooth 2048x2048 image codes every block: encode holds its int16
+    # tiles and the entropy coder's 3-byte symbol records, and the
+    # quantized coded blocks only a slice at a time, so the rest of its
+    # peak is a few slice-sized buffers. An image-sized int16 array of the
+    # coded blocks would add as much again as the tiles.
+    img = RasterImage(np.tile(corpus[6].pixels, (4, 4)))
+    symbols = 0
+    channel_symbols = entropy._channel_symbols
+
+    def counted(part, dc):
+        nonlocal symbols
+        result = channel_symbols(part, dc)
+        symbols += len(result[0])
+        return result
+
+    monkeypatch.setattr(entropy, "_channel_symbols", counted)
+    (_, stats), peak = _traced_peak(lambda: encode(img))
+    assert stats.blocks_skipped == 0
+    tiles = img.pixels.size * np.dtype(np.int16).itemsize
+    buffer = _S * 64 * np.dtype(np.float64).itemsize
+    assert peak < tiles + 3 * symbols + 6 * buffer
 
 
 def test_reconstruct_memory_is_bounded_by_image():
