@@ -7,6 +7,7 @@ tuner. See the individual modules for details.
 """
 
 from .energy import (
+    CorpusImageError,
     EnergyModel,
     EnergyStats,
     QECurve,
@@ -23,6 +24,7 @@ from .raster import PnmError, RasterImage, parse_pnm, write_pnm
 from .tuner import TunerInput, TunerResult, exhaustive_oracle, tune
 
 __all__ = [
+    "CorpusImageError",
     "CorruptStreamError",
     "EncodeConfig",
     "EnergyModel",

@@ -10,8 +10,8 @@ EncodeConfig alone checks them: each command's config is built once
 usage error before any image is read. Only a --qmatrix file, whose table
 is part of the config, is read first. Every input file is read through
 _read, so a file that cannot be read or parsed is a data error that names
-it; report names a corpus image the codec or the metrics reject the same
-way (sweep does not yet: extract_qe_curve's errors name no image).
+it; sweep and report name a corpus image the codec or the metrics reject
+the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 from . import metrics as met
 from .energy import (
     KNOBS,
+    CorpusImageError,
     QECurve,
     default_activity_model,
     energy_saved,
@@ -154,8 +155,12 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    images = [img for _, img in _corpus_images(args.corpus)]
-    curve, _ = extract_qe_curve(args.knob, images, args.codec)
+    named = _corpus_images(args.corpus)
+    try:
+        curve, _ = extract_qe_curve(args.knob, [img for _, img in named], args.codec)
+    except CorpusImageError as exc:
+        name = named[exc.index][0]
+        raise DataError(f"{Path(args.corpus) / name}: {exc.__cause__}") from exc
     _write(args.out, curve.to_csv())
     return 0
 

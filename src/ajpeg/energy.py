@@ -108,6 +108,15 @@ def energy_saved(model: EnergyModel, stats: EnergyStats) -> float:
     return 1.0 - estimate_image_energy(model, stats) / baseline
 
 
+class CorpusImageError(ValueError):
+    """A corpus image that the pipeline or the metrics reject: index is its
+    position in the corpus, and the rejection is the chained cause."""
+
+    def __init__(self, index: int, cause: ValueError):
+        super().__init__(f"image {index}: {cause}")
+        self.index = index
+
+
 @dataclass(frozen=True)
 class QEPoint:
     level: int
@@ -117,12 +126,15 @@ class QEPoint:
 
 @dataclass(frozen=True)
 class QECurve:
-    """Quality-degradation / relative-energy curve for one knob."""
+    """Quality-degradation / relative-energy curve for one knob. Any
+    iterable of points is accepted and stored as a tuple, so the checks
+    below hold for the curve's whole life."""
 
     kind: str  # a key of KNOBS
-    points: list[QEPoint]
+    points: tuple[QEPoint, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
         if self.kind not in KNOBS:
             raise ValueError(f"curve kind must be one of {', '.join(KNOBS)}")
         if not self.points:
@@ -194,7 +206,9 @@ def extract_qe_curve(
     Each level is measured against the same image reconstructed at level 0
     of the knob, so the curve isolates the knob's own degradation. Level 0
     is that reference and is not measured: its point is (0, 0.0, 1.0)
-    exactly. Bounds, if given, are resolved to levels via select_level.
+    exactly. Bounds, if given, are resolved to levels via select_level. An
+    image that the pipeline or the metrics reject (an all-black reference,
+    say) raises CorpusImageError with its position in images.
 
     Each image's levels come from one pipeline.reconstruct_many call. The
     skip levels of the loop knob share one skip scan per plane and one
@@ -219,14 +233,17 @@ def extract_qe_curve(
     sums_d = np.zeros(len(levels))  # level 0's stays 0, its own degradation
     sums_e = np.zeros(len(levels))
     sums_e[0] = len(images)  # 1 per image, its own relative energy
-    for img in images:
-        results = pipeline.reconstruct_many(img, configs)
-        ref_img, ref_stats = next(results)
-        ref_energy = estimate_image_energy(model, ref_stats)
-        ref_sum = sample_sum(ref_img)
-        for idx, (out, stats) in enumerate(results, start=1):
-            sums_d[idx] += sad_pct(ref_img, out, ref_sum=ref_sum)
-            sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
+    for index, img in enumerate(images):
+        try:
+            results = pipeline.reconstruct_many(img, configs)
+            ref_img, ref_stats = next(results)
+            ref_energy = estimate_image_energy(model, ref_stats)
+            ref_sum = sample_sum(ref_img)
+            for idx, (out, stats) in enumerate(results, start=1):
+                sums_d[idx] += sad_pct(ref_img, out, ref_sum=ref_sum)
+                sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
+        except ValueError as exc:
+            raise CorpusImageError(index, exc) from exc
     mean_d = sums_d / len(images)
     mean_e = sums_e / len(images)
 

@@ -20,7 +20,7 @@ every sample lies in [-128, 127] and skip_check's clamp never binds: block
 e lies inside the band of reference r exactly when max|b_e - b_r| <= eps.
 That distance does not depend on eps, so one pass over a plane serves
 every skip level: it tables the distance from each block to each of its
-next _TABLE_WIDTH (16) blocks once, in int16, and each tolerance walks its
+next _TABLE_WIDTH (16) blocks once, in uint8, and each tolerance walks its
 skip runs through that table. A stack with a sample outside that range is
 decided block by block with skip_check itself, the spec of the band.
 
@@ -32,15 +32,17 @@ themselves are not datapath ops, as in skip_check.
 
 The scan reads the block stack in its own dtype and holds no copy of it.
 It reads [sample, block] rows, 64 rows of n samples: tile_blocks lays its
-tiles out as exactly those rows ([col, row, block] lanes), and a
+int8 tiles out as exactly those rows ([col, row, block] lanes), and a
 block-major stack is read through its transposed view. The table is
 filled from slices of at most fdct._SLICE_BLOCKS blocks of the rows, and
 the windows of a run that outlasts the table stop doubling at that size.
+Working set: the table is 16 bytes per block, and each walk holds two
+bytes per block (its runs and where they are not empty), so the scan's
+peak stays below the bytes of an int8 stack, one per sample.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,8 +69,8 @@ def skip_epsilon(level: int) -> int:
 def truncate_block(block, level: int, ops: IntOps = UNCOUNTED) -> np.ndarray:
     """Divide samples by 2**level, rounding half away from zero: the
     quantizer's rounded power-of-2 division (quant.quantize_shift), so
-    int16 samples, the tiles' type, stay int16. Level 0 returns the
-    samples as they are."""
+    int8 samples, the tiles' type, stay int8: |x| + 2**(level-1) <= 136
+    fits their unsigned byte. Level 0 returns the samples as they are."""
     if level not in TRUNC_LEVELS:
         raise ValueError("truncation level must be in [0, 4]")
     m = np.asarray(block)
@@ -101,31 +103,36 @@ def _sample_rows(blocks: np.ndarray) -> np.ndarray:
 def _reach_table(rows: np.ndarray) -> np.ndarray:
     """reach[d - 1, r] = max over d' = 1 .. d of the distance from block r to
     block r + d', for each reference candidate r = 0 .. n-2 and d = 1 ..
-    _TABLE_WIDTH, or the int16 maximum once a block past the end comes in.
-    Block r's run at epsilon is thus the number of entries of column r that
-    are at most epsilon.
+    _TABLE_WIDTH, as uint8. Block r's run at epsilon is thus the number of
+    entries of column r that are at most epsilon, capped at the n-1-r
+    blocks after it: an entry past the end of the stack repeats the one
+    before it.
 
-    rows are the stack's [sample, block] rows (_sample_rows). Each slice of
-    them is cast into one reused int16 lane buffer, so a diagonal, max over
-    samples of |b[r + d] - b[r]|, is one subtraction over the flattened
-    lanes. (Subtracting the strided rows in place, row by row, measured
-    about 1.5x slower on the tiles of a 512 x 512 plane.)"""
+    rows are the stack's [sample, block] rows (_sample_rows) of 8-bit
+    samples. Each slice of them is cast into one reused uint8 lane buffer
+    as b + 128 (b ^ 0x80), which keeps their order, so a diagonal, max over
+    samples of |b[r + d] - b[r]|, is a max minus a min over the flattened
+    lanes, each in [0, 255]. (Subtracting the strided rows in place, row by
+    row, measured about 1.5x slower on the tiles of a 512 x 512 plane.)"""
     n = rows.shape[1]
-    reach = np.full((_TABLE_WIDTH, n - 1), np.iinfo(np.int16).max, dtype=np.int16)
-    buffers = np.empty((2, len(rows) * min(n, _SLICE_BLOCKS + _TABLE_WIDTH)), dtype=np.int16)
+    reach = np.zeros((_TABLE_WIDTH, n - 1), dtype=np.uint8)
+    buffers = np.empty((3, len(rows) * min(n, _SLICE_BLOCKS + _TABLE_WIDTH)), dtype=np.uint8)
     for start in range(0, n - 1, _SLICE_BLOCKS):
         part = rows[:, start:start + _SLICE_BLOCKS + _TABLE_WIDTH]
-        flat, diff = buffers[:, : part.size]
+        flat, high, low = buffers[:, : part.size]
         lane = flat.reshape(part.shape)
-        np.copyto(lane, part, casting="unsafe")
+        np.copyto(lane.view(np.int8), part, casting="unsafe")
+        lane ^= 0x80
         count = min(_SLICE_BLOCKS, n - 1 - start)  # reference candidates in this slice
         for d in range(1, min(_TABLE_WIDTH, n - 1 - start) + 1):
-            # one subtraction over the flattened lanes: entry [s, j] of the
-            # grid is lane[s, j + d] - lane[s, j] wherever j + d stays in the row
-            np.subtract(flat[d:], flat[:-d], out=diff[:-d])
-            np.abs(diff[:-d], out=diff[:-d])
+            # one max and one min over the flattened lanes: entry [s, j] of
+            # the grid is |lane[s, j + d] - lane[s, j]| wherever j + d stays
+            # in the row
+            np.maximum(flat[d:], flat[:-d], out=high[:-d])
+            np.minimum(flat[d:], flat[:-d], out=low[:-d])
+            np.subtract(high[:-d], low[:-d], out=high[:-d])
             c = min(count, lane.shape[1] - d)
-            diff.reshape(lane.shape)[:, :c].max(axis=0, out=reach[d - 1, start:start + c])
+            high.reshape(lane.shape)[:, :c].max(axis=0, out=reach[d - 1, start:start + c])
     for d in range(1, _TABLE_WIDTH):
         np.maximum(reach[d], reach[d - 1], out=reach[d])
     return reach
@@ -165,8 +172,10 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
     r >= k-1 whose run at epsilon is not empty. From there the reference
     stays r and the run's length is read off the counts; only a run that
     fills the table goes on in growing windows (_run_end). The first miss
-    is processed and becomes the new reference. The walk leaves the bounds
-    of its runs, and one pass marks them.
+    is processed and becomes the new reference. The walk reads the runs
+    from bytes and finds each next candidate with bytes.find, so it makes
+    no Python int per candidate. It leaves the bounds of its runs, and one
+    pass marks them.
 
     The table runs only on stacks of 8-bit samples, [-128, 127]. Their
     distances lie in [0, 255], so each epsilon is clamped to [-1, 255] and
@@ -198,20 +207,22 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
     runs = np.zeros((len(epsilons), n - 1), dtype=np.int8)
     for row in reach:  # the runs of every epsilon, one table row at a time
         runs += row <= bands
+    tail = min(_TABLE_WIDTH, n - 1)  # the last candidates, each run capped at the end
+    np.minimum(runs[:, -tail:], np.arange(tail, 0, -1, dtype=np.int8), out=runs[:, -tail:])
     for flags, run, epsilon in zip(skipped, runs, bands[:, 0].tolist()):
-        refs = np.flatnonzero(run)
-        lengths = run[refs].tolist()
-        refs = refs.tolist()
+        # the walk reads the runs, and finds each next candidate, in bytes
+        lengths = run.tobytes()
+        candidates = run.astype(bool).tobytes()  # 1 where a run is not empty
         marks = bytearray(n + 1)  # 1 where a run starts, -1 (255) where it ends
-        i = 0
-        while i < len(refs):
-            r, length = refs[i], lengths[i]
+        r = candidates.find(1)
+        while r >= 0:
+            length = lengths[r]
             end = r + 1 + length  # the first miss, or n
             if length == _TABLE_WIDTH:
                 end = _run_end(rows, r, end, epsilon)
             marks[r + 1] = 1
             marks[end] = 255  # a run ends before the next one starts
-            i = bisect_left(refs, end, i + 1)  # block end is the new reference
+            r = candidates.find(1, end)  # block end is the new reference
         np.cumsum(np.frombuffer(marks, dtype=np.int8)[:n], dtype=np.int8, out=flags.view(np.int8))
     return skipped
 

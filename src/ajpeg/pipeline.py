@@ -45,8 +45,9 @@ Both build the container header and reassemble the planes with the same
 helpers as encode() and decode(), so decode(encode(img)) equals
 reconstruct(img) bit for bit.
 
-Working set: only narrow arrays are image-sized, the uint8 planes and
-pixel blocks, the int16 tiles, the bool skip flags and the entropy
+Working set: only narrow arrays are image-sized, at most a byte per
+sample: the uint8 planes and pixel blocks, the int8 tiles, the bool skip
+flags and the skip scan's uint8 distance table, beside the entropy
 coder's 3-byte symbol records. Every wide temporary lives in one slice of
 at most fdct._SLICE_BLOCKS blocks: encode gathers, compresses and
 entropy-codes, decode entropy-decodes, dequantizes and inverts to rounded
@@ -55,9 +56,10 @@ none of them holds a plane's coefficients. The entropy layer drives the
 slices both ways: entropy.encode_channel takes each plane's quantized
 coded blocks from a generator of slices (_coded_blocks), so they are
 never image-sized and the plane's tiles live until the channel is coded,
-and entropy.decode_channel calls decode's invert step. The round trip
-works in three float64 slice buffers. The color layer works in row
-strips the same way.
+and entropy.decode_channel calls decode's invert step, which
+dequantizes each slice in place. The round trip works in two float64
+slice buffers and an int16 one. The color layer works in row strips the
+same way.
 """
 
 from __future__ import annotations
@@ -270,9 +272,10 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
 
 
 def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
-    """uint8 pixel blocks of quantized blocks: dequantize, invert to the
-    decoder's rounded float64 samples (ref_idct_2d), and _restore them."""
-    pixels = ref_idct_2d(dequantize(quantized, divisors))
+    """uint8 pixel blocks of int64 quantized blocks: dequantize them in
+    place, invert to the decoder's rounded float64 samples (ref_idct_2d),
+    and _restore them. quantized is overwritten."""
+    pixels = ref_idct_2d(dequantize(quantized, divisors, out=quantized))
     out = np.empty(pixels.shape, dtype=np.uint8)
     _restore(pixels, trunc_level, out)
     return out
@@ -298,7 +301,7 @@ def _chain_census(cfg: EncodeConfig, smat, qmat) -> OpCounter:
     """The op census of _compress_blocks on one block, which every block
     of the config costs whatever its samples."""
     census = OpCounter()
-    _compress_blocks(np.zeros((1, 8, 8), dtype=np.int16), cfg, smat, qmat, census)
+    _compress_blocks(np.zeros((1, 8, 8), dtype=np.int8), cfg, smat, qmat, census)
     return census
 
 
@@ -319,16 +322,19 @@ def _round_trip(
     tile_blocks leaves them, in any (n, 8, 8) layout.
 
     The forward half runs in float32 [col, row, block] lanes, two of them
-    inside the scratch buffer: each slice is cast from the tiles' lanes
+    inside the pixel buffer: each slice is cast from the tiles' lanes
     (blocks.transpose(2, 1, 0)), one contiguous copy for consecutive
-    tile_blocks blocks, or gathered first by np.take into an int16 view of
-    the coefficient buffer; then truncated as np.rint(x *
+    tile_blocks blocks, or gathered first by np.take into a view of the
+    coefficient buffer in the tiles' dtype; then truncated as np.rint(x *
     sample_shift_scale(B)) and transformed (fdct._transform), both exact
     in float32 on 8-bit samples. The coefficients are cast into the
     float64 coefficient lanes and quantized there as np.rint(c * t) with t
-    from float_quantizer, then dequantized, inverted and rounded
-    (fdct._idct_lanes, as ref_idct_2d does for decode) and restored
-    (_restore). The three float64 lane buffers are allocated once for the
+    from float_quantizer. An int16 copy of the quantized slice (|q| <
+    2**11) is the blocks that the IDCT reads again near a tie, so its
+    second product may write over the coefficient lanes: they are
+    dequantized, inverted and rounded (fdct._idct_lanes, as ref_idct_2d
+    does for decode) into the pixel buffer and restored (_restore). The
+    two float64 lane buffers and the int16 one are allocated once for the
     stack. Each step is an exact float form of its integer spec, and each
     rounding one np.rint pass but for the blocks the IDCT recomputes with
     the decoder's einsum. ops is charged census, the chain's census of one
@@ -339,19 +345,21 @@ def _round_trip(
     # the quantizer's table as [freq across, freq down] lanes
     table = np.ascontiguousarray(float_quantizer(qmat, smat, cfg.dc_exact).T[:, :, None])
     out = np.empty((n, 8, 8), dtype=np.uint8)
-    buffers = np.empty((3, 64 * min(n, _SLICE_BLOCKS)))
+    buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)))
+    # quantized values are below 2**11 in magnitude, so int16 holds them
+    quantized = np.empty(buffers.shape[1], dtype=np.int16)
     tiles = blocks.transpose(2, 1, 0)  # [col, row, block]
     dense = n == len(blocks)  # index is then every block, in order
     for start in range(0, n, _SLICE_BLOCKS):
         at = index[start : start + _SLICE_BLOCKS]
         k = len(at)
-        coef, scratch, pixels = fdct._lanes(buffers, k)
-        x, x_scratch = fdct._lanes(scratch.reshape(-1).view(np.float32).reshape(2, -1), k)
+        coef, pixels = fdct._lanes(buffers, k)
+        x, x_scratch = fdct._lanes(pixels.reshape(-1).view(np.float32).reshape(2, -1), k)
         if dense:
             np.copyto(x, tiles[:, :, start : start + k])
         else:
             # mode "clip" (at is in range) takes straight into out, unbuffered
-            gathered = coef.reshape(-1).view(np.int16)[: 64 * k].reshape(8, 8, k)
+            gathered = coef.reshape(-1).view(tiles.dtype)[: 64 * k].reshape(8, 8, k)
             np.copyto(x, np.take(tiles, at, axis=2, out=gathered, mode="clip"))
         if cfg.trunc_level:
             x *= sample_shift_scale(cfg.trunc_level)
@@ -360,8 +368,10 @@ def _round_trip(
         np.copyto(coef, x)
         coef *= table
         np.rint(coef, out=coef)
+        q = quantized[: 64 * k].reshape(8, 8, k)
+        np.copyto(q, coef, casting="unsafe")
         rounded = pixels.reshape(k, 8, 8)
-        fdct._idct_lanes(coef, coef.transpose(2, 1, 0), scratch, rounded, divisors)
+        fdct._idct_lanes(coef, q.transpose(2, 1, 0), coef, rounded, divisors)
         _restore(rounded, cfg.trunc_level, out[start : start + k])
     return out
 

@@ -121,9 +121,12 @@ def quantize_div(coeffs, qmatrix) -> np.ndarray:
     return np.where(d < 0, -mag, mag)
 
 
-def dequantize(quantized, divisors) -> np.ndarray:
-    """Multiply quantized coefficients by the divisor matrix."""
-    return np.asarray(quantized, dtype=np.int64) * np.asarray(divisors, dtype=np.int64)
+def dequantize(quantized, divisors, out=None) -> np.ndarray:
+    """Multiply quantized coefficients by the divisor matrix, in int64.
+    out, when given, is an int64 array of their shape that takes the
+    result, and may be quantized itself; an out of another dtype raises."""
+    q = np.asarray(quantized, dtype=np.int64)
+    return np.multiply(q, np.asarray(divisors, dtype=np.int64), out=out, casting="no")
 
 
 def _reciprocal(q: int) -> int:

@@ -6,9 +6,9 @@ Block tiling pads non-multiple-of-8 dimensions by edge replication and
 level-shifts samples by -128 into signed range; untiling only reassembles
 and crops, since the decoder's pixel blocks are already uint8.
 
-Working set: the image-sized arrays here are narrow. Tiling pads in uint8
-and writes the level-shifted samples as int16 in one pass, into
-[col, row, block] lanes (a Fortran-ordered (n, 8, 8) array); untiling
+Working set: the image-sized arrays here are one byte per sample. Tiling
+pads in uint8 and writes the level-shifted samples as int8 in one pass,
+into [col, row, block] lanes (a Fortran-ordered (n, 8, 8) array); untiling
 keeps the blocks' dtype and returns a new array.
 """
 
@@ -108,9 +108,12 @@ def parse_pnm(data: bytes) -> RasterImage:
 
 
 def write_pnm(img: RasterImage) -> bytes:
+    """The binary P5/P6 file of img. The samples are copied once, straight
+    into the file's bytes; a strided (cropped) image is first made
+    contiguous, one more copy."""
     magic = b"P6" if img.channels == 3 else b"P5"
     header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
-    return header + img.pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.pixels)))
 
 
 def block_grid(height: int, width: int) -> tuple[int, int]:
@@ -120,8 +123,10 @@ def block_grid(height: int, width: int) -> tuple[int, int]:
 
 
 def tile_blocks(plane: np.ndarray) -> np.ndarray:
-    """Level-shifted (n, 8, 8) int16 blocks of a grayscale plane, in
+    """Level-shifted (n, 8, 8) int8 blocks of a grayscale plane, in
     row-major block order, with the edges padded by replication.
+    A level-shifted 8-bit sample x - 128 lies in [-128, 127], so int8
+    holds it exactly: it is x ^ 0x80 read as int8.
 
     The samples are written once, lane-major: the blocks are a
     Fortran-ordered array, so blocks.transpose(2, 1, 0) is C-contiguous
@@ -137,9 +142,9 @@ def tile_blocks(plane: np.ndarray) -> np.ndarray:
     bh, bw = block_grid(h, w)
     if h % BLOCK or w % BLOCK:
         plane = np.pad(plane, ((0, bh * BLOCK - h), (0, bw * BLOCK - w)), mode="edge")
-    blocks = np.empty((bh * bw, BLOCK, BLOCK), dtype=np.int16, order="F")
+    blocks = np.empty((bh * bw, BLOCK, BLOCK), dtype=np.int8, order="F")
     tiles = plane.reshape(bh, BLOCK, bw, BLOCK).transpose(3, 1, 0, 2)  # [col, row, bh, bw]
-    np.subtract(tiles, 128, out=blocks.T.reshape(BLOCK, BLOCK, bh, bw), dtype=np.int16)
+    np.bitwise_xor(tiles, 0x80, out=blocks.T.view(np.uint8).reshape(BLOCK, BLOCK, bh, bw))
     return blocks
 
 

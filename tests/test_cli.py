@@ -182,6 +182,22 @@ def test_report_names_the_image_it_cannot_score(tmp_path, capsys, pixels, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("knob", ["loop", "trunc"])
+@pytest.mark.parametrize("value", [1, 0], ids=["flat-reconstructed-black", "all-black"])
+def test_sweep_names_the_image_it_cannot_score(tmp_path, capsys, knob, value):
+    # a flat 16x16 image of 1s reconstructs to all zeros, as an all-black
+    # one does, and the SAD against an all-zero reference is undefined: a
+    # data error that names the image, the third of the sorted corpus
+    d = _corpus_dir(tmp_path)
+    bad = d / "later.pgm"
+    bad.write_bytes(write_pnm(RasterImage(np.full((16, 16), value, dtype=np.uint8))))
+    out = tmp_path / "curve.csv"
+    assert main(["sweep", "--corpus", str(d), "--knob", knob, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and "all-zero reference" in err
+    assert not out.exists()
+
+
 def test_decode_pixel_budget(tmp_path, pgm, capsys):
     ok = tmp_path / "ok.ajpg"
     back = tmp_path / "back.pgm"

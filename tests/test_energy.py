@@ -87,6 +87,18 @@ def test_models_and_curves_are_immutable(field, value):
         setattr(target, field, value)
 
 
+def test_curve_points_cannot_be_edited_in_place():
+    # the points are a tuple: neither an item assignment nor an append gets
+    # past __post_init__ to a curve that from_csv would reject
+    curve = _curve("loop", [0.0, 0.1], [1.0, 0.8])
+    assert isinstance(curve.points, tuple)
+    with pytest.raises(TypeError):
+        curve.points[0] = QEPoint(3, -1.0, 7.0)
+    with pytest.raises(AttributeError):
+        curve.points.append(QEPoint(0, 0.0, 1.0))
+    assert QECurve.from_csv(curve.to_csv()) == curve
+
+
 def test_estimate_image_energy_spot_value():
     model = default_activity_model()
     stats = EnergyStats(blocks_processed=60, blocks_skipped=40,

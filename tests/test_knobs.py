@@ -81,6 +81,16 @@ def test_int16_truncation_stays_int16_with_the_quantizers_values_and_census(leve
     assert narrow == wide  # every count of the op census
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_int8_truncation_of_the_tiles_stays_int8_and_exact(level):
+    # every int8 sample, the tiles' type, -128 included: |x| plus the
+    # rounding offset is at most 136, which the unsigned byte holds
+    samples = np.arange(-128, 128).astype(np.int8)
+    got = truncate_block(samples, level)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, truncate_block(samples.astype(np.int64), level))
+
+
 def test_truncate_is_multiplier_free():
     ops = OpCounter()
     truncate_block(np.arange(-32, 32).reshape(8, 8), 3, ops)
@@ -151,8 +161,10 @@ _any_stacks = st.builds(
     offset=st.integers(-250, 250),
 )
 # the same stacks clipped to the 8-bit domain, where the distance table
-# decides; a stack with a sample outside it is decided by skip_check
-stacks = st.one_of(_any_stacks, _any_stacks.map(lambda b: np.clip(b, SAMPLE_MIN, SAMPLE_MAX)))
+# decides, in int64 and as int8 tiles; a stack with a sample outside it is
+# decided by skip_check
+_clipped = _any_stacks.map(lambda b: np.clip(b, SAMPLE_MIN, SAMPLE_MAX))
+stacks = st.one_of(_any_stacks, _clipped, _clipped.map(lambda b: b.astype(np.int8)))
 
 
 @given(stacks, st.sampled_from([skip_epsilon(lv) for lv in range(7)]))
@@ -238,7 +250,7 @@ _SLICE_EDGES = [_SLICE_BLOCKS - 1, _SLICE_BLOCKS, _SLICE_BLOCKS + 1, 2 * _SLICE_
 
 
 @pytest.mark.parametrize("n", _SLICE_EDGES)
-@pytest.mark.parametrize("lanes", [np.int16, np.int64])
+@pytest.mark.parametrize("lanes", [np.int8, np.int16, np.int64])
 def test_skip_flags_across_slice_edges(n, lanes):
     # the distance table is filled slice by slice and a run's windows stop
     # doubling at one slice: a drifting stack, adjacent blocks that differ
@@ -258,16 +270,19 @@ def test_skip_flags_across_slice_edges(n, lanes):
 
 
 def test_skip_flags_memory_is_bounded_by_the_stack():
-    # 8-bit int16 tiles are scanned in their own dtype: no widened copy of
-    # the stack, and the distance table is filled one slice at a time
-    blocks = np.clip(_drifting_stack(16384, 3, 2, 4, 0), SAMPLE_MIN, SAMPLE_MAX).astype(np.int16)
+    # int8 tiles are scanned in their own dtype: no widened copy of the
+    # stack, the distance table is filled one slice at a time in uint8, and
+    # the walk's candidates are compact arrays, so the scan's peak stays
+    # below the stack's one byte per sample even where nearly every block
+    # is a candidate
+    blocks = np.clip(_drifting_stack(16384, 3, 2, 4, 0), SAMPLE_MIN, SAMPLE_MAX).astype(np.int8)
     tracemalloc.start()
     try:
         flags = skip_flags(blocks, 15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * blocks.nbytes
+    assert peak < blocks.nbytes
     assert flags.any() and not flags.all()
     assert np.array_equal(flags, skip_flags(blocks.astype(np.int64), 15))
 
@@ -284,11 +299,13 @@ def _tiled_plane():
 
 
 def test_skip_flags_many_reads_the_tiles_in_place():
-    # tile_blocks' lane-major tiles are scanned as [sample, block] rows in
-    # place: the scan's peak stays below the stack's own bytes, so it never
-    # holds a copy of the stack, and a block-major copy gives the same flags
+    # tile_blocks' lane-major int8 tiles are scanned as [sample, block] rows
+    # in place: the scan's peak stays below the stack's own bytes, so it
+    # never holds a copy of the stack, and a block-major copy gives the
+    # same flags
     tiles = _tiled_plane()
-    assert not tiles.flags.c_contiguous and tiles.transpose(2, 1, 0).flags.c_contiguous
+    assert tiles.dtype == np.int8 and not tiles.flags.c_contiguous
+    assert tiles.transpose(2, 1, 0).flags.c_contiguous
     tracemalloc.start()
     try:
         flags = skip_flags_many(tiles, _LEVEL_EPSILONS)

@@ -348,16 +348,16 @@ def test_entropy_memory_is_bounded_by_image():
     assert stats.blocks_skipped == 0
     out, decode_peak = _traced_peak(lambda: decode(data))
     assert out == reconstruct(img)[0]
-    assert encode_peak < 10 * img.pixels.nbytes
+    assert encode_peak < 7 * img.pixels.nbytes
     assert decode_peak < 10 * img.pixels.nbytes
 
 
 def test_encode_memory_is_tiles_records_and_slice_buffers(corpus, monkeypatch):
-    # a smooth 2048x2048 image codes every block: encode holds its int16
-    # tiles and the entropy coder's 3-byte symbol records, and the
-    # quantized coded blocks only a slice at a time, so the rest of its
-    # peak is a few slice-sized buffers. An image-sized int16 array of the
-    # coded blocks would add as much again as the tiles.
+    # a smooth 2048x2048 image codes every block: encode holds its int8
+    # tiles, one byte per sample, and the entropy coder's 3-byte symbol
+    # records, and the quantized coded blocks only a slice at a time, so
+    # the rest of its peak is a few slice-sized buffers. An image-sized
+    # int16 array of the coded blocks would add twice the tiles.
     img = RasterImage(np.tile(corpus[6].pixels, (4, 4)))
     symbols = 0
     channel_symbols = entropy._channel_symbols
@@ -371,19 +371,35 @@ def test_encode_memory_is_tiles_records_and_slice_buffers(corpus, monkeypatch):
     monkeypatch.setattr(entropy, "_channel_symbols", counted)
     (_, stats), peak = _traced_peak(lambda: encode(img))
     assert stats.blocks_skipped == 0
-    tiles = img.pixels.size * np.dtype(np.int16).itemsize
+    tiles = img.pixels.size * np.dtype(np.int8).itemsize
     buffer = _S * 64 * np.dtype(np.float64).itemsize
     assert peak < tiles + 3 * symbols + 6 * buffer
 
 
+def test_smooth_image_peaks_hold_one_byte_per_tiled_sample(corpus):
+    # the 2048x2048 smooth image codes every block. encode holds the int8
+    # tiles, the symbol records (under a byte per sample here) and slice
+    # buffers; reconstruct holds the tiles, the round trip's uint8 pixel
+    # blocks and the untiled plane, one byte per sample each, beside two
+    # float64 slice buffers and an int16 one. int16 tiles and a third
+    # float64 buffer took them to 13.3 and 18.0 MB.
+    img = RasterImage(np.tile(corpus[6].pixels, (4, 4)))
+    (_, stats), encode_peak = _traced_peak(lambda: encode(img))
+    (out, _), reconstruct_peak = _traced_peak(lambda: reconstruct(img))
+    assert stats.blocks_skipped == 0 and out.pixels.shape == img.pixels.shape
+    buffer = _S * 64 * np.dtype(np.float64).itemsize
+    assert encode_peak < 2 * img.pixels.nbytes + 2 * buffer
+    assert reconstruct_peak < 3 * img.pixels.nbytes + 3 * buffer
+
+
 def test_reconstruct_memory_is_bounded_by_image():
     # noise codes every block: its coefficients and float buffers live in
-    # one slice at a time, and the tiles are int16
+    # one slice at a time, and the tiles are int8
     rng = np.random.default_rng(11)
     img = RasterImage(rng.integers(0, 256, size=(1024, 1024, 3), dtype=np.uint8))
     (out, stats), peak = _traced_peak(lambda: reconstruct(img))
     assert stats.blocks_skipped == 0 and out.pixels.shape == img.pixels.shape
-    assert peak < 6 * img.pixels.nbytes
+    assert peak < 4 * img.pixels.nbytes
 
 
 # Containers of gray noise 8 pixels high, so every block is coded, at block
@@ -621,10 +637,10 @@ _S = pipeline._SLICE_BLOCKS
 # block 33 ends on the tie -0.5, which a strided einsum rounds to 0
 @example(EncodeConfig(quality=1, trunc_level=3, qmatrix=_CUSTOM_Q), "matched", _S - 1, False, 0)
 def test_round_trip_equals_the_stage_chain(cfg, decode_matrix, count, subset, seed):
-    # random tiles, every fifth all -128 and the next all 127; a subset
-    # gathers its blocks by index, the whole stack reads them in place
+    # random int8 tiles, every fifth all -128 and the next all 127; a
+    # subset gathers its blocks by index, the whole stack reads them in place
     rng = np.random.default_rng(seed)
-    blocks = rng.integers(-128, 128, size=(count, 8, 8)).astype(np.int16)
+    blocks = rng.integers(-128, 128, size=(count, 8, 8)).astype(np.int8)
     blocks[::5] = -128
     blocks[1::5] = 127
     index = np.flatnonzero(rng.random(count) < 0.7) if subset else np.arange(count)
@@ -671,28 +687,30 @@ def test_configs_that_skip_nothing_get_images_of_their_own():
         assert not np.shares_memory(a.pixels, b.pixels)
 
 
-def test_round_trip_memory_is_three_slice_buffers():
-    # five truncation levels are five groups: each round trip works in
-    # three float64 slice buffers beside the tiles and its uint8 pixel
-    # blocks, and a group's blocks are gone before the next one starts
+def test_round_trip_memory_is_two_slice_buffers():
+    # five truncation levels are five groups: each round trip works in two
+    # float64 slice buffers and an int16 copy of the quantized slice,
+    # beside the int8 tiles and its uint8 pixel blocks, and a group's
+    # blocks are gone before the next one starts
     img = RasterImage(np.random.default_rng(13).integers(0, 256, size=(256, 768), dtype=np.uint8))
     configs = [EncodeConfig(trunc_level=lv) for lv in TRUNC_LEVELS]
-    tiles = 32 * 96 * 64 * np.dtype(np.int16).itemsize
-    assert tiles == 3 * _S * 128
+    tiles = 32 * 96 * 64 * np.dtype(np.int8).itemsize
+    assert tiles == 3 * _S * 64
     _, peak = _traced_peak(lambda: collections.deque(reconstruct_many(img, configs), maxlen=0))
     buffer = _S * 64 * np.dtype(np.float64).itemsize
-    assert peak < tiles + 2 * img.pixels.nbytes + 3 * buffer + 16384
+    quantized = _S * 64 * np.dtype(np.int16).itemsize
+    assert peak < tiles + 2 * img.pixels.nbytes + 2 * buffer + quantized + 16384
 
 
-@pytest.mark.parametrize("image, slices", [("noise", 3), ("smooth", 5)])
+@pytest.mark.parametrize("image, slices", [("noise", 3), ("smooth", 4)])
 def test_decode_memory_is_slice_buffers(image, slices):
     # every block is coded, so decode's uint8 pixel blocks are as large as
-    # its output. Per entropy slice it holds the int64 values and their
-    # dequantization, and ref_idct_2d its float64 result and one lane
-    # buffer that also takes the products: four slice-sized arrays, beside
-    # the entropy decoder's own. Noise fills the entropy layer's 8 KB
-    # lookahead window within 259 blocks; the smooth image's slices are
-    # _SLICE_BLOCKS long, and a second lane buffer breaks its bound.
+    # its output. Per entropy slice it holds the int64 values, dequantized
+    # in place, and ref_idct_2d its float64 result and one lane buffer that
+    # also takes the products: three slice-sized arrays, beside the entropy
+    # decoder's own. Noise fills the entropy layer's 8 KB lookahead window
+    # within 259 blocks; the smooth image's slices are _SLICE_BLOCKS long,
+    # and a separate array of the dequantized values breaks its bound.
     if image == "noise":
         pixels = np.random.default_rng(12).integers(0, 256, size=(1024, 1024), dtype=np.uint8)
     else:

@@ -146,6 +146,18 @@ def test_dequantize_multiplies():
     assert np.array_equal(dequantize(-2 * c, q), -2 * q)
 
 
+def test_dequantize_in_place():
+    # out may be the quantized blocks themselves, as decode passes them; an
+    # out of a narrower dtype would wrap, so it raises
+    q = build_qmatrix(50)
+    blocks = np.arange(-64, 64, dtype=np.int64).reshape(2, 8, 8)
+    want = blocks * q
+    assert dequantize(blocks, q, out=blocks) is blocks
+    assert np.array_equal(blocks, want)
+    with pytest.raises(TypeError):
+        dequantize(blocks, q, out=np.empty(blocks.shape, dtype=np.int16))
+
+
 @pytest.mark.parametrize(
     "q, bits",
     [

@@ -1,5 +1,7 @@
 """PNM parsing/writing and 8x8 tiling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,6 +94,24 @@ def test_write_pnm_exact_bytes():
     assert write_pnm(img) == b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6])
 
 
+def test_write_pnm_copies_the_samples_once():
+    # the samples go straight into the file's bytes: the peak is one image,
+    # where header + pixels.tobytes() held two. A cropped (strided) image,
+    # as decode returns, is made contiguous first and writes the same bytes
+    img = RasterImage(np.random.default_rng(3).integers(0, 256, size=(512, 768, 3), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        data = write_pnm(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == b"P6\n768 512\n255\n" + img.pixels.tobytes()
+    assert peak < img.pixels.nbytes + 4096
+    cropped = RasterImage(img.pixels[:509, :765])
+    assert not cropped.pixels.flags.c_contiguous
+    assert write_pnm(cropped) == b"P6\n765 509\n255\n" + cropped.pixels.tobytes()
+
+
 @given(st.integers(1, 20), st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
 def test_pnm_round_trip(w, h, color, seed):
     rng = np.random.default_rng(seed)
@@ -109,12 +129,17 @@ def test_raster_image_validation():
         RasterImage(np.zeros((0, 4), dtype=np.uint8))
 
 
+def _unshifted(blocks):
+    """The uint8 samples of level-shifted blocks."""
+    return (blocks.astype(np.int16) + 128).astype(np.uint8)
+
+
 def test_tile_9x9_pads_by_edge_replication():
     plane = np.zeros((9, 9), dtype=np.uint8)
     plane[8, 8] = 80
     blocks = tile_blocks(plane)
     assert blocks.shape == (4, 8, 8)
-    assert blocks.dtype == np.int16
+    assert blocks.dtype == np.int8
     padded = np.pad(plane, ((0, 7), (0, 7)), mode="edge").astype(np.int64) - 128
     tiled = padded.reshape(2, 8, 2, 8).swapaxes(1, 2).reshape(4, 8, 8)
     assert np.array_equal(blocks, tiled)
@@ -123,7 +148,7 @@ def test_tile_9x9_pads_by_edge_replication():
     assert np.all(blocks[1] == -128)
     assert np.all(blocks[2] == -128)
     assert np.all(blocks[3] == 80 - 128)
-    assert np.array_equal(untile_blocks((blocks + 128).astype(np.uint8), 9, 9), plane)
+    assert np.array_equal(untile_blocks(_unshifted(blocks), 9, 9), plane)
 
 
 def test_tile_unshifted_keeps_raw_values():
@@ -137,14 +162,14 @@ def test_tile_block_order_is_row_major():
     plane[:, 16:] = 90
     blocks = tile_blocks(plane)
     assert [int(b[0, 0]) for b in blocks] == [0 - 128, 50 - 128, 90 - 128]
-    assert np.array_equal(untile_blocks((blocks + 128).astype(np.uint8), 8, 24), plane)
+    assert np.array_equal(untile_blocks(_unshifted(blocks), 8, 24), plane)
 
 
 @given(st.integers(1, 25), st.integers(1, 25), st.integers(0, 2**32 - 1))
 def test_tile_untile_round_trip(w, h, seed):
     rng = np.random.default_rng(seed)
     plane = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    blocks = (tile_blocks(plane) + 128).astype(np.uint8)
+    blocks = _unshifted(tile_blocks(plane))
     assert np.array_equal(untile_blocks(blocks, h, w), plane)
 
 
@@ -157,7 +182,7 @@ def test_tiles_are_lane_major_views_of_the_block_order(h, w):
     bh, bw = -(-h // 8), -(-w // 8)
     padded = np.pad(plane, ((0, 8 * bh - h), (0, 8 * bw - w)), mode="edge").astype(np.int16) - 128
     want = padded.reshape(bh, 8, bw, 8).swapaxes(1, 2).reshape(bh * bw, 8, 8)
-    assert blocks.shape == want.shape and blocks.dtype == np.int16
+    assert blocks.shape == want.shape and blocks.dtype == np.int8
     assert np.array_equal(blocks, want)
     assert blocks.transpose(2, 1, 0).flags.c_contiguous
 
