@@ -206,7 +206,8 @@ def _amplitude_bits(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _amplitude_values(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Inverse of _amplitude_bits: a value below 2**(size-1) is negative."""
+    """Inverse of _amplitude_bits: a value below 2**(size-1) is negative.
+    int32 bits give int32 values."""
     top = np.left_shift(1, sizes, dtype=np.int32)
     return np.where(bits < top >> 1, bits - top + 1, bits)
 
@@ -492,22 +493,31 @@ def _walk(payload: np.ndarray, nbits: int, table, m: int):
         marks = np.frombuffer(starts, dtype=np.uint8)[seg:pos]
         at = np.flatnonzero(marks)
         sym = np.frombuffer(sym_at, dtype=np.uint8)[seg:pos][at]
-        yield word, (at + seg, marks[at] == 2, sym), pos
+        is_dc = marks[at] == 2
+        at = at.astype(np.int32)  # window positions are below 2**17
+        at += seg
+        yield word, (at, is_dc, sym), pos
 
 
 def _coefficients(word: np.ndarray, at, is_dc, sym, end: int, dc) -> np.ndarray:
     """The coded blocks (k, 8, 8) of one slice's symbols, which start at the
-    window positions at and end at end, their DC differences summed from the
-    predictor dc. Amplitudes are read from the window's words in one array
-    operation and DC values are a cumulative sum; at is reused for the
-    amplitudes' positions."""
+    window positions at (int32) and end at end, their DC differences summed
+    from the predictor dc. Amplitudes are read from the window's words in
+    one array operation and DC values are a cumulative sum; at is reused for
+    the amplitudes' positions and then their shifts. Every per-symbol array
+    is 32 bits wide or narrower."""
     size = sym & 0x0F
     at[:-1] = at[1:]  # a symbol's amplitude ends where the next symbol starts
     at[-1] = end
     at -= size
-    bits = word[at >> 3] >> (32 - size - (at & 7))
-    bits &= np.left_shift(1, size, dtype=np.int64) - 1
-    value = _amplitude_values(bits, size)
+    bits = word[at >> 3]
+    shift = at.view(np.uint32)  # positions are not negative
+    shift &= 7
+    shift += size
+    np.subtract(32, shift, out=shift)  # 32 - size - (at & 7), at most 32
+    bits >>= shift
+    bits &= np.left_shift(1, size, dtype=np.uint32) - 1
+    value = _amplitude_values(bits.view(np.int32), size)  # bits below 2**15
     dcs = np.cumsum(value[is_dc], dtype=np.int64) + dc
     # Scan position: the running sum of run + 1 within the block, minus one
     # (DC advances by 1 and ZRL by 16, so one rule covers every symbol).
@@ -547,13 +557,15 @@ def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
     payload = np.frombuffer(stream.payload, dtype=np.uint8)
     out, first, dc = None, 0, 0
     for word, symbols, end in _walk(payload, nbits, stream.table, m):
-        coded = _coefficients(word, *symbols, end, dc)
-        dc = coded[-1, 0, 0]
-        result = coded if step is None else step(coded)
+        values = _coefficients(word, *symbols, end, dc)
+        dc = values[-1, 0, 0]
+        if step is not None:
+            values = step(values)
         if out is None:
-            out = np.empty((m, *result.shape[1:]), dtype=result.dtype)
-        out[first : first + len(result)] = result
-        first += len(result)
+            out = np.empty((m, *values.shape[1:]), dtype=values.dtype)
+        out[first : first + len(values)] = values
+        first += len(values)
+        del values  # a slice's values go before the next slice's are made
     return out
 
 

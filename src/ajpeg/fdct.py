@@ -37,8 +37,8 @@ intermediates, and about 11.2, the float form's own bound. fdct_2d accepts
 and raises ValueError beyond it. Float samples would slip past the floors,
 so only integer dtypes are accepted (TypeError otherwise). On level-shifted
 8-bit samples every value stays below 2**12 (see _pass), so the pipeline's
-round trip runs the same transform on float32 lanes; fdct_2d stays on
-float64.
+round trip runs the same transform on float32 lanes, and so does fdct_2d
+on int8 samples, the tiles' type; it runs every other dtype on float64.
 
 The op census is the hardware's, not the software's: fdct_2d charges its
 IntOps n times _BLOCK_CENSUS, the census of _flowgraph on one block's 16
@@ -171,7 +171,7 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
 # Blocks per step of fdct_2d and ref_idct_2d, and of every other per-block
 # step over a stack (the skip scan, and the pipeline's compress, decode and
 # round trip). A fixed slice bounds the working memory whatever the stack
-# size: fdct_2d holds a slice's float64 lanes and one matrix product of
+# size: fdct_2d holds a slice's float lanes and one matrix product of
 # them.
 _SLICE_BLOCKS = 1024
 
@@ -250,13 +250,15 @@ def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
     result, the integers of the shift-add spec (fdct_1d on rows, then on
     columns).
 
-    A stack is transformed in slices of _SLICE_BLOCKS blocks, on float64
+    A stack is transformed in slices of _SLICE_BLOCKS blocks, on float
     lanes laid out block-minor: pass 1 is one (8 x 8) @ (8 x 8k) product on
     [col, row, block], and pass 2 the same product batched over the
     frequency across, on [freq across, row, block]. Each pass writes its
-    outputs back into its lanes. Samples must be integers of magnitude
-    below _EXACT_INPUT (TypeError, ValueError otherwise). ops is charged
-    the spec's census of every block."""
+    outputs back into its lanes. The lanes are float32 for int8 samples,
+    exact on them as on every |sample| <= 128 (_pass), and float64
+    otherwise. Samples must be integers of magnitude below _EXACT_INPUT
+    (TypeError, ValueError otherwise). ops is charged the spec's census of
+    every block."""
     m = np.asarray(block)
     if m.shape[-2:] != (8, 8):
         raise ValueError("fdct_2d expects 8x8 blocks")
@@ -270,7 +272,10 @@ def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
             raise ValueError("fdct_2d expects |samples| below 2**28")
     ops.charge_blocks(_BLOCK_CENSUS, n)
     out = np.empty(blocks.shape, dtype=np.int64)
-    buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)))
+    # int8 samples, the tiles' level-shifted 8-bit samples, are exact in
+    # float32 lanes (see _pass)
+    lane_type = np.float32 if m.dtype == np.int8 else np.float64
+    buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)), dtype=lane_type)
     for start in range(0, n, _SLICE_BLOCKS):
         part = blocks[start : start + _SLICE_BLOCKS]
         lanes, scratch = _lanes(buffers, len(part))

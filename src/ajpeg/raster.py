@@ -6,10 +6,13 @@ Block tiling pads non-multiple-of-8 dimensions by edge replication and
 level-shifts samples by -128 into signed range; untiling only reassembles
 and crops, since the decoder's pixel blocks are already uint8.
 
-Working set: the image-sized arrays here are one byte per sample. Tiling
-pads in uint8 and writes the level-shifted samples as int8 in one pass,
-into [col, row, block] lanes (a Fortran-ordered (n, 8, 8) array); untiling
-keeps the blocks' dtype and returns a new array.
+Working set: the image-sized arrays here are one byte per sample, and each
+is written in one copy. parse_pnm reads the body in place and copies it
+once, into the image. Tiling pads in uint8 and writes the level-shifted
+samples as int8 in one pass, into [col, row, block] lanes (a
+Fortran-ordered (n, 8, 8) array). Untiling keeps the blocks' dtype and
+writes a new C-contiguous plane of the cropped size, so write_pnm copies a
+decoded plane once, straight into the file's bytes.
 """
 
 from __future__ import annotations
@@ -99,18 +102,18 @@ def parse_pnm(data: bytes) -> RasterImage:
         raise PnmError("header: missing separator before body")
     pos += 1
     nsamples = width * height * (3 if color else 1)
-    body = data[pos : pos + nsamples]
-    if len(body) < nsamples:
+    if len(data) - pos < nsamples:
         raise PnmError("body: truncated sample data")
-    pixels = np.frombuffer(body, dtype=np.uint8)
+    # the body is read in place and copied once, into the image
+    pixels = np.frombuffer(data, dtype=np.uint8, count=nsamples, offset=pos)
     shape = (height, width, 3) if color else (height, width)
     return RasterImage(pixels.reshape(shape).copy())
 
 
 def write_pnm(img: RasterImage) -> bytes:
     """The binary P5/P6 file of img. The samples are copied once, straight
-    into the file's bytes; a strided (cropped) image is first made
-    contiguous, one more copy."""
+    into the file's bytes, as decoded images are C-contiguous; a strided
+    (cropped) view is first made contiguous, one more copy."""
     magic = b"P6" if img.channels == 3 else b"P5"
     header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
     return b"".join((header, np.ascontiguousarray(img.pixels)))
@@ -149,17 +152,35 @@ def tile_blocks(plane: np.ndarray) -> np.ndarray:
 
 
 def untile_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Reassemble a height x width plane from its row-major (n, 8, 8)
-    blocks, cropping the padding; the samples keep their dtype. A block
-    count other than that of the plane raises ValueError.
+    """Reassemble a C-contiguous height x width plane from its row-major
+    (n, 8, 8) blocks, cropping the padding; the samples keep their dtype.
+    A block count other than that of the plane raises ValueError.
 
-    Each block row of 8 samples moves as itemsize uint64 words of a
-    C-contiguous stack (the decoder's uint8 pixel blocks are one word a
-    row): the transposition copies fewer, wider items, and the bytes stay
-    the same. The plane is a new array, even where the transposition
-    moves nothing (a plane one block wide)."""
+    Each sample is copied once, straight into the plane. The whole blocks
+    go in one strided copy, in which each block row of 8 samples moves as
+    itemsize uint64 words of a C-contiguous stack (the decoder's uint8
+    pixel blocks are one word a row): the transposition copies fewer,
+    wider items, and the bytes stay the same. The cropped blocks of the
+    bottom edge and of the right edge, if any, go apart."""
     bh, bw = block_grid(height, width)
-    words = np.ascontiguousarray(blocks).view(np.uint64)
-    rows = words.reshape(bh, bw, BLOCK, blocks.itemsize).swapaxes(1, 2)
-    plane = rows.copy().view(blocks.dtype).reshape(bh * BLOCK, bw * BLOCK)
-    return plane[:height, :width]
+    if len(blocks) != bh * bw:
+        raise ValueError(f"expected {bh * bw} blocks for a {height} x {width} plane")
+    blocks = np.ascontiguousarray(blocks)
+    grid = blocks.reshape(bh, bw, BLOCK, BLOCK)
+    plane = np.empty((height, width), dtype=blocks.dtype)
+    fh, fw = height // BLOCK, width // BLOCK  # the whole blocks
+    words = blocks.itemsize  # uint64 words per block row
+    np.copyto(
+        plane[: fh * BLOCK, : fw * BLOCK].view(np.uint64).reshape(fh, BLOCK, fw, words),
+        blocks.view(np.uint64).reshape(bh, bw, BLOCK, words)[:fh, :fw].swapaxes(1, 2),
+    )
+    right, bottom = width - fw * BLOCK, height - fh * BLOCK
+    if right:  # the right edge's blocks, above the bottom edge
+        edge = plane[: fh * BLOCK, fw * BLOCK :].reshape(fh, BLOCK, right)
+        np.copyto(edge, grid[:fh, fw, :, :right])
+    if bottom:  # the bottom edge's blocks, its corner block last
+        edge = plane[fh * BLOCK :, : fw * BLOCK].reshape(bottom, fw, BLOCK)
+        np.copyto(edge, grid[fh, :fw, :bottom].swapaxes(0, 1))
+        if right:
+            np.copyto(plane[fh * BLOCK :, fw * BLOCK :], grid[fh, fw, :bottom, :right])
+    return plane

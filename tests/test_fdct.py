@@ -295,6 +295,10 @@ def test_float32_transform_matches_fdct_2d_at_the_extremes():
     blocks = _pass_extremes()
     assert len(blocks) == 2 * 24 * 24 + 4 and np.abs(blocks).max() == 128
     assert np.array_equal(_float32_transform(blocks), fdct_2d(blocks))
+    # fdct_2d's own float32 lanes, on the extremes an int8 stack can hold
+    clipped = np.minimum(blocks, 127)
+    _assert_matches_one_pass(clipped.astype(np.int8))
+    assert np.array_equal(fdct_2d(clipped.astype(np.int8)), fdct_2d(clipped))
 
 
 @pytest.mark.parametrize("count", [1, _S - 1, _S, _S + 1, 2 * _S + 76])
@@ -339,7 +343,7 @@ def test_rejects_non_integer_samples(samples):
 
 @settings(max_examples=25)
 @given(
-    st.sampled_from([np.int16, np.int64, np.uint8]),
+    st.sampled_from([np.int8, np.int16, np.int64, np.uint8]),
     st.sampled_from([0, 1, _S - 1, _S, _S + 1, 2 * _S + 76]),
     st.integers(0, 2**32 - 1),
 )
@@ -351,18 +355,21 @@ def test_integer_stacks_match_the_spec(dtype, count, seed):
     _assert_matches_one_pass(rng.integers(lo, hi, size=(count, 8, 8), endpoint=True).astype(dtype))
 
 
-def test_fdct_memory_is_one_slice_of_float_lanes():
-    # fdct_2d holds its int64 result, one slice's float64 lanes and one
-    # matrix product of them; this slice is the codec op's memory peak
-    blocks = np.random.default_rng(9).integers(-128, 128, size=(3 * _S, 8, 8)).astype(np.int16)
+@pytest.mark.parametrize("dtype, lane_type", [(np.int16, np.float64), (np.int8, np.float32)])
+def test_fdct_memory_is_one_slice_of_float_lanes(dtype, lane_type):
+    # fdct_2d holds its int64 result, one slice's float lanes and one
+    # matrix product of them: float32 lanes for int8 samples, the tiles'
+    # type, and float64 lanes otherwise
+    blocks = np.random.default_rng(9).integers(-128, 128, size=(3 * _S, 8, 8)).astype(dtype)
     tracemalloc.start()
     try:
         out = fdct_2d(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lanes = _S * 64 * np.dtype(np.float64).itemsize
+    lanes = _S * 64 * np.dtype(lane_type).itemsize
     assert peak < out.nbytes + 2 * lanes + 4096
+    assert np.array_equal(out, fdct_2d(blocks.astype(np.int64)))
 
 
 def test_1d_rejects_bad_length():

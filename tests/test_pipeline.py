@@ -392,6 +392,38 @@ def test_smooth_image_peaks_hold_one_byte_per_tiled_sample(corpus):
     assert reconstruct_peak < 3 * img.pixels.nbytes + 3 * buffer
 
 
+def _rgb_image(corpus):
+    """A 512x512 RGB image: three corpus images as its channels."""
+    return RasterImage(np.stack([corpus[i].pixels for i in (4, 5, 6)], axis=-1))
+
+
+def test_rgb_codec_working_set(corpus):
+    # the benchmark's codec config on a 512x512 RGB image. encode holds
+    # the YCbCr planes, one image, and then each plane's tiles and int16
+    # slices; decode holds the RGB result, the decoded planes (half an
+    # image), an int64 entropy slice beside half a slice of float64 samples,
+    # and float64 colour strips. Full-resolution chroma on decode and int64
+    # and float64 slices of a whole slice took both to 3.4x the image.
+    img = _rgb_image(corpus)
+    cfg = EncodeConfig(quality=50, trunc_level=2, skip_level=3, dc_exact=True)
+    (data, _), encode_peak = _traced_peak(lambda: encode(img, cfg))
+    out, decode_peak = _traced_peak(lambda: decode(data))
+    assert out == reconstruct(img, cfg)[0]
+    assert encode_peak < 2.6 * img.pixels.nbytes
+    assert decode_peak < 2.9 * img.pixels.nbytes
+
+
+def test_rgb_decode_holds_no_full_resolution_chroma(corpus):
+    # a 2048x2048 RGB decode holds its result, the three decoded planes
+    # (half the result) and slice and strip buffers: 21.0 MB, where the two
+    # upsampled chroma planes, a third of the result each, took it to 30.0
+    img = RasterImage(np.tile(_rgb_image(corpus).pixels, (4, 4, 1)))
+    data, _ = encode(img)
+    out, peak = _traced_peak(lambda: decode(data))
+    assert out.pixels.shape == img.pixels.shape
+    assert peak < 22e6 < 1.75 * img.pixels.nbytes
+
+
 def test_reconstruct_memory_is_bounded_by_image():
     # noise codes every block: its coefficients and float buffers live in
     # one slice at a time, and the tiles are int8
@@ -649,6 +681,7 @@ def test_round_trip_equals_the_stage_chain(cfg, decode_matrix, count, subset, se
     divisors = pipeline._decode_divisors(meta, decode_matrix)
     chain, fused = OpCounter(), OpCounter()
     quantized = pipeline._compress_blocks(blocks[index], cfg, smat, qmat, chain)
+    assert quantized.dtype == np.int16
     want = pipeline._decode_blocks(quantized, divisors, cfg.trunc_level)
     census = pipeline._chain_census(cfg, smat, qmat)
     got = pipeline._round_trip(blocks, index, cfg, smat, qmat, divisors, census, fused)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ajpeg.pipeline import decode, encode
 from ajpeg.raster import (
     PnmError,
     RasterImage,
@@ -112,6 +113,39 @@ def test_write_pnm_copies_the_samples_once():
     assert write_pnm(cropped) == b"P6\n765 509\n255\n" + cropped.pixels.tobytes()
 
 
+def _traced_peak(fn):
+    """fn's result and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_pnm_copies_the_body_once():
+    # the body is read in place and copied once, into the image; slicing
+    # it out of the file and then copying it held two images
+    pixels = np.random.default_rng(4).integers(0, 256, size=(512, 512, 3), dtype=np.uint8)
+    data = b"P6\n512 512\n255\n" + pixels.tobytes() + b"trailing bytes are ignored"
+    img, peak = _traced_peak(lambda: parse_pnm(data))
+    assert np.array_equal(img.pixels, pixels) and img.pixels.flags.writeable
+    assert not np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+    assert peak < 1.1 * pixels.nbytes
+
+
+def test_decoded_plane_is_written_in_one_copy():
+    # a gray image 1021 wide decodes to a C-contiguous plane, cropped as it
+    # is untiled, so write_pnm copies its samples once; a cropped view of
+    # the padded plane was made contiguous first, one more copy
+    img = RasterImage(np.random.default_rng(5).integers(0, 256, size=(1023, 1021), dtype=np.uint8))
+    decoded = decode(encode(img)[0])
+    assert decoded.pixels.shape == (1023, 1021) and decoded.pixels.flags.c_contiguous
+    data, peak = _traced_peak(lambda: write_pnm(decoded))
+    assert data == b"P5\n1021 1023\n255\n" + decoded.pixels.tobytes()
+    assert peak < 1.1 * decoded.pixels.nbytes
+
+
 @given(st.integers(1, 20), st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
 def test_pnm_round_trip(w, h, color, seed):
     rng = np.random.default_rng(seed)
@@ -211,8 +245,9 @@ def _untiled_by_reshape(blocks, height, width):
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
 @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
 def test_untile_matches_the_reshape_form(dtype, contiguous):
-    # every stack moves its block rows as uint64 words: uint8 as one word a
-    # row, int16 as two, and a strided stack from a contiguous copy
+    # every stack moves its whole blocks' rows as uint64 words: uint8 as
+    # one word a row, int16 as two, and a strided stack from a contiguous
+    # copy; the cropped edge blocks go apart, into a C-contiguous plane
     rng = np.random.default_rng(21)
     for height in [*range(1, 16), 37]:
         for width in [*range(1, 16), 53]:
@@ -223,7 +258,7 @@ def test_untile_matches_the_reshape_form(dtype, contiguous):
             blocks = stack[:n]
             assert blocks.flags.c_contiguous == contiguous
             got = untile_blocks(blocks, height, width)
-            assert got.dtype == dtype
+            assert got.dtype == dtype and got.flags.c_contiguous
             assert np.array_equal(got, _untiled_by_reshape(blocks, height, width))
             with pytest.raises(ValueError):
                 untile_blocks(stack, height, width)  # one block too many
