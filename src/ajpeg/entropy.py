@@ -21,28 +21,38 @@ covers a channel; the encoder's symbol records, 3 bytes a symbol, are the
 one per-symbol store that does. The encoder reads the slices its caller
 makes (the pipeline's hold at most fdct._SLICE_BLOCKS blocks, compressed
 as they are taken), so no array of a channel's quantized blocks exists
-either. It makes two passes. The first zigzags and widens each slice as it
-arrives, carrying the DC predictor, and builds its symbols at once: DC
-differences from the shifted DC column, zero runs from the gaps between
-nonzero scan positions, ZRLs and EOBs placed from per-block symbol counts,
-and size categories from the magnitudes' bit lengths. It keeps each
-slice's symbols as narrow records and counts their frequencies. The second
-builds the table and adds each slice's (code << size) | amplitude words,
-in 64-bit lanes, into the big-endian 32-bit words of the payload, carrying
-the partial last word to the next slice. The decoder reads each payload in
-place, a view of the container, one window at a time: it builds the
-big-endian 32-bit word at every byte and looks up the symbol and total
-length of the code at every bit position in a 16-bit lookahead table (as
-in ITU-T T.81 Annex F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A symbol's
-total length is its code length plus its low nibble in every context,
-since DC size categories and AC symbols share the amplitude rule and ZRL
-and EOB carry no amplitude, so one Python loop step per symbol follows the
-block structure and checks the stream, carrying the bit position from
-slice to slice. A slice also ends where the window moves on, so its
-amplitudes are read from the window's words in one array operation; its DC
-values are a cumulative sum of the differences, carried on from the slice
-before. decode_channel hands each slice's int64 values to a step of the
-caller's, so the pipeline inverts them slice by slice.
+either. It makes two passes. The first zigzags each slice as it arrives
+into a C-contiguous int16 array, carrying the DC predictor, and builds its
+symbols at once. One bool mask of the nonzero coefficients with the DC
+column set gives, as its flat indices, each block's DC and nonzero AC
+coefficients in stream order: zero runs are the gaps between them, and
+every symbol's place follows from a cumulative count of the ZRLs, EOBs
+and symbols before it; size categories are the values' bit lengths. It
+keeps each slice's symbols as narrow records and counts their
+frequencies. The second builds the table and adds each slice's
+(code << size) | amplitude words, in 64-bit lanes, into the big-endian
+32-bit words of the payload, carrying the partial last word to the next
+slice.
+
+The decoder reads each payload in place, a view of the container, one
+window at a time: it builds the big-endian 32-bit word at every byte and
+looks up, at every bit position, the total length and the scan advance of
+the code there in a 16-bit lookahead table (as in ITU-T T.81 Annex
+F.2.2.3 and libjpeg's HUFF_LOOKAHEAD). A symbol's total length is its code
+length plus its low nibble in every context, since DC size categories and
+AC symbols share the amplitude rule and ZRL and EOB carry no amplitude. Its
+advance is the scan positions it moves its block on: run + 1 for an AC
+coefficient, 16 for ZRL, and for EOB, a size category out of range and a
+position that starts no code, a sentinel of 128 or more that ends the
+block at once. So one Python loop step per AC symbol marks its start and
+adds its advance and length, and one test of the scan position after the
+block tells a full block and EOB from each fault; the walk carries the bit
+position from slice to slice. A slice also ends where the window moves on,
+so its marked symbols are read from the window's words through the table
+and its amplitudes in one array operation each; its DC values are a
+cumulative sum of the differences, carried on from the slice before.
+decode_channel hands each slice's int64 values to a step of the caller's,
+so the pipeline inverts them slice by slice.
 
 read_container checks the header's pixel count against a budget
 (MAX_PIXELS by default) before it reads any channel, and raises
@@ -132,7 +142,21 @@ def inv_zigzag(vec: np.ndarray) -> np.ndarray:
 
 
 def code_lengths(freqs: dict[int, int], limit: int = MAX_CODE_LEN) -> dict[int, int]:
-    """Optimal length-limited prefix code lengths (package-merge)."""
+    """Optimal length-limited prefix code lengths (package-merge).
+
+    Each of limit rounds sorts the last round's packages with the leaves
+    and pairs the sorted items into packages; a symbol's length is the
+    number of rounds whose items in the first n - 1 packages of the last
+    round include its leaf. Those items are a prefix of each round's
+    sorted list: the first 2(n - 1) in the last round, and twice the
+    number of packages among them in the round before. So an item carries
+    no members, only its weight, its first member's rank (symbols in
+    order) and whether it is a package, and the prefixes are counted back
+    from the last round. Items of equal weight never share a first member
+    (a package outweighs each of its members, and packages of equal weight
+    are made of items of equal weight), so (weight, first member) sorts
+    the items as the tuples of their member symbols would, ties included.
+    """
     syms = sorted(s for s, f in freqs.items() if f > 0)
     if not syms:
         return {}
@@ -140,19 +164,25 @@ def code_lengths(freqs: dict[int, int], limit: int = MAX_CODE_LEN) -> dict[int, 
         return {syms[0]: 1}
     if len(syms) > 1 << limit:
         raise ValueError("alphabet too large for the length limit")
-    leaves = sorted((freqs[s], (s,)) for s in syms)
+    leaves = sorted((freqs[s], rank, False) for rank, s in enumerate(syms))
+    rounds = []
     level = []
     for _ in range(limit):
         merged = sorted(level + leaves)
-        level = [
-            (a[0] + b[0], a[1] + b[1])
-            for a, b in zip(merged[0::2], merged[1::2])
-        ]
-    lengths = dict.fromkeys(syms, 0)
-    for _, members in level[: len(syms) - 1]:
-        for s in members:
-            lengths[s] += 1
-    return lengths
+        rounds.append(merged)
+        pairs = iter(merged)
+        level = [(a[0] + b[0], a[1], True) for a, b in zip(pairs, pairs)]
+    lengths = [0] * len(syms)
+    take = 2 * (len(syms) - 1)
+    for merged in reversed(rounds):
+        packages = 0
+        for _, rank, package in merged[:take]:
+            if package:
+                packages += 1
+            else:
+                lengths[rank] += 1
+        take = 2 * packages
+    return dict(zip(syms, lengths))
 
 
 def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
@@ -196,20 +226,28 @@ class ChannelStream:
 
 
 def _size_category(values: np.ndarray) -> np.ndarray:
-    """JPEG size category: the bit length of |value|."""
-    return np.frexp(np.abs(values).astype(np.float64))[1].astype(np.int64)
+    """JPEG size category, the bit length of |value|, as int32. float32
+    holds every |value| below 2**24 exactly; a wider one may round up to
+    the next power of two, but its category is out of range either way."""
+    return np.frexp(values.astype(np.float32))[1]
 
 
 def _amplitude_bits(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """JPEG magnitude convention: negative values stored as value + 2**size - 1."""
-    return np.where(values < 0, values + (np.int64(1) << sizes) - 1, values)
+    """JPEG magnitude convention: negative values stored as value + 2**size - 1,
+    that is, the low size bits of value - 1."""
+    return (values - (values < 0)) & (np.left_shift(1, sizes, dtype=np.int32) - 1)
 
 
 def _amplitude_values(bits: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Inverse of _amplitude_bits: a value below 2**(size-1) is negative.
-    int32 bits give int32 values."""
-    top = np.left_shift(1, sizes, dtype=np.int32)
-    return np.where(bits < top >> 1, bits - top + 1, bits)
+    """Inverse of _amplitude_bits: bits below half = 2**(size-1) stand for
+    bits - 2**size + 1 (none do for size 0). int32 bits give int32 values."""
+    half = np.left_shift(1, sizes, dtype=np.int32) >> 1
+    offset = bits - half
+    offset >>= 31  # all ones where the value is negative
+    half <<= 1
+    half -= 1
+    offset &= half
+    return bits - offset
 
 
 def _channel_symbols(part: np.ndarray, dc: int):
@@ -221,62 +259,70 @@ def _channel_symbols(part: np.ndarray, dc: int):
 
     Each block is its DC symbol, then per nonzero AC coefficient run // 16
     ZRLs and one (run % 16, size) symbol, then EOB unless its last
-    coefficient is nonzero. The positions of DC, coefficient and EOB symbols
-    follow from per-block symbol counts; every other slot holds a ZRL.
+    coefficient is nonzero. The slice is zigzagged into a C-contiguous
+    int16 array (a value beyond int16 is out of range, clipped or not), and
+    one bool mask with the DC column set gives, as its flat indices at, the
+    items in stream order: each block's DC and its nonzero AC coefficients,
+    at & 63 being the scan position. Each item's symbol goes after the
+    symbols of the items before it and its own ZRLs; a DC symbol also after
+    the EOB of the block before. Every other slot holds a ZRL.
     """
-    coded = zigzag(part).astype(np.int64)
+    coded = zigzag(part)
     m = len(coded)
-    diff = np.diff(coded[:, 0], prepend=dc)
-    dc_size = _size_category(diff)
-    rows, k = np.nonzero(coded[:, 1:])
-    k += 1  # scan position of each nonzero AC coefficient
-    ac = coded[rows, k]
+    if not m:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint16), dc
+    dcs = coded[:, 0].astype(np.int64)
+    diff = dcs.copy()
+    diff[0] -= dc
+    diff[1:] -= dcs[:-1]
+    if coded.dtype != np.int16:
+        coded = np.clip(coded.astype(np.int64, copy=False), -0x8000, 0x7FFF).astype(np.int16)
+    mask = coded != 0
+    has_eob = ~mask[:, 63]
+    mask[:, 0] = True
+    at = np.flatnonzero(mask)
+    del mask
+    value = coded.reshape(-1)[at]
     del coded
-    ac_size = _size_category(ac)
-    bad_dc = np.flatnonzero(dc_size > MAX_SIZE)
-    bad_ac = rows[ac_size > MAX_SIZE]
-    if bad_dc.size and not (bad_ac.size and bad_ac[0] < bad_dc[0]):
+    dc_at = np.flatnonzero((at & 63) == 0)  # each block's DC item
+    np.minimum(diff, 0x7FFF, out=diff)  # a difference out of range stays so in int16
+    np.maximum(diff, -0x8000, out=diff)
+    value[dc_at] = diff
+    size = _size_category(value)
+    bad = np.flatnonzero(size > MAX_SIZE)
+    if bad.size:  # the first in stream order
+        if at[bad[0]] & 63:
+            raise CorruptStreamError("AC coefficient out of range")
         raise CorruptStreamError("DC difference out of range")
-    if bad_ac.size:
-        raise CorruptStreamError("AC coefficient out of range")
 
-    # The arrays per nonzero coefficient set the slice's memory peak, so
-    # they are updated in place and dropped once used.
-    first = np.ones(len(k), dtype=bool)  # first nonzero of its block
-    first[1:] = rows[1:] != rows[:-1]
-    last = np.ones(len(k), dtype=bool)
-    last[:-1] = first[1:]
-    has_eob = np.ones(m, dtype=bool)
-    has_eob[rows[last]] = k[last] != 63
-    run = np.diff(k, prepend=0)
-    run[first] = k[first]
+    # The arrays per item set the slice's memory peak, so they are updated
+    # in place and dropped once used.
+    run = np.empty_like(at)  # zero run before each coefficient
+    run[0] = 0
+    np.subtract(at[1:], at[:-1], out=run[1:])
     run -= 1
-    del first, last, k
-    per_coeff = run >> 4  # symbols per coefficient, its ZRLs included
-    per_coeff += 1
-    in_block = np.bincount(rows, weights=per_coeff, minlength=m).astype(np.int64)
-    total = 1 + in_block + has_eob
-    starts = np.cumsum(total) - total
-    # a coefficient's symbol follows its block's DC, the symbols of the
-    # block's earlier coefficients and the DC and EOB symbols of earlier blocks
-    coeff_at = np.cumsum(per_coeff)
-    del per_coeff
-    coeff_at += (starts - np.cumsum(in_block) + in_block)[rows]
-    del rows
+    run[dc_at] = 0
+    del at
+    pos = run >> 4  # ZRLs before each item, then the item's own symbol
+    pos += 1
+    pos[dc_at[1:]] += has_eob[:-1]
+    np.cumsum(pos, out=pos)
+    pos -= 1
+    count = int(pos[-1]) + 1 + int(has_eob[-1])
 
     # a size is at most 11 bits, so the symbol fits a byte and its amplitude 16 bits
-    sym = np.full(int(total.sum()), ZRL, dtype=np.uint8)
-    amp = np.zeros(len(sym), dtype=np.uint16)
-    sym[starts] = dc_size
-    amp[starts] = _amplitude_bits(diff, dc_size)
-    sym[(starts + total - 1)[has_eob]] = EOB
+    sym = np.full(count, ZRL, dtype=np.uint8)
+    amp = np.zeros(count, dtype=np.uint16)
     run &= 15
     run <<= 4
-    run |= ac_size
-    sym[coeff_at] = run
+    run |= size
+    sym[pos] = run
     del run
-    amp[coeff_at] = _amplitude_bits(ac, ac_size)
-    return sym, amp, dc + int(diff.sum())
+    amp[pos] = _amplitude_bits(value, size)
+    ends = np.append(pos[dc_at[1:]], count)
+    ends -= 1
+    sym[ends[has_eob]] = EOB
+    return sym, amp, int(dcs[-1])
 
 
 _PACK_CHUNK = 1 << 13  # codes per transient packing step
@@ -337,20 +383,20 @@ def encode_channel(coded, skip_flags: np.ndarray, channel_id: int = 0) -> Channe
     if count != np.count_nonzero(~skip_flags):
         raise ValueError("coded block count must match the unskipped flags")
     codes = canonical_codes(code_lengths({int(s): int(freqs[s]) for s in np.flatnonzero(freqs)}))
-    code_of = np.zeros(256, dtype=np.int64)
+    # per symbol: its code shifted above its amplitude bits, and their total length
+    word_of = np.zeros(256, dtype=np.int64)
     len_of = np.zeros(256, dtype=np.int64)
     for s, (code, ln) in codes.items():
-        code_of[s], len_of[s] = code, ln
+        word_of[s], len_of[s] = code << (s & 0x0F), ln + (s & 0x0F)
 
     def words():
         for sym, amp in records:
             for lo in range(0, len(sym), _PACK_CHUNK):
-                s, a = sym[lo : lo + _PACK_CHUNK], amp[lo : lo + _PACK_CHUNK]
-                size = s & 0x0F
-                yield (code_of[s] << size) | a, len_of[s] + size
+                s = sym[lo : lo + _PACK_CHUNK].astype(np.intp)  # numpy gathers fastest by intp
+                yield word_of[s] | amp[lo : lo + _PACK_CHUNK], len_of[s]
 
     payload = _pack(words())
-    bit_length = int(freqs @ (len_of + (np.arange(256) & 0x0F)))
+    bit_length = int(freqs @ len_of)
     table = sorted(((s, ln) for s, (_, ln) in codes.items()), key=lambda e: (e[1], e[0]))
     return ChannelStream(channel_id, len(skip_flags), skip_flags, table, bit_length, payload)
 
@@ -362,26 +408,58 @@ _LOOKAHEAD_PAD = 32
 # its start.
 _BLOCK_BITS = 64 * _LOOKAHEAD_PAD
 _WINDOW_CHUNK = 1 << 13  # payload bytes per lookahead window
-_WINDOW_SHIFTS = np.arange(16, 8, -1, dtype=np.uint32)
+
+# The scan positions an AC symbol advances its block by: run + 1 for a
+# coefficient and 16 for ZRL. EOB, a size category out of range and a
+# window that starts no code advance by a sentinel of 128 or more, so that
+# the block's scan position k, below 64 before each symbol, leaves the walk
+# at once and tells after it how the block ended: 64 fills the block,
+# 65-79 is a run that overflows it, and EOB, a bad size and no code end in
+# 129-191, 193-255 and 256 or more. As a DC symbol, a size category in range
+# advances by 1 (1-11) or is EOB (0).
+_EOB_ADVANCE = 128
+_BAD_SIZE = 192
+_NO_CODE = 255
+_ADVANCE = np.array(
+    [
+        _EOB_ADVANCE if s == EOB
+        else 16 if s == ZRL
+        else (s >> 4) + 1 if 1 <= s & 0x0F <= MAX_SIZE
+        else _BAD_SIZE
+        for s in range(256)
+    ],
+    dtype=np.uint8,
+)
 
 
 def _lookahead(table: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol and total length (code + amplitude bits) for every 16-bit
-    window; length 0 marks a window that starts no code.
+    """For every 16-bit window, the symbol of the code it starts with, and
+    its scan advance and total length (code + amplitude bits) as the low
+    and high bytes of one little-endian uint16; a window that starts no
+    code has advance _NO_CODE and length 0.
 
     Canonical codes in (length, symbol) order tile the window space from 0
     upward, code i covering 2**(16 - length_i) windows.
     """
     ordered = sorted(table, key=lambda e: (e[1], e[0]))
-    syms = np.array([s for s, _ in ordered], dtype=np.int64)
-    lens = np.array([ln for _, ln in ordered], dtype=np.int64)
-    widths = np.int64(1) << (MAX_CODE_LEN - lens)
-    lut_sym = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint8)
-    lut_len = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint8)
+    syms = np.array([s for s, _ in ordered], dtype=np.uint8)
+    lens = np.array([ln for _, ln in ordered], dtype=np.uint16)
+    widths = np.left_shift(1, MAX_CODE_LEN - lens, dtype=np.int64)
     covered = int(widths.sum())
+    lut_sym = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint8)
+    lut_step = np.full(1 << MAX_CODE_LEN, _NO_CODE, dtype="<u2")
     lut_sym[:covered] = np.repeat(syms, widths)
-    lut_len[:covered] = np.repeat(lens + (syms & 0x0F), widths)
-    return lut_sym, lut_len
+    lut_step[:covered] = np.repeat(_ADVANCE[syms] | (lens + (syms & 0x0F)) << 8, widths)
+    return lut_sym, lut_step
+
+
+def _windows_at(word: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 16-bit window at each of the window positions at, from the
+    window's big-endian words."""
+    code = word[at >> 3]
+    code >>= (16 - (at & 7)).astype(np.uint32)
+    code &= 0xFFFF
+    return code
 
 
 def _window(
@@ -389,36 +467,49 @@ def _window(
 ) -> tuple[np.ndarray, bytearray, bytearray, int]:
     """The payload window that begins at byte lo and spans at most
     _WINDOW_CHUNK bytes: the big-endian 32-bit word at each of its bytes and
-    the byte past it, zero past the payload, and the symbol and total length
-    of the code starting at each of its bit positions, one byte each, with
-    _LOOKAHEAD_PAD zero lengths past its end. Positions at or past the
-    payload's nbits, and codes running past it, read length 0 (a code running
-    past the end is an overrun before its symbol is read). Also returns the
-    last window position a block may start at, so that its symbols and
-    amplitudes stay inside the window; in the payload's last window every
-    block start is below it."""
-    lut_sym, lut_len = luts
+    the byte past it, zero past the payload, and the scan advance and total
+    length of the code starting at each of its bit positions, one byte each,
+    with _LOOKAHEAD_PAD positions of no code past its end. Positions at or
+    past the payload's nbits, and codes running past it, start no code (a
+    code running past the end is an overrun before its symbol is read). Also
+    returns the last window position a block may start at, so that its
+    symbols and amplitudes stay inside the window; in the payload's last
+    window every block start is below it.
+
+    The 16-bit windows are taken one bit offset at a time, so that every
+    array operation runs along the window's bytes, and each offset's
+    lookups are copied to their bit positions."""
+    lut_sym, lut_step = luts
     hi = min(lo + _WINDOW_CHUNK, len(payload))
-    span = 8 * (hi - lo)
-    word = np.zeros(hi - lo + 1, dtype=np.uint32)
-    for j in range(4):
-        b = payload[lo + j : hi + 1 + j]
-        word[: len(b)] |= b.astype(np.uint32) << (24 - 8 * j)
-    sym_at = bytearray(span + _LOOKAHEAD_PAD)
+    n = hi - lo
+    span = 8 * n
+    padded = np.zeros(n + 4, dtype=np.uint8)
+    b = payload[lo : hi + 4]
+    padded[: len(b)] = b
+    word = np.ndarray((n + 1,), dtype=">u4", buffer=padded, strides=(1,)).astype(np.uint32)
+    adv_at = bytearray([_NO_CODE]) * (span + _LOOKAHEAD_PAD)
     len_at = bytearray(span + _LOOKAHEAD_PAD)
-    sym_view = np.frombuffer(sym_at, dtype=np.uint8)
+    adv_view = np.frombuffer(adv_at, dtype=np.uint8)
     len_view = np.frombuffer(len_at, dtype=np.uint8)
-    windows = (word[:-1, None] >> _WINDOW_SHIFTS) & 0xFFFF
-    sym_view[:span] = lut_sym[windows].ravel()
-    len_view[:span] = lut_len[windows].ravel()
+    wide = word[:-1].astype(np.intp)
+    index = np.empty(n, dtype=np.intp)
+    step = np.empty(n, dtype="<u2")
+    for j in range(8):  # the 16-bit windows at bit j of each byte
+        np.right_shift(wide, 16 - j, out=index)
+        index &= 0xFFFF
+        np.take(lut_step, index, out=step, mode="clip")
+        adv_view[j:span:8] = step.view(np.uint8)[0::2]
+        len_view[j:span:8] = step.view(np.uint8)[1::2]
     end = nbits - 8 * lo  # the payload's end, in window positions
-    sym_view[end:] = 0
+    adv_view[end:] = _NO_CODE
     len_view[end:] = 0
     tail = np.arange(max(min(end, span) - MAX_CODE_LEN, 0), min(end, span))
-    code_len = len_view[tail].astype(np.int64) - (sym_view[tail] & 0x0F)
-    len_view[tail[tail + code_len > end]] = 0
+    code = _windows_at(word, tail)
+    cut = tail[tail + (lut_step[code] >> 8) - (lut_sym[code] & 0x0F) > end]
+    adv_view[cut] = _NO_CODE
+    len_view[cut] = 0
     last = hi == len(payload)
-    return word, sym_at, len_at, len(len_at) if last else span - _BLOCK_BITS
+    return word, adv_at, len_at, len(len_at) if last else span - _BLOCK_BITS
 
 
 def _no_code(pos: int, nbits: int) -> CorruptStreamError:
@@ -427,85 +518,88 @@ def _no_code(pos: int, nbits: int) -> CorruptStreamError:
     return CorruptStreamError("invalid Huffman code")
 
 
-# Scan positions an AC symbol advances the block by: run + 1 for a
-# coefficient, 16 for ZRL, 0 for a size category out of range.
-_AC_ADVANCE = [
-    16 if s == ZRL else (s >> 4) + 1 if 1 <= s & 0x0F <= MAX_SIZE else 0
-    for s in range(256)
-]
+def _block_error(k: int, pos: int, nbits: int) -> CorruptStreamError:
+    """The fault of a block whose walk ended at position pos with scan
+    position k, which neither fills the block nor ends in EOB."""
+    if k > _NO_CODE:
+        return _no_code(pos, nbits)
+    if k > _BAD_SIZE:
+        return CorruptStreamError("AC size category out of range")
+    return CorruptStreamError("AC run overflows the block")
 
 
 def _walk(payload: np.ndarray, nbits: int, table, m: int):
     """Follow and check the block structure of m coded blocks through the
     payload, a slice of whole blocks at a time. A slice ends after
     _SLICE_BLOCKS blocks or where the window moves on. Yields each slice's
-    window words, its symbols as (window positions, DC marks, symbols) and
-    the window position it ends at, which must not pass the payload's end.
+    window words, its symbols (see _marked) and the window position it ends
+    at, which must not pass the payload's end.
 
-    One Python loop step per symbol: every symbol's length is known from the
-    lookahead of the current payload window, so the loop only follows the
-    block structure. The window moves on at a block start that lies within
-    _BLOCK_BITS of its end. Positions are window positions, base + pos in the
-    payload; 2 marks a DC symbol's start and 1 an AC symbol's."""
+    Every symbol's scan advance and length are known from the lookahead of
+    the current payload window, so a block's AC symbols take one loop step
+    each, which marks the symbol's start and adds its advance and length,
+    and one test of the scan position after the loop checks how the block
+    ended. The window moves on at a block start that lies within _BLOCK_BITS
+    of its end. Positions are window positions, base + pos in the payload;
+    2 marks a DC symbol's start and 1 an AC symbol's, and the marked symbols
+    are read from the window's words."""
     luts = _lookahead(table)
-    advance = _AC_ADVANCE
+    lut_sym = luts[0]
     base = pos = 0
-    word, sym_at, len_at, limit = _window(payload, nbits, luts, 0)
+    word, adv_at, len_at, limit = _window(payload, nbits, luts, 0)
     starts = bytearray(len(len_at))
     while m:
         if pos > limit:
             base += pos & ~7
             pos &= 7
-            word, sym_at, len_at, limit = _window(payload, nbits, luts, base >> 3)
+            word, adv_at, len_at, limit = _window(payload, nbits, luts, base >> 3)
             starts = bytearray(len(len_at))
         seg = pos  # where this slice's marks begin
         for _ in range(min(_SLICE_BLOCKS, m)):
             if pos > limit:
                 break
             m -= 1
-            t = len_at[pos]
-            if not t:
-                raise _no_code(base + pos, nbits)
-            if sym_at[pos] > MAX_SIZE:
+            k = adv_at[pos]
+            if k != 1 and k != _EOB_ADVANCE:  # DC size categories 1-11 and 0
+                if k == _NO_CODE:
+                    raise _no_code(base + pos, nbits)
                 raise CorruptStreamError("DC size category out of range")
             starts[pos] = 2
-            pos += t
+            pos += len_at[pos]
             k = 1
             while k < 64:
-                t = len_at[pos]
-                if not t:
-                    raise _no_code(base + pos, nbits)
-                s = sym_at[pos]
                 starts[pos] = 1
-                pos += t
-                if s == EOB:
-                    break
-                a = advance[s]
-                if not a:
-                    raise CorruptStreamError("AC size category out of range")
-                k += a
-                if k > 64:
-                    raise CorruptStreamError("AC run overflows the block")
+                k += adv_at[pos]
+                pos += len_at[pos]
+            if k > _BAD_SIZE or 64 < k < _EOB_ADVANCE:
+                raise _block_error(k, base + pos, nbits)
         if base + pos > nbits:
             raise CorruptStreamError("payload overrun")
         if not m and base + pos < nbits:
             raise CorruptStreamError("payload underrun")
-        marks = np.frombuffer(starts, dtype=np.uint8)[seg:pos]
-        at = np.flatnonzero(marks)
-        sym = np.frombuffer(sym_at, dtype=np.uint8)[seg:pos][at]
-        is_dc = marks[at] == 2
-        at = at.astype(np.int32)  # window positions are below 2**17
-        at += seg
-        yield word, (at, is_dc, sym), pos
+        yield word, _marked(np.frombuffer(starts, dtype=np.uint8), seg, pos, word, lut_sym), pos
 
 
-def _coefficients(word: np.ndarray, at, is_dc, sym, end: int, dc) -> np.ndarray:
+def _marked(starts: np.ndarray, seg: int, end: int, word: np.ndarray, lut_sym: np.ndarray):
+    """The symbols the walk marked in starts from window position seg to
+    end: their window positions (int32), the index of each block's DC
+    symbol among them, and the symbols, read from the window's words. Made
+    in a frame of its own, so that only the caller holds them."""
+    marks = starts[seg:end]
+    at = np.flatnonzero(marks != 0).astype(np.int32)  # window positions are below 2**17
+    first = np.flatnonzero(marks[at] == 2)
+    at += seg
+    return at, first, lut_sym[_windows_at(word, at)]
+
+
+def _coefficients(word: np.ndarray, at, first, sym, end: int, dc) -> np.ndarray:
     """The coded blocks (k, 8, 8) of one slice's symbols, which start at the
-    window positions at (int32) and end at end, their DC differences summed
-    from the predictor dc. Amplitudes are read from the window's words in
-    one array operation and DC values are a cumulative sum; at is reused for
-    the amplitudes' positions and then their shifts. Every per-symbol array
-    is 32 bits wide or narrower."""
+    window positions at (int32) and end at end, first being the index of
+    each block's DC symbol among them, their DC differences summed from the
+    predictor dc. Amplitudes are read from the window's words in one array
+    operation and DC values are a cumulative sum; at is reused for the
+    amplitudes' positions and then their shifts. Every per-symbol array but
+    the values' flat indices is 32 bits wide or narrower."""
     size = sym & 0x0F
     at[:-1] = at[1:]  # a symbol's amplitude ends where the next symbol starts
     at[-1] = end
@@ -518,18 +612,22 @@ def _coefficients(word: np.ndarray, at, is_dc, sym, end: int, dc) -> np.ndarray:
     bits >>= shift
     bits &= np.left_shift(1, size, dtype=np.uint32) - 1
     value = _amplitude_values(bits.view(np.int32), size)  # bits below 2**15
-    dcs = np.cumsum(value[is_dc], dtype=np.int64) + dc
-    # Scan position: the running sum of run + 1 within the block, minus one
-    # (DC advances by 1 and ZRL by 16, so one rule covers every symbol).
-    step = (sym >> 4) + 1
-    scan = np.cumsum(step, dtype=np.int32)
-    block = np.cumsum(is_dc, dtype=np.int32)
-    block -= 1
-    scan -= (scan - step)[is_dc][block] + 1
-    ac = size > 0
-    ac &= ~is_dc
-    coded = np.zeros((len(dcs), 64), dtype=np.int64)
-    coded.reshape(-1)[64 * block[ac] + ZIGZAG[scan[ac]]] = value[ac]
+    dcs = np.cumsum(value[first], dtype=np.int64)
+    dcs += dc
+    # Scan position: the running sum of run + 1 since the block's DC, whose
+    # advance is 1 (ZRL advances by 16, so one rule covers every symbol).
+    # Scan positions rise within a block, and every symbol that is not a
+    # coefficient has value 0 and a position no coefficient has, so each
+    # symbol's value goes to its own slot.
+    scan = np.cumsum((sym >> 4) + 1, dtype=np.int32)
+    per_block = np.empty_like(first)
+    per_block[:-1] = first[1:] - first[:-1]
+    per_block[-1] = len(sym) - first[-1]
+    scan -= np.repeat(scan[first], per_block)
+    flat = ZIGZAG[scan]
+    flat += np.repeat(np.arange(0, 64 * len(first), 64), per_block)
+    coded = np.zeros((len(first), 64), dtype=np.int64)
+    coded.reshape(-1)[flat] = value
     coded[:, 0] = dcs
     return coded.reshape(-1, 8, 8)
 
@@ -558,6 +656,7 @@ def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
     out, first, dc = None, 0, 0
     for word, symbols, end in _walk(payload, nbits, stream.table, m):
         values = _coefficients(word, *symbols, end, dc)
+        del symbols  # the symbols go before the slice's values are inverted
         dc = values[-1, 0, 0]
         if step is not None:
             values = step(values)

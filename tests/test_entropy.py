@@ -123,6 +123,49 @@ def test_code_lengths_rejects_impossible_limit():
         code_lengths({s: 1 for s in range(5)}, limit=2)
 
 
+def member_tuple_code_lengths(freqs, limit=MAX_CODE_LEN):
+    """Package-merge with each package's member symbols as a tuple, the
+    tuples breaking ties in weight; lengths count the members of the first
+    n - 1 packages of the last round. The oracle of code_lengths, ties
+    included: a different optimal code would change the bytes."""
+    syms = sorted(s for s, f in freqs.items() if f > 0)
+    if len(syms) < 2:
+        return {s: 1 for s in syms}
+    leaves = sorted((freqs[s], (s,)) for s in syms)
+    level = []
+    for _ in range(limit):
+        merged = sorted(level + leaves)
+        level = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(merged[0::2], merged[1::2])]
+    lengths = dict.fromkeys(syms, 0)
+    for _, members in level[: len(syms) - 1]:
+        for s in members:
+            lengths[s] += 1
+    return lengths
+
+
+# Frequency maps of 1-256 symbols, most of them drawn from a few small
+# counts so that many weights tie, some from a wide range.
+tied_freqs = st.dictionaries(
+    st.integers(0, 255),
+    st.one_of(st.sampled_from([1, 1, 2, 3, 4, 8]), st.integers(1, 1 << 40)),
+    min_size=1,
+    max_size=256,
+)
+
+
+@given(tied_freqs, st.data())
+@example({s: 1 for s in range(256)}, None)
+@example({s: 1 << (s % 24) for s in range(40)}, None)
+def test_code_lengths_match_the_member_tuple_form(freqs, data):
+    # the least limit the alphabet allows, where the limit binds hardest, or any above it
+    least = max(len(freqs) - 1, 1).bit_length()
+    limits = [least, MAX_CODE_LEN]
+    if data is not None:
+        limits.append(data.draw(st.integers(least, MAX_CODE_LEN)))
+    for limit in limits:
+        assert code_lengths(freqs, limit) == member_tuple_code_lengths(freqs, limit)
+
+
 def test_canonical_codes_hand_case():
     codes = canonical_codes({7: 1, 3: 2, 5: 2})
     assert codes == {7: (0b0, 1), 3: (0b10, 2), 5: (0b11, 2)}
@@ -480,6 +523,62 @@ def test_non_final_slice_overrun_is_a_payload_overrun(monkeypatch, window):
         oracle_decode(cut_stream)
 
 
+# Hand-built streams with two faults, for the order in which decode_channel
+# finds them. The table leaves every code that starts with 11 unassigned, so
+# sixteen 1 bits start no code, and codes 0x0C, a size category out of range
+# as a DC symbol and as an AC symbol.
+_FAULT_TABLE = [(0x00, 2), (0x01, 2), (ZRL, 3), (0xF1, 4), (0x0C, 5)]
+_CODE = {s: format(c, f"0{ln}b") for s, (c, ln) in canonical_codes(dict(_FAULT_TABLE)).items()}
+_PLAIN = _CODE[0x00] * 2  # a block: DC size 0, EOB
+_LAST = _CODE[0x00] + _CODE[0x01] + "1" + _CODE[0x00]  # DC size 0, a coefficient of 1, EOB
+# a block with each fault, and the message it raises
+_FAULTS = {
+    "no code": ("1" * 16, "invalid Huffman code"),
+    "DC size": (_CODE[0x0C] + "0" * 12, "DC size category out of range"),
+    "AC size": (_CODE[0x00] + _CODE[0x0C] + "0" * 12, "AC size category out of range"),
+    # three ZRLs reach scan position 49, and (15, 1) would take it to 65
+    "AC run": (_CODE[0x00] + _CODE[ZRL] * 3 + _CODE[0xF1] + "1", "AC run overflows the block"),
+}
+# faults of the payload's end: a cut one bit into the last block, or bits past it
+_END_FAULTS = {"overrun": "payload overrun", "underrun": "payload underrun"}
+
+
+def _fault_stream(blocks, end=None):
+    """The stream of the blocks' bits, then the end fault, if any."""
+    bits = "".join(blocks)
+    if end == "overrun":
+        bits = bits[:-1]
+    elif end == "underrun":
+        bits += "0110"
+    payload = bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
+    table = sorted(_FAULT_TABLE, key=lambda e: (e[1], e[0]))
+    return entropy.ChannelStream(0, len(blocks), np.zeros(len(blocks), dtype=bool), table, len(bits), payload)
+
+
+@pytest.mark.parametrize("window", [None, _SMALL_WINDOW])
+@pytest.mark.parametrize(
+    "first, second",
+    [(a, None) for a in [*_FAULTS, *_END_FAULTS]]
+    + [(a, b) for a in _FAULTS for b in [*_FAULTS, *_END_FAULTS] if a != b],
+)
+def test_decode_raises_the_earlier_of_two_faults(monkeypatch, window, first, second):
+    # Every pair of faults, in both orders where both can come first; a fault
+    # of the payload's end always comes last. With the smallest window, the
+    # window moves on at almost every block, so each fault lies at a move.
+    if window:
+        monkeypatch.setattr(entropy, "_WINDOW_CHUNK", window)
+    lead = 8 * window if window else 3  # plain blocks before the first fault, 4 bits each
+    blocks = [_PLAIN] * lead
+    for fault in (first, second):
+        if fault in _FAULTS:
+            blocks += [_FAULTS[fault][0]] + [_PLAIN] * 5
+    stream = _fault_stream([*blocks, _LAST], end=second if second in _END_FAULTS else first)
+    want = _FAULTS[first][1] if first in _FAULTS else _END_FAULTS[first]
+    assert len(stream.payload) > (2 * window if window else 0)  # several window moves before the first fault
+    with pytest.raises(CorruptStreamError, match=f"^{want}$"):
+        decode_channel(stream)
+
+
 def _splits(coded):
     """The same coded blocks split every way the tests try: one slice,
     1-block slices, _SLICE_BLOCKS slices, int16 slices from a generator,
@@ -505,6 +604,39 @@ def test_stream_is_the_same_however_the_blocks_are_split():
         ), name
         assert got.block_count == want.block_count and np.array_equal(got.skip_flags, flags)
     assert np.array_equal(decode_channel(want), coded)
+
+
+def _layouts(coded):
+    """The same blocks in C order, Fortran order (the pipeline's lane-major
+    tiles), as a strided view into a larger array and as a view with
+    negative strides."""
+    wide = np.zeros((len(coded), 16, 24), dtype=coded.dtype)
+    wide[:, ::2, 1::3] = coded
+    return {
+        "C": np.ascontiguousarray(coded),
+        "F": np.asfortranarray(coded),
+        "strided": wide[:, ::2, 1::3],
+        "reversed": np.ascontiguousarray(coded[::-1, ::-1])[::-1, ::-1],
+    }
+
+
+def test_encode_is_the_same_for_every_slice_layout():
+    coded, flags = _edge_channel(300, 23)
+    coded[3] = 0
+    coded[3, 7, 7] = 1023  # coefficient 63: no EOB
+    coded[4, 0, 1], coded[4, 3, 2], coded[4, 7, 7] = -1023, 1023, -1023
+    coded[5, 0, 0], coded[6, 0, 0] = -1024, 1023  # the widest DC step, 2047
+    want = encode_channel([coded], flags, channel_id=2)
+    assert (want.table, want.bit_length, want.payload) == oracle_encode(coded)
+    for dtype in (np.int16, np.int64):
+        for name, part in _layouts(coded.astype(dtype)).items():
+            assert np.array_equal(part, coded)
+            for slices in ([part], _slices(part, 7)):
+                got = encode_channel(slices, flags, channel_id=2)
+                assert (got.channel_id, got.block_count, got.table, got.bit_length, got.payload) == (
+                    want.channel_id, want.block_count, want.table, want.bit_length, want.payload
+                ), (dtype, name)
+                assert np.array_equal(got.skip_flags, flags)
 
 
 @pytest.mark.parametrize("count", [1099, 1101])
@@ -551,6 +683,34 @@ def test_coefficient_overflow_rejected():
     blocks[0, 3, 3] = 5000
     with pytest.raises(CorruptStreamError, match="out of range"):
         encode_channel([blocks], np.zeros(1, dtype=bool))
+
+
+@pytest.mark.parametrize("value", [-2048, 40000, 65537, -65535, 1 << 40])
+@pytest.mark.parametrize("at, message", [((3, 3), "AC coefficient"), ((0, 0), "DC difference")])
+def test_values_beyond_int16_are_out_of_range(value, at, message):
+    # the encoder codes int16: wider values, 65537 and -65535 among them,
+    # which int16 wraps to 1, stay out of range
+    blocks = np.zeros((1, 8, 8), dtype=np.int64)
+    blocks[(0, *at)] = value
+    with pytest.raises(CorruptStreamError, match=message):
+        encode_channel([blocks], np.zeros(1, dtype=bool))
+
+
+@pytest.mark.parametrize("faults", [
+    [(0, (0, 0)), (0, (2, 5))],  # DC and AC of one block: the DC comes first
+    [(1, (0, 0)), (0, (7, 7))],
+    [(0, (0, 0)), (1, (0, 1))],
+    [(1, (0, 0)), (1, (1, 0))],
+])
+def test_the_first_value_out_of_range_in_stream_order_is_reported(faults):
+    blocks = np.zeros((3, 8, 8), dtype=np.int64)
+    for block, at in faults:
+        blocks[(block, *at)] = 3000 if at == (0, 0) else -3000
+    for coder in (oracle_encode, lambda c: encode_channel([c], np.zeros(3, dtype=bool))):
+        with pytest.raises(CorruptStreamError) as raised:
+            coder(blocks)
+        block, at = min(faults)
+        assert str(raised.value) == ("DC difference" if at == (0, 0) else "AC coefficient") + " out of range"
 
 
 def test_block_zero_cannot_be_skipped():
