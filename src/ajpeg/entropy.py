@@ -156,6 +156,8 @@ def code_lengths(freqs: dict[int, int], limit: int = MAX_CODE_LEN) -> dict[int, 
     (a package outweighs each of its members, and packages of equal weight
     are made of items of equal weight), so (weight, first member) sorts
     the items as the tuples of their member symbols would, ties included.
+    A round that repeats the one before makes the same packages, so every
+    later round repeats it too, and the rounds stop being built there.
     """
     syms = sorted(s for s, f in freqs.items() if f > 0)
     if not syms:
@@ -169,6 +171,9 @@ def code_lengths(freqs: dict[int, int], limit: int = MAX_CODE_LEN) -> dict[int, 
     level = []
     for _ in range(limit):
         merged = sorted(level + leaves)
+        if rounds and merged == rounds[-1]:
+            rounds.extend([merged] * (limit - len(rounds)))
+            break
         rounds.append(merged)
         pairs = iter(merged)
         level = [(a[0] + b[0], a[1], True) for a, b in zip(pairs, pairs)]

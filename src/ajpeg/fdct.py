@@ -25,20 +25,16 @@ floor(n / 256) and n = 142 d5 - 213 d6. As -v = ceil(-n / 256) =
 floor((255 - n) / 256), out3 = floor((255 - n) / 512): the same form with
 an offset of 255/512. Each 1-D pass is thus y = floor(_A @ x), then
 floor(_B @ [a4, a7, c5, c6] + offset) on the odd rows. Pass 1 runs it on
-the rows and pass 2 on the columns, in float lanes.
+the rows and pass 2 on the columns, in float32 lanes.
 
 The float form is exact while every value it holds is. Each product,
-partial sum and result is a multiple of 2**-10, which float64 holds exactly
-below 2**43, and float32 below 2**14. tests/test_fdct.py measures two gains
-per unit of the largest |sample|: 8926, the largest L1 gain of the spec's
-intermediates, and about 11.2, the float form's own bound. fdct_2d accepts
-|sample| < _EXACT_INPUT = 2**28, where even the larger gain gives
-8926 * 2**28 * 2**10 = 2**51.1 in units of 2**-10, about 4x inside 2**53,
-and raises ValueError beyond it. Float samples would slip past the floors,
-so only integer dtypes are accepted (TypeError otherwise). On level-shifted
-8-bit samples every value stays below 2**12 (see _pass), so the pipeline's
-round trip runs the same transform on float32 lanes, and so does fdct_2d
-on int8 samples, the tiles' type; it runs every other dtype on float64.
+partial sum and result is a multiple of 2**-10, which float32 holds exactly
+below 2**14, and on level-shifted 8-bit samples, truncated or not, every
+value stays below 2**12 (see _pass). So fdct_2d takes int8 samples only
+and raises TypeError for any other dtype: a float sample would slip past
+the floors, and a wider one past float32's exact range. Its coefficients
+are int16, |c| <= 1,450. The pipeline's round trip runs the same
+transform (_transform) on its own float32 lanes.
 
 The op census is the hardware's, not the software's: fdct_2d charges its
 IntOps n times _BLOCK_CENSUS, the census of _flowgraph on one block's 16
@@ -175,10 +171,6 @@ def fdct_1d(vec, ops: IntOps = UNCOUNTED) -> np.ndarray:
 # them.
 _SLICE_BLOCKS = 1024
 
-# fdct_2d's samples lie strictly inside +-_EXACT_INPUT (see the module
-# docstring).
-_EXACT_INPUT = 2**28
-
 
 def _block_census() -> OpCounter:
     """The spec's op census of one 8x8 block: _flowgraph on 16 lanes, one
@@ -204,7 +196,7 @@ _A = np.array([
     np.array([0, 181, -181, 0, 0, 181, -181, 0]) / 256,  # c5 = 181 (a6 - a5)
     np.array([196, -473, 473, -196, -196, 473, -473, 196]) / 1024,  # 196 b3 - 473 b2
     np.array([0, 181, 181, 0, 0, -181, -181, 0]) / 256,  # c6 = 181 (a6 + a5)
-])
+], dtype=np.float32)
 # Of [a4, a7, c5, c6], with d4 = a4 + c5, d5 = a4 - c5, d6 = a7 - c6 and
 # d7 = a7 + c6.
 _B = np.array([
@@ -212,33 +204,30 @@ _B = np.array([
     [-142, 213, 142, -213],  # 213 d6 - 142 d5, plus _OUT3_OFFSET
     [213, 142, -213, -142],  # 213 d5 + 142 d6
     [-251, 50, -251, 50],  # 50 d7 - 251 d4
-]) / 512
+], dtype=np.float32) / 512
+# Every entry of _A and _B, and _OUT3_OFFSET, is a multiple of 2**-10 of
+# magnitude at most 1, so float32 holds them exactly.
 _OUT3_OFFSET = 255 / 512
-# _A and _B in each lane type; every entry, and _OUT3_OFFSET, is a multiple
-# of 2**-10 of magnitude at most 1, so float32 holds them exactly too.
-_MATRICES = {np.dtype(t): (_A.astype(t), _B.astype(t)) for t in (np.float64, np.float32)}
 
 
 def _pass(x: np.ndarray, scratch: np.ndarray) -> None:
-    """The 1-D transform of the float lanes x (..., 8, lanes), in place
-    along the second-to-last axis, in x's dtype (float64 or float32).
-    scratch is a contiguous array of x's shape and dtype that holds each
-    matrix product; every elementwise step runs on contiguous operands, so
-    numpy allocates no iteration buffer.
+    """The 1-D transform of the float32 lanes x (..., 8, lanes), in place
+    along the second-to-last axis. scratch is a contiguous float32 array of
+    x's shape that holds each matrix product; every elementwise step runs
+    on contiguous operands, so numpy allocates no iteration buffer.
 
-    float32 lanes are exact on level-shifted 8-bit samples, |x| <= 128,
+    The lanes are exact on level-shifted 8-bit samples, |x| <= 128,
     truncated or not: every product and partial sum of _A and _B is then a
     multiple of 2**-10 of magnitude below 2**12 (the row L1 norms of _A
     and _B, at most 2.83 and 1.39, bound every value of pass 1 by 432 and
     of pass 2 by 1,450), and float32 holds every such multiple below 2**14
     exactly, whatever order BLAS sums in. tests/test_fdct.py checks the
     bound and the stacks that drive each pass to its extremes."""
-    a, b = _MATRICES[x.dtype]
-    np.matmul(a, x, out=scratch)
+    np.matmul(_A, x, out=scratch)
     np.floor(scratch, out=x)
     odd = x[..., 1::2, :]
     t = scratch.reshape(-1)[: odd.size].reshape(odd.shape)
-    np.matmul(b, odd, out=t)
+    np.matmul(_B, odd, out=t)
     for out3 in t.reshape(-1, 4, t.shape[-1])[:, 1]:
         out3 += _OUT3_OFFSET
     np.floor(t, out=t)
@@ -246,36 +235,26 @@ def _pass(x: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def fdct_2d(block, ops: IntOps = UNCOUNTED) -> np.ndarray:
-    """2-D DCT of 8x8 integer blocks (..., 8, 8): rows, then columns; int64
-    result, the integers of the shift-add spec (fdct_1d on rows, then on
-    columns).
+    """2-D DCT of 8x8 blocks (..., 8, 8) of int8 samples: rows, then
+    columns; int16 result, the integers of the shift-add spec (fdct_1d on
+    rows, then on columns), |c| <= 1,450 (_pass).
 
-    A stack is transformed in slices of _SLICE_BLOCKS blocks, on float
+    A stack is transformed in slices of _SLICE_BLOCKS blocks, on float32
     lanes laid out block-minor: pass 1 is one (8 x 8) @ (8 x 8k) product on
     [col, row, block], and pass 2 the same product batched over the
     frequency across, on [freq across, row, block]. Each pass writes its
-    outputs back into its lanes. The lanes are float32 for int8 samples,
-    exact on them as on every |sample| <= 128 (_pass), and float64
-    otherwise. Samples must be integers of magnitude below _EXACT_INPUT
-    (TypeError, ValueError otherwise). ops is charged the spec's census of
-    every block."""
+    outputs back into its lanes. Samples of any other dtype raise
+    TypeError. ops is charged the spec's census of every block."""
     m = np.asarray(block)
     if m.shape[-2:] != (8, 8):
         raise ValueError("fdct_2d expects 8x8 blocks")
-    if not np.issubdtype(m.dtype, np.integer):
-        raise TypeError(f"fdct_2d expects integer samples, not {m.dtype}")
+    if m.dtype != np.int8:
+        raise TypeError(f"fdct_2d expects int8 samples, not {m.dtype}")
     blocks = m.reshape(-1, 8, 8)
     n = len(blocks)
-    # int8, int16, uint8 and uint16 samples are in range by their dtype
-    if n and np.iinfo(m.dtype).max >= _EXACT_INPUT:
-        if blocks.min() <= -_EXACT_INPUT or blocks.max() >= _EXACT_INPUT:
-            raise ValueError("fdct_2d expects |samples| below 2**28")
     ops.charge_blocks(_BLOCK_CENSUS, n)
-    out = np.empty(blocks.shape, dtype=np.int64)
-    # int8 samples, the tiles' level-shifted 8-bit samples, are exact in
-    # float32 lanes (see _pass)
-    lane_type = np.float32 if m.dtype == np.int8 else np.float64
-    buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)), dtype=lane_type)
+    out = np.empty(blocks.shape, dtype=np.int16)
+    buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)), dtype=np.float32)
     for start in range(0, n, _SLICE_BLOCKS):
         part = blocks[start : start + _SLICE_BLOCKS]
         lanes, scratch = _lanes(buffers, len(part))
@@ -292,10 +271,8 @@ def _lanes(buffers: np.ndarray, k: int) -> list[np.ndarray]:
 
 
 def _transform(lanes: np.ndarray, scratch: np.ndarray) -> None:
-    """fdct_2d of integer samples in the float lanes [col, row, block], in
-    place: the coefficients come out as [freq across, freq down, block].
-    float64 lanes are exact below _EXACT_INPUT, float32 lanes on 8-bit
-    samples (see _pass)."""
+    """fdct_2d of 8-bit samples in the float32 lanes [col, row, block], in
+    place: the coefficients come out as [freq across, freq down, block]."""
     k = lanes.shape[-1]
     _pass(lanes.reshape(8, 8 * k), scratch.reshape(8, 8 * k))  # rows: [freq across, row, block]
     _pass(lanes, scratch)  # columns: [freq across, freq down, block]

@@ -45,10 +45,6 @@ class IntOps:
     def shr(a, k):
         return a >> k
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
     def kernel(self, name: str, lanes: int):
         pass
 
@@ -105,11 +101,6 @@ class OpCounter(IntOps):
     def shr(self, a, k):
         self.shifts += _lanes(a)
         return a >> k
-
-    def mul(self, a, b):
-        r = a * b
-        self.muls += _lanes(r)
-        return r
 
     def kernel(self, name: str, lanes: int):
         self.kernel_calls[name] = self.kernel_calls.get(name, 0) + lanes

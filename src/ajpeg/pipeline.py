@@ -63,9 +63,9 @@ is int8 samples in float32 FDCT lanes and int16 from the coefficients on.
 entropy.decode_channel calls decode's invert step, which dequantizes each
 int64 slice in place and inverts it half a slice at a time. The round
 trip works in two float64 slice buffers and an int16 one, and the color
-layer in float64 row strips. On a 512x512 RGB image with the benchmark's
-codec knobs, the tracemalloc peak of encode is 2.3x the image and that of
-decode 2.4x; a 2048x2048 RGB decode peaks at 1.67x (21.0 MB).
+layer in float64 row strips. On the benchmark's 512x512 RGB images with
+its codec knobs, the tracemalloc peak of encode is 1.84x the image and that
+of decode 2.3x; a 2048x2048 RGB decode peaks at 1.67x (21.0 MB).
 """
 
 from __future__ import annotations
@@ -167,10 +167,9 @@ class EncodeConfig:
 
 def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps) -> np.ndarray:
     """Truncate, transform, quantize a batch of level-shifted 8-bit pixel
-    blocks into int16 quantized blocks. Their coefficients are below 1,450
-    in magnitude (fdct._pass), so they are quantized as int16 too."""
+    blocks (int8) into int16 quantized blocks."""
     t = truncate_block(blocks, cfg.trunc_level, ops)
-    coeffs = fdct_2d(t, ops).astype(np.int16)
+    coeffs = fdct_2d(t, ops)
     if cfg.quant_mode == "shift":
         quantized = quantize_shift(coeffs, smat, ops)
         if cfg.dc_exact:

@@ -88,7 +88,7 @@ def test_fdct_op_census_pinned():
     assert (ops.adds, ops.subs, ops.shifts, ops.muls) == (35, 26, 56, 0)
 
     ops2d = OpCounter()
-    fdct_2d(np.zeros((8, 8), dtype=np.int64), ops2d)
+    fdct_2d(np.zeros((8, 8), dtype=np.int8), ops2d)
     assert ops2d.addsub == 976
 
 
@@ -108,7 +108,7 @@ def test_full_encode_is_multiplier_free(corpus):
 
 def test_fdct_accuracy_bound_10k_blocks():
     rng = np.random.default_rng(31)
-    blocks = rng.integers(-128, 128, size=(10_000, 8, 8))
+    blocks = rng.integers(-128, 128, size=(10_000, 8, 8), dtype=np.int8)
     err = np.abs(fdct_2d(blocks).astype(np.float64) - ref_dct_2d(blocks))
     assert err.max() <= 6.0  # measured 4.198 once, then pinned
 

@@ -220,6 +220,7 @@ def test_decode_pixel_budget(tmp_path, pgm, capsys):
         ["encode", "--input", "x", "--output", "y", "--skip", "9"],
         ["decode", "--input", "x", "--output", "y", "--decode-quant", "odd"],
         ["decode", "--input", "x", "--output", "y", "--max-pixels", "0"],
+        ["decode", "--input", "x", "--output", "y", "--max-pixels", "abc"],
         ["sweep", "--corpus", "c", "--knob", "zoom", "--out", "o"],
         ["sweep", "--corpus", "c", "--knob", "loop", "--out", "o", "--quant", "odd"],
         ["report", "--corpus", "c", "--config", "x", "--out", "o", "--quality", "0"],
@@ -270,6 +271,15 @@ def test_data_errors_exit_2(tmp_path, pgm, capsys):
     empty.mkdir()
     assert main(["sweep", "--corpus", str(empty), "--knob", "loop",
                  "--out", out]) == 2
+
+    capsys.readouterr()
+    assert main(["sweep", "--corpus", str(pgm), "--knob", "loop",
+                 "--out", out]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+
+    unwritable = str(tmp_path / "missing" / "x")
+    assert main(["encode", "--input", str(pgm), "--output", unwritable]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
     loop_csv = tmp_path / "loop.csv"
     loop_csv.write_text("garbage\n")

@@ -199,6 +199,18 @@ def test_channel_round_trip_no_skips():
     assert np.array_equal(decode_channel(stream), blocks)
 
 
+def test_decode_channel_checks_the_stream_header():
+    blocks = _random_blocks(np.random.default_rng(5), 4)
+    stream = encode_channel([blocks], np.zeros(4, dtype=bool))
+    with pytest.raises(CorruptStreamError, match="skip flag count"):
+        decode_channel(replace(stream, skip_flags=stream.skip_flags[:3]))
+    with pytest.raises(CorruptStreamError, match="payload length"):
+        decode_channel(replace(stream, bit_length=stream.bit_length + 8))
+    empty = replace(stream, block_count=0, skip_flags=np.zeros(0, dtype=bool), bit_length=0, payload=b"")
+    out = decode_channel(empty)
+    assert out.shape == (0, 8, 8) and out.dtype == np.int64
+
+
 def test_channel_round_trip_with_skips():
     rng = np.random.default_rng(4)
     blocks = _random_blocks(rng, 12)

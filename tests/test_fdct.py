@@ -19,7 +19,6 @@ from ajpeg.entropy import decode_channel, read_container
 from ajpeg.fdct import (
     _A,
     _B,
-    _EXACT_INPUT,
     _OUT3_OFFSET,
     _T,
     dct_matrix,
@@ -105,7 +104,7 @@ def test_1d_census():
 
 def test_2d_census_per_block():
     ops = OpCounter()
-    fdct_2d(np.zeros((8, 8), dtype=np.int64), ops)
+    fdct_2d(np.zeros((8, 8), dtype=np.int8), ops)
     assert ops.addsub == 16 * 61 == 976
     assert ops.muls == 0
 
@@ -119,24 +118,25 @@ def test_1d_accuracy_bound():
 
 
 def test_constant_block_dc_only():
-    block = np.full((8, 8), 100, dtype=np.int64)
+    block = np.full((8, 8), 100, dtype=np.int8)
     out = fdct_2d(block)
+    assert out.dtype == np.int16
     assert out[0, 0] == 797  # float DC is exactly 800
     assert np.all(out.flat[1:] == 0)
 
 
 def test_coefficient_range_peak():
     # most negative level-shifted block maximizes |DC|
-    out = fdct_2d(np.full((8, 8), -128, dtype=np.int64))
+    out = fdct_2d(np.full((8, 8), -128, dtype=np.int8))
     assert out[0, 0] == -1024
     rng = np.random.default_rng(7)
-    blocks = rng.integers(-128, 128, size=(512, 8, 8))
+    blocks = rng.integers(-128, 128, size=(512, 8, 8), dtype=np.int8)
     assert np.abs(fdct_2d(blocks)).max() <= 1024
 
 
 def test_batch_matches_per_block():
     rng = np.random.default_rng(3)
-    blocks = rng.integers(-128, 128, size=(16, 8, 8))
+    blocks = rng.integers(-128, 128, size=(16, 8, 8), dtype=np.int8)
     batched = fdct_2d(blocks)
     for k in range(16):
         assert np.array_equal(batched[k], fdct_2d(blocks[k]))
@@ -154,7 +154,7 @@ def _assert_matches_one_pass(blocks):
     """fdct_2d equals _fdct_2d_one_pass in values and in every op count."""
     sliced, whole = OpCounter(), OpCounter()
     got = fdct_2d(blocks, sliced)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int16
     assert got.shape == np.shape(blocks)
     assert np.array_equal(got, _fdct_2d_one_pass(blocks, whole))
     assert (sliced.adds, sliced.subs, sliced.shifts, sliced.muls) == (
@@ -170,34 +170,7 @@ def test_sliced_stack_matches_one_pass(shape):
     # 2 * _S + 76 blocks take three slices, the last one partial; 3 x _S
     # takes three full ones; an empty stack still records its (empty)
     # kernel calls
-    _assert_matches_one_pass(np.random.default_rng(11).integers(-2048, 2048, size=shape))
-
-
-class _Recording(OpCounter):
-    """An OpCounter that also keeps every intermediate the ops produce."""
-
-    def __init__(self):
-        super().__init__()
-        self.values = []
-
-    def _keep(self, r):
-        self.values.append(np.asarray(r))
-        return r
-
-    def add(self, a, b):
-        return self._keep(super().add(a, b))
-
-    def sub(self, a, b):
-        return self._keep(super().sub(a, b))
-
-    def neg(self, a):
-        return self._keep(super().neg(a))
-
-    def shl(self, a, k):
-        return self._keep(super().shl(a, k))
-
-    def shr(self, a, k):
-        return self._keep(super().shr(a, k))
+    _assert_matches_one_pass(np.random.default_rng(11).integers(-128, 128, size=shape, dtype=np.int8))
 
 
 def _float_form_bound(peak):
@@ -217,40 +190,10 @@ def _float_form_bound(peak):
 
 
 def test_float_lanes_are_exact():
-    # Every intermediate of the spec's two passes is linear in the 64
-    # samples up to the floors of the right shifts, so its largest magnitude
-    # over |x| < _EXACT_INPUT is below _EXACT_INPUT times its L1 gain, plus
-    # the floors' drift. The gain is read off 2**20-scaled unit impulses, one
-    # per sample position, as the sum over the impulses of |intermediate|.
-    scale = 2**20
-    impulses = scale * np.eye(64, dtype=np.int64).reshape(64, 8, 8)
-    ops = _Recording()
-    _fdct_2d_one_pass(impulses, ops)
-    gain = max(np.abs(v).sum(axis=0).max() for v in ops.values) / scale
-    assert 8925 < gain < 8926
-    # the floors drift an intermediate by a few thousand (2,373 at most on
-    # 2,000 random and extreme blocks): 2**16 covers that many times over,
-    # so the spec's int64 lanes cannot overflow
-    floor_slack = 2**16
-    assert _EXACT_INPUT * gain + floor_slack < 2**63
-    # Each value of the float form is a multiple of 2**-10, which float64
-    # holds exactly below 2**43. Those values stay far below the spec's gain
-    # times the peak sample (the float form's own gain is about 11.2), so at
-    # the bound they are below gain * 2**28 * 2**10 = 2**51.1, about 4x
-    # inside 2**53.
+    # Each value of the float form is a multiple of 2**-10, as every
+    # coefficient of its passes is.
     for coefficients in (_A, _B, _OUT3_OFFSET):
         assert np.all(np.asarray(coefficients) * 2**10 % 1 == 0)
-    peak = _EXACT_INPUT - 1
-    assert 11 * peak < _float_form_bound(peak) < 12 * peak
-    assert _float_form_bound(peak) < gain * peak
-    assert 3.5 < 2**53 / (gain * _EXACT_INPUT * 2**10) < 4
-
-
-def _extreme_blocks(peak):
-    """peak times the sign pattern of each float DCT basis image, both
-    ways round: the blocks that maximise each output's magnitude."""
-    signs = np.sign(np.einsum("vi,uj->vuij", _T, _T)).astype(np.int64).reshape(64, 8, 8)
-    return peak * np.concatenate([signs, -signs])
 
 
 def test_float32_lanes_are_exact_on_8_bit_samples():
@@ -262,8 +205,7 @@ def test_float32_lanes_are_exact_on_8_bit_samples():
     for coefficients in (_A, _B, _OUT3_OFFSET):
         assert np.array_equal(np.asarray(coefficients, dtype=np.float32), coefficients)
     assert np.spacing(np.float32(2**14 - 2**-10)) == 2**-10
-    a, b = fdct._MATRICES[np.dtype(np.float32)]
-    assert a.dtype == b.dtype == np.float32
+    assert _A.dtype == _B.dtype == np.float32
 
 
 def _float32_transform(blocks):
@@ -294,89 +236,70 @@ def _pass_extremes():
 def test_float32_transform_matches_fdct_2d_at_the_extremes():
     blocks = _pass_extremes()
     assert len(blocks) == 2 * 24 * 24 + 4 and np.abs(blocks).max() == 128
-    assert np.array_equal(_float32_transform(blocks), fdct_2d(blocks))
+    assert np.array_equal(_float32_transform(blocks), _fdct_2d_one_pass(blocks, OpCounter()))
     # fdct_2d's own float32 lanes, on the extremes an int8 stack can hold
-    clipped = np.minimum(blocks, 127)
-    _assert_matches_one_pass(clipped.astype(np.int8))
-    assert np.array_equal(fdct_2d(clipped.astype(np.int8)), fdct_2d(clipped))
+    _assert_matches_one_pass(np.minimum(blocks, 127).astype(np.int8))
 
 
 @pytest.mark.parametrize("count", [1, _S - 1, _S, _S + 1, 2 * _S + 76])
 def test_float32_transform_matches_fdct_2d_across_slice_edges(count):
     # random 8-bit stacks, as they are and truncated at every level, as
     # the round trip's lanes hold them
-    blocks = np.random.default_rng(count).integers(-128, 128, size=(count, 8, 8)).astype(np.int16)
+    blocks = np.random.default_rng(count).integers(-128, 128, size=(count, 8, 8), dtype=np.int8)
     for level in TRUNC_LEVELS:
         samples = truncate_block(blocks, level)
         assert np.array_equal(_float32_transform(samples), fdct_2d(samples))
 
 
-def test_samples_inside_the_exactness_bound_match_the_spec():
-    peak = _EXACT_INPUT - 1
-    rng = np.random.default_rng(5)
-    blocks = np.concatenate([_extreme_blocks(peak), rng.integers(-peak, peak + 1, size=(200, 8, 8))])
-    _assert_matches_one_pass(blocks)
-    # a single sample at +-bound is refused, whatever its dtype
-    refused = [
-        (np.int64, _EXACT_INPUT),
-        (np.int64, -_EXACT_INPUT),
-        (np.int32, -_EXACT_INPUT),
-        (np.uint64, 2**63),
-    ]
-    for dtype, sample in refused:
-        blocks = np.zeros((3, 8, 8), dtype=dtype)
-        blocks[1, 4, 2] = sample
-        with pytest.raises(ValueError, match=r"2\*\*28"):
-            fdct_2d(blocks)
-
-
 @pytest.mark.parametrize(
     "samples",
-    [np.full((8, 8), 100.9), np.full((8, 8), np.nan), np.ones((2, 8, 8), dtype=bool)],
-    ids=["fraction", "nan", "bool"],
+    [
+        np.full((8, 8), 100.9),
+        np.full((8, 8), np.nan),
+        np.ones((2, 8, 8), dtype=bool),
+        np.zeros((8, 8), dtype=np.int16),
+        np.zeros((8, 8), dtype=np.int64),
+        np.zeros((8, 8), dtype=np.uint8),
+    ],
+    ids=["fraction", "nan", "bool", "int16", "int64", "uint8"],
 )
-def test_rejects_non_integer_samples(samples):
-    # the float lanes would floor 100.9 to 100 at the first matmul
-    with pytest.raises(TypeError, match="integer samples"):
+def test_rejects_samples_other_than_int8(samples):
+    # the float lanes would floor 100.9 to 100 at the first matmul, and are
+    # exact on 8-bit samples only
+    with pytest.raises(TypeError, match="int8 samples"):
         fdct_2d(samples)
 
 
 @settings(max_examples=25)
-@given(
-    st.sampled_from([np.int8, np.int16, np.int64, np.uint8]),
-    st.sampled_from([0, 1, _S - 1, _S, _S + 1, 2 * _S + 76]),
-    st.integers(0, 2**32 - 1),
-)
-@example(np.int16, 0, 0)  # the kernels' keys, charged with 0 lanes
-def test_integer_stacks_match_the_spec(dtype, count, seed):
-    info = np.iinfo(dtype)
-    lo, hi = max(int(info.min), 1 - _EXACT_INPUT), min(int(info.max), _EXACT_INPUT - 1)
+@given(st.sampled_from([0, 1, _S - 1, _S, _S + 1, 2 * _S + 76]), st.integers(0, 2**32 - 1))
+@example(0, 0)  # the kernels' keys, charged with 0 lanes
+def test_integer_stacks_match_the_spec(count, seed):
     rng = np.random.default_rng(seed)
-    _assert_matches_one_pass(rng.integers(lo, hi, size=(count, 8, 8), endpoint=True).astype(dtype))
+    _assert_matches_one_pass(rng.integers(-128, 127, size=(count, 8, 8), endpoint=True, dtype=np.int8))
 
 
-@pytest.mark.parametrize("dtype, lane_type", [(np.int16, np.float64), (np.int8, np.float32)])
-def test_fdct_memory_is_one_slice_of_float_lanes(dtype, lane_type):
-    # fdct_2d holds its int64 result, one slice's float lanes and one
-    # matrix product of them: float32 lanes for int8 samples, the tiles'
-    # type, and float64 lanes otherwise
-    blocks = np.random.default_rng(9).integers(-128, 128, size=(3 * _S, 8, 8)).astype(dtype)
+def test_fdct_memory_is_one_slice_of_float_lanes():
+    # fdct_2d holds its int16 result, one slice's float32 lanes and one
+    # matrix product of them
+    blocks = np.random.default_rng(9).integers(-128, 128, size=(3 * _S, 8, 8), dtype=np.int8)
     tracemalloc.start()
     try:
         out = fdct_2d(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lanes = _S * 64 * np.dtype(lane_type).itemsize
-    assert peak < out.nbytes + 2 * lanes + 4096
-    assert np.array_equal(out, fdct_2d(blocks.astype(np.int64)))
+    assert out.dtype == np.int16
+    assert peak < out.nbytes + 2 * _S * 64 * 4 + 4096
+    assert np.array_equal(out, _fdct_2d_one_pass(blocks, OpCounter()))
 
 
 def test_1d_rejects_bad_length():
     with pytest.raises(ValueError, match="length-8"):
         fdct_1d(np.zeros(7, dtype=np.int64))
     with pytest.raises(ValueError, match="8x8"):
-        fdct_2d(np.zeros((8, 7), dtype=np.int64))
+        fdct_2d(np.zeros((8, 7), dtype=np.int8))
+    with pytest.raises(ValueError, match="8x8"):
+        ref_idct_2d(np.zeros((2, 8, 7)))
 
 
 def test_dct_matrix_orthonormal():

@@ -211,6 +211,9 @@ def test_config_validation():
         dict(qmatrix=np.full((8, 8), np.nan)),
         dict(qmatrix=np.full((8, 8), np.inf)),
         dict(qmatrix=np.full((8, 8), -np.inf)),
+        # entries that make no float64 array
+        dict(qmatrix=[[16] * 8] * 7 + [[16] * 7]),
+        dict(qmatrix=[["sixteen"] * 8] * 8),
         # levels equal to an allowed integer but not integers themselves
         dict(quality=50.0),
         dict(trunc_level=2.0),

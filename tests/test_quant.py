@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ajpeg.fdct import fdct_2d
+from ajpeg.fdct import fdct_1d, fdct_2d
 from ajpeg.knobs import TRUNC_LEVELS, truncate_block
 from ajpeg.ops import OpCounter
 from ajpeg.quant import (
@@ -172,6 +172,19 @@ def test_reciprocal_bits(q, bits):
     assert sum(1 << b for b in bits) == round_half_away(256, q)
 
 
+def test_reciprocal_bits_rejects_zero():
+    with pytest.raises(ValueError, match="positive"):
+        reciprocal_bits(0)
+
+
+def test_quantize_shift_casts_unsigned_input_to_int64():
+    d = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+    s = to_shift_matrix(Q50)
+    out = quantize_shift(d, s)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, quantize_shift(d.astype(np.int64), s))
+
+
 @pytest.mark.parametrize(
     "dc, q, want",
     [
@@ -247,14 +260,16 @@ def test_fdct_coefficients_stay_inside_the_nudge_margin():
     # np.rint(c * t) is exact for |c| < 2**24 / 510 (quant's docstring), and
     # the test above checks every |c| <= 2**13. The FDCT is linear up to
     # its floors, which move a coefficient by a few units at most: the
-    # 2**20-scaled unit blocks give its weights, whose L1 norms bound the
-    # linear part, and the 8-bit blocks that follow each coefficient's
-    # weight signs reach that bound.
-    units = fdct_2d(np.eye(64, dtype=np.int64).reshape(64, 8, 8) << 20).reshape(64, 64)
+    # spec (fdct_1d on rows, then on columns) of 2**20-scaled unit blocks
+    # gives its weights, whose L1 norms bound the linear part, and the
+    # 8-bit blocks that follow each coefficient's weight signs reach that
+    # bound.
+    rows = fdct_1d(np.eye(64, dtype=np.int64).reshape(64, 8, 8) << 20)
+    units = np.swapaxes(fdct_1d(np.swapaxes(rows, -1, -2)), -1, -2).reshape(64, 64)
     weights = units.T / 2**20  # [coefficient, sample]
     assert 128 * np.abs(weights).sum(axis=1).max() < 2**10 + 1
     up = np.where(weights > 0, 127, -128).reshape(64, 8, 8)
-    extremes = fdct_2d(np.concatenate([up, -1 - up])).reshape(128, 64)
+    extremes = fdct_2d(np.concatenate([up, -1 - up]).astype(np.int8)).reshape(128, 64)
     largest = np.abs(extremes).max()
     assert largest == 2**10  # the DC of a flat -128 block
     assert 2**10 < 2**13 < 2**24 / 510

@@ -161,6 +161,21 @@ def test_raster_image_validation():
         RasterImage(np.zeros((4, 4, 4), dtype=np.uint8))
     with pytest.raises(ValueError, match="1x1"):
         RasterImage(np.zeros((0, 4), dtype=np.uint8))
+    with pytest.raises(ValueError, match="2-D"):
+        RasterImage(np.zeros((2, 2, 3, 1), dtype=np.uint8))
+
+
+def test_raster_image_equals_only_images():
+    img = RasterImage(np.full((2, 2), 3, dtype=np.uint8))
+    assert img.__eq__(3) is NotImplemented
+    assert img != 3 and img == RasterImage(img.pixels.copy())
+
+
+def test_tile_rejects_planes_it_cannot_tile():
+    with pytest.raises(ValueError, match="single-channel"):
+        tile_blocks(np.zeros((8, 8, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="zero-dimension"):
+        tile_blocks(np.zeros((0, 8), dtype=np.uint8))
 
 
 def _unshifted(blocks):
