@@ -55,7 +55,9 @@ rounds ties to even), and that block is recomputed with the einsum and
 rounded half away from zero; everywhere else np.rint is that rounding.
 ref_idct_2d runs it on each slice of a decoded stack, and the pipeline's
 fused round trip on the lanes its quantizer leaves, with the
-dequantization folded into the first product's matrices.
+dequantization folded into the first product's matrices; a block near a
+tie gets its quantized values from the slice (ref_idct_2d) or from its
+samples again (the round trip).
 
 Kernel functions accept Python ints or numpy integer arrays (any shape);
 fdct_1d/fdct_2d accept single vectors/blocks or batches.
@@ -330,12 +332,12 @@ def ref_idct_2d(coeffs) -> np.ndarray:
         part = blocks[start : start + _SLICE_BLOCKS]
         lanes = buffer[: 64 * len(part)].reshape(8, 8, len(part))
         np.copyto(lanes, part.transpose(2, 1, 0))
-        _idct_lanes(lanes, part, lanes, out[start : start + len(part)])
+        _idct_lanes(lanes, part.__getitem__, lanes, out[start : start + len(part)])
     return out.reshape(c.shape)
 
 
 def _idct_lanes(
-    lanes: np.ndarray, blocks, scratch: np.ndarray, out: np.ndarray, divisors=None
+    lanes: np.ndarray, values, scratch: np.ndarray, out: np.ndarray, divisors=None
 ) -> None:
     """The decoder's pixels of k coefficient blocks, rounded, into the
     float64 blocks out (k, 8, 8), from two 8-term matrix products: one
@@ -344,12 +346,14 @@ def _idct_lanes(
     into [block, row, col] in scratch.
 
     lanes holds the blocks' values as float64 [freq across, freq down,
-    block] lanes, and blocks the same values as (k, 8, 8) blocks. The
-    coefficients are those values times divisors (8 x 8, entrywise), when
-    given: the dequantization is folded into the first product's matrices.
-    scratch is a contiguous float64 array of lanes' shape, and may be lanes
-    itself. out shares no memory with lanes or scratch, nor blocks with
-    scratch or out: blocks is read after both are written.
+    block] lanes. values gives the same values again as (m, 8, 8) blocks,
+    for an index array of m positions among the k blocks: the near-tie
+    path reads them after the lanes are overwritten, and only for its
+    candidates. The coefficients are those values times divisors (8 x 8,
+    entrywise), when given: the dequantization is folded into the first
+    product's matrices. scratch is a contiguous float64 array of lanes'
+    shape, and may be lanes itself. out shares no memory with lanes or
+    scratch, and what values reads stays as it is while both are written.
 
     Each product sample is rounded by np.rint, and its signed distance to
     that integer (a tie is 0.5 away) is left in scratch; the largest and
@@ -376,7 +380,7 @@ def _idct_lanes(
         signed = dist.reshape(k, 64)
         nearest_tie = np.maximum(signed.max(axis=1), -signed.min(axis=1))  # per block
         candidates = np.flatnonzero(nearest_tie >= bound)
-        exact = np.asarray(blocks)[candidates].astype(np.float64)
+        exact = values(candidates).astype(np.float64)
         if divisors is not None:
             exact *= divisors
         slack = np.abs(exact).reshape(-1, 64).sum(axis=1) * _TIE_SLACK

@@ -62,10 +62,12 @@ once it is tiled, and the tiles live until the channel is coded. A slice
 is int8 samples in float32 FDCT lanes and int16 from the coefficients on.
 entropy.decode_channel calls decode's invert step, which dequantizes each
 int64 slice in place and inverts it half a slice at a time. The round
-trip works in two float64 slice buffers and an int16 one, and the color
-layer in float64 row strips. On the benchmark's 512x512 RGB images with
-its codec knobs, the tracemalloc peak of encode is 1.84x the image and that
-of decode 2.3x; a 2048x2048 RGB decode peaks at 1.67x (21.0 MB).
+trip works in two float64 slice buffers, and the color layer in float64
+row strips. On the benchmark's 512x512 RGB images with its codec knobs,
+the tracemalloc peak of encode is 1.84x the image and that of decode
+2.3x, which is also the peak of the whole op from PNM bytes to PNM bytes,
+as raster.parse_pnm copies nothing; a 2048x2048 RGB decode peaks at 1.67x
+(21.0 MB).
 """
 
 from __future__ import annotations
@@ -351,13 +353,14 @@ def _round_trip(
     sample_shift_scale(B)) and transformed (fdct._transform), both exact
     in float32 on 8-bit samples. The coefficients are cast into the
     float64 coefficient lanes and quantized there as np.rint(c * t) with t
-    from float_quantizer. An int16 copy of the quantized slice (|q| <
-    2**11) is the blocks that the IDCT reads again near a tie, so its
-    second product may write over the coefficient lanes: they are
-    dequantized, inverted and rounded (fdct._idct_lanes, as ref_idct_2d
-    does for decode) into the pixel buffer and restored (_restore). The
-    two float64 lane buffers and the int16 one are allocated once for the
-    stack. Each step is an exact float form of its integer spec, and each
+    from float_quantizer. They are dequantized, inverted and rounded
+    (fdct._idct_lanes, as ref_idct_2d does for decode) into the pixel
+    buffer, the IDCT's second product writing over the coefficient lanes,
+    and restored (_restore). The few blocks that the IDCT recomputes near
+    a tie get their quantized values from the stage chain, run again on
+    their samples (_compress_blocks, uncounted), which the round trip
+    equals. The two float64 lane buffers are allocated once for the stack.
+    Each step is an exact float form of its integer spec, and each
     rounding one np.rint pass but for the blocks the IDCT recomputes with
     the decoder's einsum. ops is charged census, the chain's census of one
     block, for each block (nothing when census is None)."""
@@ -368,8 +371,6 @@ def _round_trip(
     table = np.ascontiguousarray(float_quantizer(qmat, smat, cfg.dc_exact).T[:, :, None])
     out = np.empty((n, 8, 8), dtype=np.uint8)
     buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)))
-    # quantized values are below 2**11 in magnitude, so int16 holds them
-    quantized = np.empty(buffers.shape[1], dtype=np.int16)
     tiles = blocks.transpose(2, 1, 0)  # [col, row, block]
     dense = n == len(blocks)  # index is then every block, in order
     for start in range(0, n, _SLICE_BLOCKS):
@@ -390,10 +391,14 @@ def _round_trip(
         np.copyto(coef, x)
         coef *= table
         np.rint(coef, out=coef)
-        q = quantized[: 64 * k].reshape(8, 8, k)
-        np.copyto(q, coef, casting="unsafe")
         rounded = pixels.reshape(k, 8, 8)
-        fdct._idct_lanes(coef, q.transpose(2, 1, 0), coef, rounded, divisors)
+        fdct._idct_lanes(
+            coef,
+            lambda c: _compress_blocks(blocks[at[c]], cfg, smat, qmat, UNCOUNTED),
+            coef,
+            rounded,
+            divisors,
+        )
         _restore(rounded, cfg.trunc_level, out[start : start + k])
     return out
 

@@ -7,8 +7,8 @@ level-shifts samples by -128 into signed range; untiling only reassembles
 and crops, since the decoder's pixel blocks are already uint8.
 
 Working set: the image-sized arrays here are one byte per sample, and each
-is written in one copy. parse_pnm reads the body in place and copies it
-once, into the image. Tiling pads in uint8 and writes the level-shifted
+is written in one copy. parse_pnm copies nothing: the image is a read-only
+view of the file's body. Tiling pads in uint8 and writes the level-shifted
 samples as int8 in one pass, into [col, row, block] lanes (a
 Fortran-ordered (n, 8, 8) array). Untiling keeps the blocks' dtype and
 writes a new C-contiguous plane of the cropped size, so write_pnm copies a
@@ -77,9 +77,14 @@ _HEADER_SPACE = re.compile(rb"(?:\s|#[^\r\n]*)*")
 _HEADER_TOKEN = re.compile(rb"[^\s#]*")
 
 
-def parse_pnm(data: bytes) -> RasterImage:
+def parse_pnm(data: bytes | bytearray) -> RasterImage:
     """Parse a binary P5/P6 image with maxval 255. The header may carry
-    '#' comments between its tokens."""
+    '#' comments between its tokens.
+
+    The image shares the caller's buffer: its pixels are a read-only view
+    of the body, bytearray input too, so a write to them raises
+    ValueError. A change to a bytearray changes the image, and resizing
+    it raises BufferError while the image lives."""
     if not data.startswith((b"P5", b"P6")):
         raise PnmError("magic: expected P5 or P6")
     color = data.startswith(b"P6")
@@ -104,10 +109,8 @@ def parse_pnm(data: bytes) -> RasterImage:
     nsamples = width * height * (3 if color else 1)
     if len(data) - pos < nsamples:
         raise PnmError("body: truncated sample data")
-    # the body is read in place and copied once, into the image
-    pixels = np.frombuffer(data, dtype=np.uint8, count=nsamples, offset=pos)
-    shape = (height, width, 3) if color else (height, width)
-    return RasterImage(pixels.reshape(shape).copy())
+    pixels = np.frombuffer(memoryview(data).toreadonly(), np.uint8, nsamples, pos)
+    return RasterImage(pixels.reshape((height, width, 3) if color else (height, width)))
 
 
 def write_pnm(img: RasterImage) -> bytes:

@@ -365,7 +365,7 @@ def test_lane_idct_with_folded_divisors_matches_einsum_at_ties():
     q[0, 0, 0], q[0, 0, 2], q[0, 1, 2], q[0, 2, 0], q[0, 2, 1] = -4, 1, -1, -1, -1
     lanes = np.ascontiguousarray(q.transpose(2, 1, 0))
     out = np.empty(q.shape)
-    fdct._idct_lanes(lanes, q, np.empty_like(lanes), out, divisors)
+    fdct._idct_lanes(lanes, q.__getitem__, np.empty_like(lanes), out, divisors)
     assert np.array_equal(out, _round_half_away(_einsum_idct(q * divisors)))
 
 

@@ -18,12 +18,13 @@ every per-layer figure read from them, silently drop to zero.
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ajpeg import raster
+from ajpeg import pipeline, raster
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
@@ -86,3 +87,19 @@ def test_traced_layers_record_spans():
     recorded = np.bincount(np.frombuffer(tracer.name_id, dtype=np.int32), minlength=len(tracer.names))
     silent = {name for name, n in zip(tracer.names, recorded) if n == 0}
     assert silent == KNOWN_DEAD_LAYERS
+
+
+def test_codec_op_working_set():
+    # the codec workload's op, PNM bytes to PNM bytes, on the golden seed's
+    # median 512x512 RGB image: parse_pnm views the file's body, so no copy
+    # of the input image sits under decode's peak (2.25x the image); one
+    # took the op to 2.85x
+    w = workloads.WORKLOADS["codec-rgb-knobs"]
+    data = inputs.image(w.kind, GOLDEN["seed"], w.count // 2, w.count)
+    tracemalloc.start()
+    try:
+        raster.write_pnm(pipeline.decode(pipeline.encode(raster.parse_pnm(data), w.cfg)[0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 512 * 512 * 3

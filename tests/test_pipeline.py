@@ -725,17 +725,52 @@ def test_configs_that_skip_nothing_get_images_of_their_own():
 
 def test_round_trip_memory_is_two_slice_buffers():
     # five truncation levels are five groups: each round trip works in two
-    # float64 slice buffers and an int16 copy of the quantized slice,
-    # beside the int8 tiles and its uint8 pixel blocks, and a group's
-    # blocks are gone before the next one starts
+    # float64 slice buffers, beside the int8 tiles and its uint8 pixel
+    # blocks, and a group's blocks are gone before the next one starts
     img = RasterImage(np.random.default_rng(13).integers(0, 256, size=(256, 768), dtype=np.uint8))
     configs = [EncodeConfig(trunc_level=lv) for lv in TRUNC_LEVELS]
     tiles = 32 * 96 * 64 * np.dtype(np.int8).itemsize
     assert tiles == 3 * _S * 64
     _, peak = _traced_peak(lambda: collections.deque(reconstruct_many(img, configs), maxlen=0))
     buffer = _S * 64 * np.dtype(np.float64).itemsize
-    quantized = _S * 64 * np.dtype(np.int16).itemsize
-    assert peak < tiles + 2 * img.pixels.nbytes + 2 * buffer + quantized + 16384
+    assert peak < tiles + 2 * img.pixels.nbytes + 2 * buffer + 16384
+
+
+def test_round_trip_recomputes_near_tie_blocks_through_the_stage_chain(monkeypatch):
+    # a tie slack this large makes every block of every slice a candidate
+    # of the IDCT's near-tie path, which no benchmark block takes: the
+    # round trip then recomputes each block's quantized values from its
+    # samples (_compress_blocks) and inverts them with the einsum. 1,320
+    # blocks cross a slice edge; each truncation level's round trip reads
+    # every block, and the skip levels share one over a sparse index of
+    # more than a slice (the flat left band skips at every level)
+    rng = np.random.default_rng(16)
+    pixels = rng.integers(0, 256, size=(264, 320), dtype=np.uint8)
+    pixels[:, :64] = 100
+    img = RasterImage(pixels)
+    configs = [EncodeConfig(trunc_level=lv) for lv in TRUNC_LEVELS]
+    configs += [EncodeConfig(skip_level=lv) for lv in SKIP_LEVELS]
+    configs += [EncodeConfig(quant_mode="div", trunc_level=1), EncodeConfig(dc_exact=True)]
+    want = [decode(encode(img, cfg)[0]) for cfg in configs]
+    indexed, recomputed = [], []
+    round_trip, compress = pipeline._round_trip, pipeline._compress_blocks
+
+    def recording_round_trip(blocks, index, *args):
+        indexed.append((len(index), len(blocks)))
+        return round_trip(blocks, index, *args)
+
+    def recording_compress(blocks, *args):
+        recomputed.append(len(blocks))
+        return compress(blocks, *args)
+
+    monkeypatch.setattr(fdct, "_TIE_SLACK", 1.0)
+    monkeypatch.setattr(pipeline, "_round_trip", recording_round_trip)
+    monkeypatch.setattr(pipeline, "_compress_blocks", recording_compress)
+    got = [out for out, _ in reconstruct_many(img, configs)]
+    assert got == want
+    assert sum(recomputed) == sum(n for n, _ in indexed) and len(recomputed) > len(indexed)
+    sparse = [n for n, total in indexed if n < total]
+    assert len(sparse) == 1 and sparse[0] > _S and indexed[0] == (1320, 1320)
 
 
 @pytest.mark.parametrize("image, slices", [("noise", 3), ("smooth", 4)])

@@ -123,15 +123,22 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_parse_pnm_copies_the_body_once():
-    # the body is read in place and copied once, into the image; slicing
-    # it out of the file and then copying it held two images
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_parse_pnm_is_a_read_only_view_of_the_body(kind):
+    # the image shares the file's buffer, a bytearray's too, and cannot be
+    # written through: parsing allocates no pixels, where copying the body
+    # into the image held one more image
     pixels = np.random.default_rng(4).integers(0, 256, size=(512, 512, 3), dtype=np.uint8)
-    data = b"P6\n512 512\n255\n" + pixels.tobytes() + b"trailing bytes are ignored"
+    data = kind(b"P6\n512 512\n255\n" + pixels.tobytes() + b"trailing bytes are ignored")
     img, peak = _traced_peak(lambda: parse_pnm(data))
-    assert np.array_equal(img.pixels, pixels) and img.pixels.flags.writeable
-    assert not np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
-    assert peak < 1.1 * pixels.nbytes
+    assert np.array_equal(img.pixels, pixels)
+    assert np.shares_memory(img.pixels, np.frombuffer(data, dtype=np.uint8))
+    assert not img.pixels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        img.pixels[0, 0, 0] ^= 1
+    assert np.array_equal(img.pixels, pixels)
+    assert peak < 4096
+    assert parse_pnm(write_pnm(img)) == img
 
 
 def test_decoded_plane_is_written_in_one_copy():
