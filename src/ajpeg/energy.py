@@ -215,6 +215,10 @@ def extract_qe_curve(
     transform pass: each block processed at any level is truncated,
     transformed, quantized and decoded once. Truncation levels change every
     block's result, so each takes a pass of its own.
+
+    It holds one image's reference and one level at a time: each level's
+    image and stats go once its SAD and energy are summed, before the next
+    level is built, and the reference goes before the next image's.
     """
     from . import pipeline  # imported late; pipeline depends on this module
     from .metrics import sad_pct, sample_sum
@@ -239,9 +243,12 @@ def extract_qe_curve(
             ref_img, ref_stats = next(results)
             ref_energy = estimate_image_energy(model, ref_stats)
             ref_sum = sample_sum(ref_img)
-            for idx, (out, stats) in enumerate(results, start=1):
+            for idx in range(1, len(levels)):
+                out, stats = next(results)
                 sums_d[idx] += sad_pct(ref_img, out, ref_sum=ref_sum)
                 sums_e[idx] += estimate_image_energy(model, stats) / ref_energy
+                del out, stats  # before the next level is built
+            del ref_img  # before the next image's reference is built
         except ValueError as exc:
             raise CorpusImageError(index, exc) from exc
     mean_d = sums_d / len(images)

@@ -67,7 +67,14 @@ row strips. On the benchmark's 512x512 RGB images with its codec knobs,
 the tracemalloc peak of encode is 1.84x the image and that of decode
 2.3x, which is also the peak of the whole op from PNM bytes to PNM bytes,
 as raster.parse_pnm copies nothing; a 2048x2048 RGB decode peaks at 1.67x
-(21.0 MB).
+(21.0 MB). A sweep (energy.extract_qe_curve over reconstruct_many) holds
+one reconstructed level at a time beside its reference: a skip group keeps
+its union's pixel blocks, flags and union positions, builds each level's
+carried index with its image, and lets the pixel blocks go with its last
+level. The benchmark's sweep op on a 512x512 gray image peaks at 7.46x the
+image, in the truncation round trip; on a 1024x1024 gray image the loop
+curve peaks at 6.26x and the truncation curve at 5.04x, where
+metrics.sad_pct's temporaries are live.
 """
 
 from __future__ import annotations
@@ -476,35 +483,46 @@ def _reconstruct_group(
     ops: IntOps,
 ) -> Iterator[tuple[RasterImage, EnergyStats]]:
     """The results of a group of configs that differ only in skip level.
-    Its pixel blocks go with its frame, before the next group's round
-    trip starts."""
+
+    Per plane it holds three things for the whole group: the pixel blocks
+    of the union of the levels' processed blocks, the skip flags per
+    level, and each union block's position among the union. A level's
+    carried index is built with its image and goes with it. The last
+    level takes the pixel blocks from the group as it untiles them, so
+    none is left when it is yielded. No local holds a yielded image, so a
+    consumer that drops one frees it."""
     qmat, smat = _quant_tables(shared)
     meta = _container_meta(img, shared, qmat, smat)
     divisors = _decode_divisors(meta, decode_matrix)
     census = None if ops is UNCOUNTED else _chain_census(shared, smat, qmat)
     levels = dict.fromkeys(cfg.skip_level for cfg in group)
-    coded = []  # per plane: (pixel blocks of the union, flags and carried block per level)
+    coded = []  # per plane: (pixel blocks of the union, flags per level, union positions)
     for blocks in tiles:
         flags = _skip_flags(blocks, levels, ops)
         union = ~np.logical_and.reduce(list(flags.values()))
-        index = np.flatnonzero(union)
-        pixels = _round_trip(blocks, index, shared, smat, qmat, divisors, census, ops)
-        position = np.cumsum(union) - 1  # of each union block among the union
-        # composed into one index per level: gathering the level's coded
-        # blocks first and then expanding them would copy the pixels twice.
-        # A level that skips nothing carries every block in order, and
-        # takes the pixels as they are (None).
-        carried = {
-            lv: position[np.flatnonzero(~s)[reuse_index(s)]] if s.any() else None
-            for lv, s in flags.items()
-        }
-        coded.append((pixels, flags, carried))
-    for cfg in group:
+        coded.append((
+            _round_trip(blocks, np.flatnonzero(union), shared, smat, qmat, divisors, census, ops),
+            flags,
+            np.cumsum(union) - 1,
+        ))
+    for n, cfg in enumerate(group, start=1):
         lv = cfg.skip_level
-        yield (
-            _decode_image(meta, [p if c[lv] is None else p[c[lv]] for p, _, c in coded]),
-            _energy_stats(cfg, [flags[lv] for _, flags, _ in coded]),
-        )
+        stats = _energy_stats(cfg, [flags[lv] for _, flags, _ in coded])
+        # the last level empties coded plane by plane as it untiles them
+        planes = coded if n < len(group) else (coded.pop(0) for _ in range(len(coded)))
+        yield _decode_image(meta, (_carried_blocks(p, f[lv], at) for p, f, at in planes)), stats
+
+
+def _carried_blocks(pixels: np.ndarray, skipped: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Every block's pixels at one skip level, from the pixel blocks of a
+    union of levels' processed blocks and each union block's position
+    among them. The carried index is composed into one gather: gathering
+    the level's processed blocks first and then expanding them would copy
+    the pixels twice. A level that skips nothing carries every block in
+    order, and takes the pixels as they are."""
+    if not skipped.any():
+        return pixels
+    return pixels[position[np.flatnonzero(~skipped)[reuse_index(skipped)]]]
 
 
 def reconstruct(

@@ -1,10 +1,12 @@
 """Energy proxy model, Q-E curves, and level selection."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
+from ajpeg import pipeline
 from ajpeg.energy import (
     KNOBS,
     EnergyModel,
@@ -252,3 +254,27 @@ def test_extract_qe_curve_keeps_base_qmatrix():
     default, _ = extract_qe_curve("trunc", imgs)
     flat, _ = extract_qe_curve("trunc", imgs, EncodeConfig(qmatrix=np.ones((8, 8))))
     assert flat.points != default.points
+
+
+@pytest.mark.parametrize("kind", sorted(KNOBS))
+def test_extract_qe_curve_holds_one_level_at_a_time(monkeypatch, kind, corpus):
+    # as each level arrives, every image yielded before it is gone but its
+    # own image's reference: the sweep drops a level before it asks for the
+    # next, and a reference before the next image's
+    images = [RasterImage(corpus[i].pixels[:64, :96]) for i in (4, 9)]
+    reconstruct_many = pipeline.reconstruct_many
+    yielded = []  # (image, level, weakref to the level's image)
+
+    def watched(img, configs, *args, **kwargs):
+        results = reconstruct_many(img, configs, *args, **kwargs)
+        image = len({i for i, _, _ in yielded})
+        for level in range(len(configs)):
+            box = [next(results)]
+            live = [(i, lv) for i, lv, ref in yielded if ref() is not None]
+            assert live == ([(image, 0)] if level else []), f"live at {(image, level)}"
+            yielded.append((image, level, weakref.ref(box[0][0])))
+            yield box.pop()  # kept by no local of this frame
+
+    monkeypatch.setattr(pipeline, "reconstruct_many", watched)
+    curve, _ = extract_qe_curve(kind, images)
+    assert len(yielded) == len(images) * len(KNOBS[kind][1]) == len(images) * len(curve.points)

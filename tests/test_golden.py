@@ -103,3 +103,21 @@ def test_codec_op_working_set():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 512 * 512 * 3
+
+
+def test_sweep_op_working_set():
+    # the sweep workload's op on the golden seed's median 512x512 gray
+    # image: each curve holds its reference and one level's image at a
+    # time, so the truncation round trip sets the peak (7.46x the image
+    # warm, 7.52x on a first call); a level that lived on through the next
+    # one's round trip took the op to 8.46x
+    w = workloads.WORKLOADS["sweep-gray"]
+    data = inputs.image(w.kind, GOLDEN["seed"], w.count // 2, w.count)
+    op = workloads.make_op("sweep-gray")
+    tracemalloc.start()
+    try:
+        op.run(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.0 * 512 * 512

@@ -437,6 +437,19 @@ def test_reconstruct_memory_is_bounded_by_image():
     assert peak < 4 * img.pixels.nbytes
 
 
+
+@pytest.mark.parametrize("kind, bound", [("loop", 6.7), ("trunc", 5.6)])
+def test_qe_curve_working_set_of_a_larger_image(corpus, kind, bound):
+    # a 1024x1024 gray sweep: beside the tiles, the reference and one
+    # level's image, a skip group holds its union's pixel blocks and one
+    # int64 position per block, and builds each level's carried index with
+    # its image; the last level of a group takes the pixel blocks with it.
+    # Every level's index held for the whole group, and pixel blocks that
+    # outlived the group's last level, took the curves to 7.26x and 6.29x.
+    img = RasterImage(np.tile(corpus[6].pixels, (2, 2)))
+    _, peak = _traced_peak(lambda: extract_qe_curve(kind, [img]))
+    assert peak < bound * img.pixels.nbytes
+
 # Containers of gray noise 8 pixels high, so every block is coded, at block
 # counts around the slice edges; generated before the block path ran in
 # slices.
