@@ -12,6 +12,9 @@ is part of the config, is read first. Every input file is read through
 _read, so a file that cannot be read or parsed is a data error that names
 it; sweep and report name a corpus image the codec or the metrics reject
 the same way.
+
+metrics writes strict JSON (RFC 8259, no NaN or Infinity): the PSNR of
+identical images, which is infinite, is written as null.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -150,7 +154,9 @@ def _cmd_decode(args) -> int:
 
 def _cmd_metrics(args) -> int:
     report = _scores(_read(args.ref, parse_pnm), _read(args.test, parse_pnm))
-    _write(args.out, json.dumps(report, indent=2) + "\n")
+    if report["psnr"] == math.inf:  # identical images
+        report["psnr"] = None
+    _write(args.out, json.dumps(report, indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -385,9 +385,7 @@ def _idct_lanes(
             exact *= divisors
         slack = np.abs(exact).reshape(-1, 64).sum(axis=1) * _TIE_SLACK
         near = nearest_tie[candidates] >= 0.5 - slack
-        samples = _einsum_idct(exact[near])
-        spare = dist[: samples.size].reshape(samples.shape)  # the distances are read
-        out[candidates[near]] = round_half_away(samples, spare)
+        out[candidates[near]] = round_half_away(_einsum_idct(exact[near]))
 
 
 def _einsum_idct(coeffs: np.ndarray) -> np.ndarray:
@@ -398,26 +396,17 @@ def _einsum_idct(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ji,...jk,kl->...il", _T, np.ascontiguousarray(coeffs, dtype=np.float64), _T)
 
 
-_SIGN_BIT = np.uint64(1 << 63)
-_HALF_BITS = np.float64(0.5).view(np.uint64)
-
-
-def round_half_away(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """x rounded half away from zero, in place, for a float64 array x;
-    scratch is a float64 array of x's shape.
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """x rounded half away from zero, in place, for a float64 array x.
 
     Computed as trunc(x + copysign(0.5, x)), which is
     sign(x) * floor(|x| + 0.5) with the addition rounded as float64 does:
     IEEE addition rounds symmetrically in sign, and -0.0 rounds to 0 as 0
-    does. copysign(0.5, x) is formed from x's sign bit with integer ops,
-    several times faster here than np.copysign.
+    does.
 
     This float form, applied to the einsum's samples, defines the decoder's
-    pixels. _idct_lanes applies it to the blocks it recomputes with the
-    einsum; every other sample it rounds by np.rint, which agrees away from
-    ties."""
-    half = scratch.view(np.uint64)
-    np.bitwise_and(x.view(np.uint64), _SIGN_BIT, out=half)
-    half |= _HALF_BITS
-    x += scratch
+    pixels. _idct_lanes applies it only to the blocks it recomputes with
+    the einsum, those with a sample near a tie; every other sample it
+    rounds by np.rint, which agrees away from ties."""
+    x += np.copysign(0.5, x)
     return np.trunc(x, out=x)

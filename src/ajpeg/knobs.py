@@ -15,14 +15,16 @@ whose result it carries. perforate and the pipeline's decode and
 reconstruct expand results through that index, and nothing else does:
 the encoder and the entropy layer handle the processed blocks only.
 
-The scan runs on the tiles' domain, level-shifted 8-bit samples, where
-every sample lies in [-128, 127] and skip_check's clamp never binds: block
-e lies inside the band of reference r exactly when max|b_e - b_r| <= eps.
-That distance does not depend on eps, so one pass over a plane serves
-every skip level: it tables the distance from each block to each of its
-next _TABLE_WIDTH (16) blocks once, in uint8, and each tolerance walks its
-skip runs through that table. A stack with a sample outside that range is
-decided block by block with skip_check itself, the spec of the band.
+The scan runs on the tiles' domain only: it takes int8 stacks of
+level-shifted 8-bit samples, as fdct_2d does, and raises TypeError for any
+other dtype. Every sample then lies in [-128, 127] and skip_check's clamp
+never binds: block e lies inside the band of reference r exactly when
+max|b_e - b_r| <= eps. That distance does not depend on eps, so one pass
+over a plane serves every skip level: it tables the distance from each
+block to each of its next _TABLE_WIDTH (16) blocks once, in uint8, and
+each tolerance walks its skip runs through that table. That walk is the
+rule's only run-time form; skip_check is its spec, which the tests hold
+the scan to, and no stack is decided block by block.
 
 The op census charges what the band hardware does, not what the software
 does: one band (an add and a sub per sample, 128 lanes per 8x8 block) per
@@ -30,7 +32,7 @@ tolerance for every block that can act as a reference, blocks 0 .. n-2,
 which is what n-1 sequential skip_check calls charge; the comparisons
 themselves are not datapath ops, as in skip_check.
 
-The scan reads the block stack in its own dtype and holds no copy of it.
+The scan reads the int8 block stack in place and holds no copy of it.
 It reads [sample, block] rows, 64 rows of n samples: tile_blocks lays its
 int8 tiles out as exactly those rows ([col, row, block] lanes), and a
 block-major stack is read through its transposed view. The table is
@@ -108,9 +110,9 @@ def _reach_table(rows: np.ndarray) -> np.ndarray:
     blocks after it: an entry past the end of the stack repeats the one
     before it.
 
-    rows are the stack's [sample, block] rows (_sample_rows) of 8-bit
-    samples. Each slice of them is cast into one reused uint8 lane buffer
-    as b + 128 (b ^ 0x80), which keeps their order, so a diagonal, max over
+    rows are the int8 stack's [sample, block] rows (_sample_rows). Each
+    slice of them is copied into one reused uint8 lane buffer and taken to
+    b + 128 (b ^ 0x80), which keeps their order, so a diagonal, max over
     samples of |b[r + d] - b[r]|, is a max minus a min over the flattened
     lanes, each in [0, 255]. (Subtracting the strided rows in place, row by
     row, measured about 1.5x slower on the tiles of a 512 x 512 plane.)"""
@@ -121,7 +123,7 @@ def _reach_table(rows: np.ndarray) -> np.ndarray:
         part = rows[:, start:start + _SLICE_BLOCKS + _TABLE_WIDTH]
         flat, high, low = buffers[:, : part.size]
         lane = flat.reshape(part.shape)
-        np.copyto(lane.view(np.int8), part, casting="unsafe")
+        np.copyto(lane.view(np.int8), part)
         lane ^= 0x80
         count = min(_SLICE_BLOCKS, n - 1 - start)  # reference candidates in this slice
         for d in range(1, min(_TABLE_WIDTH, n - 1 - start) + 1):
@@ -147,7 +149,7 @@ def _run_end(rows: np.ndarray, r: int, e: int, epsilon: int) -> int:
     reference = rows[:, r : r + 1]
     width = _TABLE_WIDTH
     while e < n:
-        window = np.subtract(rows[:, e:e + width], reference, dtype=np.int16, casting="unsafe")
+        window = np.subtract(rows[:, e:e + width], reference, dtype=np.int16)
         outside = np.abs(window, out=window).max(axis=0) > epsilon
         miss = int(np.argmax(outside))
         if outside[miss]:
@@ -177,13 +179,16 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
     no Python int per candidate. It leaves the bounds of its runs, and one
     pass marks them.
 
-    The table runs only on stacks of 8-bit samples, [-128, 127]. Their
-    distances lie in [0, 255], so each epsilon is clamped to [-1, 255] and
-    floored: 10**9, -2 and 2.5 act as 255, -1 and 2. It reads the stack's
-    [sample, block] rows in place (_sample_rows), as tile_blocks' lanes
-    hold them, and casts each slice or window on its own, so the stack is
-    never copied. Any other stack is decided block by block by skip_check,
-    with the same census."""
+    blocks is an int8 stack, as tile_blocks leaves it; any other dtype
+    raises TypeError, and there is no block-by-block form. Its distances
+    lie in [0, 255], so each epsilon is clamped to [-1, 255] and floored:
+    10**9, -2 and 2.5 act as 255, -1 and 2. It reads the stack's [sample,
+    block] rows in place (_sample_rows), as tile_blocks' lanes hold them,
+    and copies each slice or widens each window on its own, so the stack is
+    never copied whole."""
+    blocks = np.asarray(blocks)
+    if blocks.dtype != np.int8:
+        raise TypeError(f"skip_flags_many expects int8 samples, not {blocks.dtype}")
     epsilons = list(epsilons)
     n = len(blocks)
     skipped = np.zeros((len(epsilons), n), dtype=bool)
@@ -192,14 +197,7 @@ def skip_flags_many(blocks, epsilons, ops: IntOps = UNCOUNTED) -> np.ndarray:
     # the bands of blocks 0 .. n-2 at each epsilon (see the module docstring)
     lanes_charged = 64 * (n - 1) * len(epsilons)
     ops.charge(adds=lanes_charged, subs=lanes_charged)
-    rows = _sample_rows(np.asarray(blocks))
-    if rows.min() < SAMPLE_MIN or rows.max() > SAMPLE_MAX:
-        for flags, epsilon in zip(skipped, epsilons):
-            r = 0  # the last processed block; its band is charged above
-            for k in range(1, n):
-                flags[k] = skip_check(rows[:, k], rows[:, r], epsilon)
-                r = r if flags[k] else k
-        return skipped
+    rows = _sample_rows(blocks)
     reach = _reach_table(rows)
     # fmax and fmin take NaN, an empty band, to -1
     bands = np.floor(np.fmin(np.fmax(np.asarray(epsilons, dtype=np.float64), -1), 255))
@@ -254,8 +252,8 @@ def perforate(
     compress: Callable,
     ops: IntOps = UNCOUNTED,
 ) -> PerforationResult:
-    """Run compress over a block sequence, reusing results for blocks that
-    match the latest processed block within epsilon (see skip_flags).
+    """Run compress over an int8 block stack, reusing results for blocks
+    that match the latest processed block within epsilon (see skip_flags).
     Skipped blocks share their reference's result object."""
     skipped = skip_flags(blocks, epsilon, ops)
     processed = [compress(blocks[k]) for k in np.flatnonzero(~skipped)]

@@ -48,9 +48,9 @@ class IntOps:
     def kernel(self, name: str, lanes: int):
         pass
 
-    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, muls: int = 0, kernels=None):
+    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, kernels=None):
         """Book the lanes of datapath work that the software computes in
-        another form: adds, subs, shifts and muls, and kernels, a mapping of
+        another form: adds, subs and shifts, and kernels, a mapping of
         kernel name to lanes (a name with 0 lanes is still recorded). The
         skip scan charges its bands (knobs.skip_flags_many); fdct_2d and
         the pipeline's round trip charge their specs' census per block
@@ -62,7 +62,6 @@ class IntOps:
             adds=n * census.adds,
             subs=n * census.subs,
             shifts=n * census.shifts,
-            muls=n * census.muls,
             kernels={name: n * lanes for name, lanes in census.kernel_calls.items()},
         )
 
@@ -72,7 +71,9 @@ UNCOUNTED = IntOps()
 
 @dataclass
 class OpCounter(IntOps):
-    """Counts datapath operations per scalar lane."""
+    """Counts datapath operations per scalar lane. muls stays 0: the
+    datapath is multiplier-less and no op or charge books a multiply; the
+    field is kept so that a census can report that."""
 
     adds: int = 0
     subs: int = 0
@@ -105,11 +106,10 @@ class OpCounter(IntOps):
     def kernel(self, name: str, lanes: int):
         self.kernel_calls[name] = self.kernel_calls.get(name, 0) + lanes
 
-    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, muls: int = 0, kernels=None):
+    def charge(self, adds: int = 0, subs: int = 0, shifts: int = 0, kernels=None):
         self.adds += adds
         self.subs += subs
         self.shifts += shifts
-        self.muls += muls
         for name, lanes in (kernels or {}).items():
             self.kernel(name, lanes)
 

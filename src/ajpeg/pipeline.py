@@ -413,10 +413,13 @@ def _round_trip(
 def _decode_image(meta: entropy.ContainerMeta, pixel_blocks) -> RasterImage:
     """Reassemble each plane's uint8 pixel blocks into an image. pixel_blocks
     may be a lazy iterable: decode passes one, so it holds a single plane's
-    entropy-decoded coefficients at a time."""
+    entropy-decoded coefficients at a time. Each plane's blocks are dropped
+    once untiled, before the next plane is pulled (no loop variable keeps
+    them)."""
+    blocks = iter(pixel_blocks)
     planes = [
-        untile_blocks(blocks, h, w)
-        for blocks, (h, w) in zip(pixel_blocks, plane_shapes(meta.height, meta.width, meta.color))
+        untile_blocks(next(blocks), h, w)
+        for h, w in plane_shapes(meta.height, meta.width, meta.color)
     ]
     if not meta.color:
         return RasterImage(planes[0])

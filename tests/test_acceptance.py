@@ -391,8 +391,8 @@ def test_tuner_meets_energy_target_on_reference_curves():
 # ---------------------------------------------------------------------------
 
 def test_epsilon_zero_skips_only_duplicates():
-    a = np.full((8, 8), 10, dtype=np.int64)
-    b = np.full((8, 8), 11, dtype=np.int64)
+    a = np.full((8, 8), 10, dtype=np.int8)
+    b = np.full((8, 8), 11, dtype=np.int8)
     blocks = np.stack([a, a.copy(), b, a.copy()])
     res = perforate(blocks, 0, lambda blk: blk.sum())
     assert list(res.skipped) == [False, True, False, False]
@@ -410,7 +410,7 @@ def test_skip_band_clamps_at_domain_limits():
 
 
 def test_reference_chain_skips_exactly_middle_block():
-    blocks = np.stack([np.full((8, 8), v, dtype=np.int64) for v in (10, 13, 16)])
+    blocks = np.stack([np.full((8, 8), v, dtype=np.int8) for v in (10, 13, 16)])
     res = perforate(blocks, 5, lambda blk: blk.copy())
     # 13 sits within 5 of the reference 10; 16 does not (reference stays 10)
     assert list(res.skipped) == [False, True, False]

@@ -74,6 +74,20 @@ def test_metrics_report_file(tmp_path, pgm):
     assert report["psnr"] > 0
 
 
+def test_metrics_of_identical_images_are_strict_json(tmp_path, pgm):
+    # an infinite PSNR is written as null, not as Infinity, which RFC 8259
+    # parsers reject
+    out = tmp_path / "metrics.json"
+    assert main(["metrics", "--ref", str(pgm), "--test", str(pgm), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["psnr"] is None
+    assert report["sad_pct"] == 0 and report["ssim"] == 1.0
+
+
 def _corpus_dir(tmp_path):
     d = tmp_path / "corpus"
     d.mkdir()

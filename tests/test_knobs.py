@@ -127,7 +127,8 @@ def test_skip_check_floor_clamps_at_minus_128():
 
 
 def _consts(*values):
-    return np.stack([np.full((8, 8), v, dtype=np.int64) for v in values])
+    """A stack of constant int8 blocks, one per value in [-128, 127]."""
+    return np.stack([np.full((8, 8), v, dtype=np.int8) for v in values])
 
 
 def _sequential_skip_flags(blocks, epsilon):
@@ -143,16 +144,18 @@ def _sequential_skip_flags(blocks, epsilon):
 
 
 def _drifting_stack(n, seed, drift, noise, offset):
-    """n blocks around a random base shifted by offset (samples may leave
-    [-128, 127]), each a random walk of step <= drift from the last, plus
-    per-sample noise <= noise."""
+    """n int8 blocks around a random base shifted by offset, each a random
+    walk of step <= drift from the last, plus per-sample noise <= noise,
+    clipped to the sample range [-128, 127] (where a large offset piles
+    them up at its ends)."""
     rng = np.random.default_rng(seed)
     base = rng.integers(-40, 41, size=(8, 8)) + offset
     walk = rng.integers(-drift, drift + 1, size=(n, 1, 1)).cumsum(axis=0)
-    return base + walk + rng.integers(-noise, noise + 1, size=(n, 8, 8))
+    blocks = base + walk + rng.integers(-noise, noise + 1, size=(n, 8, 8))
+    return np.clip(blocks, SAMPLE_MIN, SAMPLE_MAX).astype(np.int8)
 
 
-_any_stacks = st.builds(
+stacks = st.builds(
     _drifting_stack,
     n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 400)),
     seed=st.integers(0, 2**32 - 1),
@@ -160,26 +163,17 @@ _any_stacks = st.builds(
     noise=st.integers(0, 20),
     offset=st.integers(-250, 250),
 )
-# the same stacks clipped to the 8-bit domain, where the distance table
-# decides, in int64 and as int8 tiles; a stack with a sample outside it is
-# decided by skip_check
-_clipped = _any_stacks.map(lambda b: np.clip(b, SAMPLE_MIN, SAMPLE_MAX))
-stacks = st.one_of(_any_stacks, _clipped, _clipped.map(lambda b: b.astype(np.int8)))
 
 
 @given(stacks, st.sampled_from([skip_epsilon(lv) for lv in range(7)]))
 @example(_consts(*[0] * 600, 40, 40, 0), 5)  # a run of 599 outlasts its largest window, 512
 @example(_consts(10, 13, 16, 19, 22), 5)  # block 2 matches block 1, not its reference
-@example(_consts(125, 128, 126, -126, -129, -127), 5)  # the band clamp decides
-# the int16 scan at its edges; then samples and epsilons that take int64,
-# among them a block that an int16 cast would wrap onto its reference
-@example(_consts(2**14 - 1, 1 - 2**14, 2**14 - 1, 100, -100), 2**14 - 1)
-@example(_consts(2**14, 2**14 - 3, 2**14 + 9, -(2**14), 0), 5)
-@example(_consts(100, 100 + 2**16, -(2**14), 1 - 2**14, 0), 5)
-@example(_consts(0, 127, -128, 2**14, 200), 2**14)
-@example(_consts(0, 127, -128, 2**14, 200), 2**15)
-# 8-bit stacks at the distance table's extremes: 255 apart, and epsilons
-# on both sides of the [-1, 255] range the compares run in
+@example(_consts(125, 127, 126, -126, -128, -127), 5)  # the band clamp binds at both ends
+# epsilons at and past every 8-bit distance, 255, and on both sides of the
+# [-1, 255] range the compares run in
+@example(_consts(127, -127, 127, 100, -100), 2**14 - 1)
+@example(_consts(0, 127, -128, 127, 100), 2**14)
+@example(_consts(0, 127, -128, 127, 100), 2**15)
 @example(_consts(-128, 127, 127, -128, 0), 254)
 @example(_consts(-128, 127, 127, -128, 0), 255)
 @example(_consts(-128, 127, 127, -128, 0), 256)
@@ -198,7 +192,7 @@ _LEVEL_EPSILONS = [skip_epsilon(lv) for lv in range(7)]
         _LEVEL_EPSILONS,
         [30, 0, 30, 5],  # repeats, in any order
         [*_LEVEL_EPSILONS, 2**14 - 1],
-        [2**14, 5, 0],  # one epsilon at 2**14 takes every level to int64
+        [2**14, 5, 0],
         [-1, 5],  # a negative tolerance: an empty band
         [-2, 254, 255, 256, 2**15, 10**9],  # beyond every 8-bit distance
         # not integers: a distance is within 2.5 when it is within 2, and
@@ -208,12 +202,10 @@ _LEVEL_EPSILONS = [skip_epsilon(lv) for lv in range(7)]
 )
 @example(_consts(*[0] * 600, 40, 40, 0), _LEVEL_EPSILONS)
 @example(_consts(10, 13, 16, 19, 22), _LEVEL_EPSILONS)
-@example(_consts(125, 128, 126, -126, -129, -127), _LEVEL_EPSILONS)
-@example(_consts(2**14 - 1, 1 - 2**14, 2**14 - 1, 100, -100), [*_LEVEL_EPSILONS, 2**14 - 1])
-@example(_consts(2**14, 2**14 - 3, 2**14 + 9, -(2**14), 0), _LEVEL_EPSILONS)
-@example(_consts(100, 100 + 2**16, -(2**14), 1 - 2**14, 0), _LEVEL_EPSILONS)
-@example(_consts(0, 127, -128, 2**14, 200), [2**14, 5, 0])
-@example(_consts(0, 127, -128, 2**14, 200), [2**15, *_LEVEL_EPSILONS])
+@example(_consts(125, 127, 126, -126, -128, -127), _LEVEL_EPSILONS)
+@example(_consts(127, -127, 127, 100, -100), [*_LEVEL_EPSILONS, 2**14 - 1])
+@example(_consts(0, 127, -128, 127, 100), [2**14, 5, 0])
+@example(_consts(0, 127, -128, 127, 100), [2**15, *_LEVEL_EPSILONS])
 @example(_consts(-128, 127, 127, -128, 0), [-2, 254, 255, 256, 2**15, 10**9])
 def test_skip_flags_many_matches_sequential_scan_at_each_epsilon(blocks, epsilons):
     flags = skip_flags_many(blocks, epsilons)
@@ -222,19 +214,33 @@ def test_skip_flags_many_matches_sequential_scan_at_each_epsilon(blocks, epsilon
         assert np.array_equal(row, _sequential_skip_flags(blocks, epsilon))
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint8, np.float64])
+def test_skip_flags_many_takes_int8_stacks_only(dtype):
+    # the table walk is the rule's only run-time form: a stack of any
+    # other dtype is refused, not decided block by block
+    blocks = _consts(0, 3, 9).astype(dtype)
+    with pytest.raises(TypeError, match="int8 samples"):
+        skip_flags_many(blocks, _LEVEL_EPSILONS)
+    with pytest.raises(TypeError, match="int8 samples"):
+        skip_flags(blocks[:0], 5)
+
+
 # runs that end just before, at and just after the distance table's edge
 # (_TABLE_WIDTH blocks), and at the ends of the windows that follow it
 _W = _TABLE_WIDTH
 
 
 @pytest.mark.parametrize("run", [_W - 1, _W, _W + 1, 2 * _W + 1])
-@pytest.mark.parametrize("lanes", [np.int16, np.int64])
-def test_skip_flags_out_of_range_block_at_the_table_edge(run, lanes):
-    # 128 is 3 from the reference 125 but outside the sample range, so it
-    # misses the clamped band and becomes the reference of the last block
-    blocks = _consts(125, *[126] * run, 128, 126).astype(lanes)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_skip_flags_drift_past_the_reference_at_the_table_edge(run, sign):
+    # at each end of the sample range: every block of the run is 3 from the
+    # reference 121 (or -121), and 127 (or -127) is 3 from the run's blocks
+    # but 6 from the reference, so it misses the band and becomes the
+    # reference of the last block
+    blocks = _consts(*(sign * v for v in (121, *[124] * run, 127, 127)))
     assert skip_flags(blocks, 5).tolist() == [False] + [True] * run + [False, True]
     assert skip_flags(blocks[:-1], 5).tolist() == [False] + [True] * run + [False]
+    assert np.array_equal(skip_flags(blocks, 5), _sequential_skip_flags(blocks, 5))
 
 
 @pytest.mark.parametrize("run", [_W - 1, _W, _W + 1, 2 * _W, 2 * _W + 1, 47, 48, 49, 4 * _W + 1])
@@ -249,19 +255,29 @@ def test_skip_flags_run_ending_at_a_window_edge(run):
 _SLICE_EDGES = [_SLICE_BLOCKS - 1, _SLICE_BLOCKS, _SLICE_BLOCKS + 1, 2 * _SLICE_BLOCKS + 1]
 
 
+def _laid_out(blocks, layout):
+    """blocks as a block-major stack (C), in tile_blocks' lane-major layout
+    (F), or as every other block of a stack twice as long (strided)."""
+    if layout == "strided":
+        wide = np.full((2 * len(blocks), 8, 8), -100, dtype=np.int8)
+        wide[::2] = blocks
+        return wide[::2]
+    return np.asarray(blocks, order=layout)
+
+
 @pytest.mark.parametrize("n", _SLICE_EDGES)
-@pytest.mark.parametrize("lanes", [np.int8, np.int16, np.int64])
-def test_skip_flags_across_slice_edges(n, lanes):
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_skip_flags_across_slice_edges(n, layout):
     # the distance table is filled slice by slice and a run's windows stop
     # doubling at one slice: a drifting stack, adjacent blocks that differ
     # but for one pair across each slice edge, and one long run that spans
-    # every slice
-    drifting = _drifting_stack(n, n, 1, 3, 0).astype(lanes)
+    # every slice; each in every memory layout the scan may be handed
+    drifting = _laid_out(_drifting_stack(n, n, 1, 3, 0), layout)
     values = 40 * (np.arange(n) % 2)
     edges = np.arange(_SLICE_BLOCKS, n, _SLICE_BLOCKS)
     values[edges] = values[edges - 1]
-    straddling = _consts(*values).astype(lanes)
-    one_run = _consts(*[7] * n, 40).astype(lanes)
+    straddling = _laid_out(_consts(*values), layout)
+    one_run = _laid_out(_consts(*[7] * n, 40), layout)
     for blocks in (drifting, straddling, one_run):
         want = [_sequential_skip_flags(blocks, epsilon).tolist() for epsilon in (5, 15)]
         assert [skip_flags(blocks, epsilon).tolist() for epsilon in (5, 15)] == want
@@ -270,12 +286,12 @@ def test_skip_flags_across_slice_edges(n, lanes):
 
 
 def test_skip_flags_memory_is_bounded_by_the_stack():
-    # int8 tiles are scanned in their own dtype: no widened copy of the
-    # stack, the distance table is filled one slice at a time in uint8, and
-    # the walk's candidates are compact arrays, so the scan's peak stays
-    # below the stack's one byte per sample even where nearly every block
-    # is a candidate
-    blocks = np.clip(_drifting_stack(16384, 3, 2, 4, 0), SAMPLE_MIN, SAMPLE_MAX).astype(np.int8)
+    # int8 tiles are scanned in place: no widened copy of the stack, the
+    # distance table is filled one slice at a time in uint8, and the walk's
+    # candidates are compact arrays, so the scan's peak stays below the
+    # stack's one byte per sample even where nearly every block is a
+    # candidate
+    blocks = _drifting_stack(16384, 3, 2, 4, 0)
     tracemalloc.start()
     try:
         flags = skip_flags(blocks, 15)
@@ -284,7 +300,7 @@ def test_skip_flags_memory_is_bounded_by_the_stack():
         tracemalloc.stop()
     assert peak < blocks.nbytes
     assert flags.any() and not flags.all()
-    assert np.array_equal(flags, skip_flags(blocks.astype(np.int64), 15))
+    assert np.array_equal(flags, _sequential_skip_flags(blocks, 15))
 
 
 def _tiled_plane():
@@ -377,7 +393,7 @@ def test_perforate_compress_called_once_per_processed_block():
 
 
 def test_perforate_empty_input():
-    res = perforate(np.zeros((0, 8, 8), dtype=np.int64), 5, lambda b: b)
+    res = perforate(np.zeros((0, 8, 8), dtype=np.int8), 5, lambda b: b)
     assert res.results == [] and res.skipped.shape == (0,)
 
 

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -281,7 +282,7 @@ def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
     x = _rounding_probes()
     assert np.signbit(x).any() and (x == 0).any()  # -0.0 is among them
     rounded = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    samples = fdct.round_half_away(x.copy(), np.empty_like(x))
+    samples = fdct.round_half_away(x.copy())
     assert np.array_equal(samples, rounded)
     monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: samples.copy())
     zeros = np.zeros(x.shape, dtype=np.int64)
@@ -307,7 +308,7 @@ def test_decode_rounding_is_half_away_from_zero(monkeypatch, trunc_level):
 def test_decode_rounds_ties_away_and_clips(monkeypatch, trunc_level, samples, want):
     x = np.zeros((1, 8, 8))
     x.flat[: len(samples)] = samples
-    rounded = fdct.round_half_away(x, np.empty_like(x))
+    rounded = fdct.round_half_away(x)
     monkeypatch.setattr(pipeline, "ref_idct_2d", lambda c: rounded.copy())
     zeros = np.zeros((1, 8, 8), dtype=np.int64)
     got = pipeline._decode_blocks(zeros, np.ones((8, 8), dtype=np.int64), trunc_level)
@@ -425,6 +426,30 @@ def test_rgb_decode_holds_no_full_resolution_chroma(corpus):
     out, peak = _traced_peak(lambda: decode(data))
     assert out.pixels.shape == img.pixels.shape
     assert peak < 22e6 < 1.75 * img.pixels.nbytes
+
+
+def test_decode_drops_each_plane_before_the_next_channel(monkeypatch, corpus):
+    # as each channel starts to entropy-decode, the pixel blocks of every
+    # plane untiled before it are gone: no loop variable keeps them
+    img = RasterImage(_rgb_image(corpus).pixels[:96, :128])
+    data, _ = encode(img)
+    untiled = []  # a weakref to the pixel blocks of each plane untiled so far
+    alive = []  # per channel, whether each of those is alive as it starts
+    decode_channel, untile_blocks = entropy.decode_channel, pipeline.untile_blocks
+
+    def watched_decode(*args, **kwargs):
+        alive.append([ref() is not None for ref in untiled])
+        return decode_channel(*args, **kwargs)
+
+    def watched_untile(blocks, *args, **kwargs):
+        untiled.append(weakref.ref(blocks))
+        return untile_blocks(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "decode_channel", watched_decode)
+    monkeypatch.setattr(pipeline, "untile_blocks", watched_untile)
+    out = decode(data)
+    assert alive == [[], [False], [False, False]]
+    assert out == reconstruct(img)[0]
 
 
 def test_reconstruct_memory_is_bounded_by_image():
@@ -594,8 +619,8 @@ def test_shared_skip_levels_scan_each_plane_once(monkeypatch, color):
 @pytest.mark.parametrize("color", [False, True])
 @pytest.mark.parametrize("shape", [(37, 53), (9, 15)])
 def test_the_pipeline_never_decides_skips_with_skip_check(monkeypatch, color, shape):
-    # tiles are level-shifted 8-bit samples, so the distance table decides
-    # every skip; skip_check decides only stacks outside [-128, 127]
+    # tiles are int8 level-shifted samples, and the distance table decides
+    # every skip; skip_check is only the band's spec
     def spec(*args, **kwargs):
         raise AssertionError("skip_check called")
 
