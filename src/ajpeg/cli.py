@@ -94,7 +94,10 @@ def _corpus_images(directory: str) -> list[tuple[str, RasterImage]]:
 
 
 def _off_or_level(text: str) -> int | None:
-    return None if text == "off" else int(text)
+    try:
+        return None if text == "off" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer or off") from None
 
 
 def _positive_arg(text: str) -> int:

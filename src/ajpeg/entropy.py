@@ -220,14 +220,17 @@ def _validate_table(table: list[tuple[int, int]]):
 
 @dataclass
 class ChannelStream:
-    """One coded channel: table, skip flags, and the bit payload."""
+    """One coded channel: skip flags, table, and the bit payload. Its id is
+    its place in the container, and its block count that of its flags."""
 
-    channel_id: int
-    block_count: int
     skip_flags: np.ndarray
     table: list[tuple[int, int]]  # (symbol, code length), canonical order
     bit_length: int
     payload: bytes  # read_container gives a memoryview of the container
+
+    @property
+    def block_count(self) -> int:
+        return len(self.skip_flags)
 
 
 def _size_category(values: np.ndarray) -> np.ndarray:
@@ -361,10 +364,10 @@ def _pack(chunks) -> bytes:
     return bytes(out)
 
 
-def encode_channel(coded, skip_flags: np.ndarray, channel_id: int = 0) -> ChannelStream:
+def encode_channel(coded, skip_flags: np.ndarray) -> ChannelStream:
     """Entropy-code a channel from its coded blocks' quantized values, an
     iterable of (k, 8, 8) slices in order, and one skip flag per block.
-    Together the slices hold one block per unset flag.
+    Together the slices hold one block per unset flag; the stream has no id.
 
     Two passes. The first builds each slice's symbols as it arrives,
     carrying the DC predictor, and keeps them as narrow records (3 bytes
@@ -403,7 +406,7 @@ def encode_channel(coded, skip_flags: np.ndarray, channel_id: int = 0) -> Channe
     payload = _pack(words())
     bit_length = int(freqs @ len_of)
     table = sorted(((s, ln) for s, (_, ln) in codes.items()), key=lambda e: (e[1], e[0]))
-    return ChannelStream(channel_id, len(skip_flags), skip_flags, table, bit_length, payload)
+    return ChannelStream(skip_flags, table, bit_length, payload)
 
 
 # A symbol's total length, code plus amplitude bits, is at most 16 + 11;
@@ -643,13 +646,11 @@ def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
     The channel is decoded in slices of at most _SLICE_BLOCKS coded blocks,
     carrying the bit position and the DC sum. Each slice's quantized values
     are an int64 (k, 8, 8) array, since a hostile stream's DC sum can exceed
-    int32. Returns step(values) of every slice in one array of step's
-    dtype, or without a step the values themselves."""
+    int32. Returns step(values) of every slice, one per unset skip flag, in
+    one array of step's dtype, or without a step the values themselves."""
     n = stream.block_count
     if n == 0:
         return np.zeros((0, 8, 8), dtype=np.int64)
-    if len(stream.skip_flags) != n:
-        raise CorruptStreamError("skip flag count does not match block count")
     if stream.skip_flags[0]:
         raise CorruptStreamError("block 0 cannot be skipped")
     _validate_table(stream.table)
@@ -739,8 +740,8 @@ def write_container(meta: ContainerMeta, channels: list[ChannelStream]) -> bytes
         meta.height,
     )
     out += np.asarray(meta.quant_payload, dtype=np.uint8).reshape(64).tobytes()
-    for ch in channels:
-        out += struct.pack(">BI", ch.channel_id, ch.block_count)
+    for cid, ch in enumerate(channels):
+        out += struct.pack(">BI", cid, ch.block_count)
         out += _pack_bitmap(ch.skip_flags)
         out += struct.pack(">H", len(ch.table))
         for sym, ln in ch.table:
@@ -816,9 +817,7 @@ def read_container(
         _validate_table(table)
         (bit_length,) = cur.unpack(">I")
         payload = cur.take((bit_length + 7) // 8)
-        channels.append(
-            ChannelStream(cid, block_count, skip_flags, table, bit_length, payload)
-        )
+        channels.append(ChannelStream(skip_flags, table, bit_length, payload))
     if cur.pos != len(data):
         raise CorruptStreamError("trailing bytes after container")
     return meta, channels

@@ -7,9 +7,9 @@ container. Color images are converted to YCbCr with 4:2:0 chroma.
 
 Only the processed (coded) blocks go through the transform and the
 entropy layer, in both directions. Expanding them to every block happens
-here, once, after the IDCT: a skipped block gathers its reference's
-decoded pixel block (knobs.reuse_index), which is what decoding the
-reference's coefficients again would give.
+here, once, after the IDCT, in one gather for decode and reconstruct alike
+(_carried_blocks): a skipped block gathers its reference's decoded pixel
+block (knobs.reuse_index), which is what decoding it again would give.
 
 Decode: entropy-decode each channel's coded blocks, dequantize with either
 the encoder's divisors ("matched") or the unmodified quality-scaled table
@@ -69,11 +69,11 @@ the tracemalloc peak of encode is 1.84x the image and that of decode
 as raster.parse_pnm copies nothing; a 2048x2048 RGB decode peaks at 1.67x
 (21.0 MB). A sweep (energy.extract_qe_curve over reconstruct_many) holds
 one reconstructed level at a time beside its reference: a skip group keeps
-its union's pixel blocks, flags and union positions, builds each level's
+its union's pixel blocks, flags and union mask, builds each level's
 carried index with its image, and lets the pixel blocks go with its last
 level. The benchmark's sweep op on a 512x512 gray image peaks at 7.46x the
 image, in the truncation round trip; on a 1024x1024 gray image the loop
-curve peaks at 6.26x and the truncation curve at 5.04x, where
+curve peaks at 6.14x and the truncation curve at 5.04x, where
 metrics.sad_pct's temporaries are live.
 """
 
@@ -82,6 +82,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -173,10 +174,22 @@ class EncodeConfig:
             return np.array(self.qmatrix, dtype=np.int64)
         return build_qmatrix(self.quality)
 
+    @cached_property
+    def quant_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(divisors, shift exponents or None in division mode), read-only,
+        derived on the first read. Not a field: ==, hash and replace ignore it."""
+        qmat = self.divisor_matrix()
+        smat = to_shift_matrix(qmat) if self.quant_mode == "shift" else None
+        qmat.flags.writeable = False
+        if smat is not None:
+            smat.flags.writeable = False
+        return qmat, smat
 
-def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps) -> np.ndarray:
+
+def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, ops: IntOps) -> np.ndarray:
     """Truncate, transform, quantize a batch of level-shifted 8-bit pixel
     blocks (int8) into int16 quantized blocks."""
+    qmat, smat = cfg.quant_tables
     t = truncate_block(blocks, cfg.trunc_level, ops)
     coeffs = fdct_2d(t, ops)
     if cfg.quant_mode == "shift":
@@ -187,12 +200,6 @@ def _compress_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: Int
             )
         return quantized
     return quantize_div(coeffs, qmat).astype(np.int16)
-
-
-def _quant_tables(cfg: EncodeConfig) -> tuple[np.ndarray, np.ndarray | None]:
-    """(divisors, shift exponents); the exponents are None in division mode."""
-    qmat = cfg.divisor_matrix()
-    return qmat, (to_shift_matrix(qmat) if cfg.quant_mode == "shift" else None)
 
 
 def _planes_of(img: RasterImage) -> list[np.ndarray]:
@@ -223,8 +230,9 @@ def _energy_stats(cfg: EncodeConfig, flags: list[np.ndarray]) -> EnergyStats:
     )
 
 
-def _container_meta(img: RasterImage, cfg: EncodeConfig, qmat, smat) -> entropy.ContainerMeta:
+def _container_meta(img: RasterImage, cfg: EncodeConfig) -> entropy.ContainerMeta:
     """The container header, with the quant payload."""
+    qmat, smat = cfg.quant_tables
     return entropy.ContainerMeta(
         color=img.channels == 3,
         shift_quant=cfg.quant_mode == "shift",
@@ -238,7 +246,7 @@ def _container_meta(img: RasterImage, cfg: EncodeConfig, qmat, smat) -> entropy.
     )
 
 
-def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps):
+def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, ops: IntOps):
     """A plane's skip flags, and its coded blocks' quantized values as a
     lazy iterable of slices for entropy.encode_channel. Each slice gathers
     its coded tiles from the tiles' [col, row, block] lanes (blocks.T) and
@@ -247,7 +255,7 @@ def _coded_blocks(blocks: np.ndarray, cfg: EncodeConfig, smat, qmat, ops: IntOps
     skipped = _skip_flags(blocks, [cfg.skip_level], ops)[cfg.skip_level]
     index = np.flatnonzero(~skipped)
     return skipped, (
-        _compress_blocks(np.take(blocks.T, at, axis=2).T, cfg, smat, qmat, ops)
+        _compress_blocks(np.take(blocks.T, at, axis=2).T, cfg, ops)
         for at in np.split(index, range(_SLICE_BLOCKS, len(index), _SLICE_BLOCKS))
     )
 
@@ -258,16 +266,14 @@ def encode(
     """Encode an image to an AJPG container."""
     if img.width > 0xFFFF or img.height > 0xFFFF:
         raise ValueError("image dimensions exceed the container limit")
-    qmat, smat = _quant_tables(cfg)
-    streams, flags = [], []
+    streams = []
     planes = _planes_of(img)
     for cid in range(len(planes)):
-        skipped, coded = _coded_blocks(tile_blocks(planes[cid]), cfg, smat, qmat, ops)
+        skipped, coded = _coded_blocks(tile_blocks(planes[cid]), cfg, ops)
         planes[cid] = None  # dropped once tiled; the slices hold the tiles
-        streams.append(entropy.encode_channel(coded, skipped, cid))
-        flags.append(skipped)
-    meta = _container_meta(img, cfg, qmat, smat)
-    return entropy.write_container(meta, streams), _energy_stats(cfg, flags)
+        streams.append(entropy.encode_channel(coded, skipped))
+    data = entropy.write_container(_container_meta(img, cfg), streams)
+    return data, _energy_stats(cfg, [s.skip_flags for s in streams])
 
 
 # The divisors a decoder may dequantize with: the encoder's ("matched"), or
@@ -328,29 +334,22 @@ def _restore(rounded: np.ndarray, trunc_level: int, out: np.ndarray) -> None:
     out ^= 0x80
 
 
-def _chain_census(cfg: EncodeConfig, smat, qmat) -> OpCounter:
+def _chain_census(cfg: EncodeConfig) -> OpCounter:
     """The op census of _compress_blocks on one block, which every block
     of the config costs whatever its samples."""
     census = OpCounter()
-    _compress_blocks(np.zeros((1, 8, 8), dtype=np.int8), cfg, smat, qmat, census)
+    _compress_blocks(np.zeros((1, 8, 8), dtype=np.int8), cfg, census)
     return census
 
 
 def _round_trip(
-    blocks: np.ndarray,
-    index: np.ndarray,
-    cfg: EncodeConfig,
-    smat,
-    qmat,
-    divisors: np.ndarray,
-    census: OpCounter | None,
-    ops: IntOps,
+    blocks: np.ndarray, index: np.ndarray, cfg: EncodeConfig, divisors: np.ndarray, ops: IntOps
 ) -> np.ndarray:
     """uint8 pixel blocks of blocks[index] (index sorted and unique): those
-    of _decode_blocks(_compress_blocks(blocks[index], cfg, smat, qmat),
-    divisors, cfg.trunc_level), in one fused pass per slice of
-    _SLICE_BLOCKS blocks. blocks are level-shifted 8-bit samples, as
-    tile_blocks leaves them, in any (n, 8, 8) layout.
+    of _decode_blocks(_compress_blocks(blocks[index], cfg), divisors,
+    cfg.trunc_level), in one fused pass per slice of _SLICE_BLOCKS
+    blocks. blocks are level-shifted 8-bit samples, as tile_blocks leaves
+    them, in any (n, 8, 8) layout.
 
     The forward half runs in float32 [col, row, block] lanes, two of them
     inside the pixel buffer: each slice is cast from the tiles' lanes
@@ -369,13 +368,13 @@ def _round_trip(
     equals. The two float64 lane buffers are allocated once for the stack.
     Each step is an exact float form of its integer spec, and each
     rounding one np.rint pass but for the blocks the IDCT recomputes with
-    the decoder's einsum. ops is charged census, the chain's census of one
-    block, for each block (nothing when census is None)."""
+    the decoder's einsum. ops is charged the chain's census of one block
+    (_chain_census) for each block, unless it is UNCOUNTED."""
     n = len(index)
-    if census is not None:
-        ops.charge_blocks(census, n)
+    if ops is not UNCOUNTED:
+        ops.charge_blocks(_chain_census(cfg), n)
     # the quantizer's table as [freq across, freq down] lanes
-    table = np.ascontiguousarray(float_quantizer(qmat, smat, cfg.dc_exact).T[:, :, None])
+    table = np.ascontiguousarray(float_quantizer(*cfg.quant_tables, cfg.dc_exact).T[:, :, None])
     out = np.empty((n, 8, 8), dtype=np.uint8)
     buffers = np.empty((2, 64 * min(n, _SLICE_BLOCKS)))
     tiles = blocks.transpose(2, 1, 0)  # [col, row, block]
@@ -401,7 +400,7 @@ def _round_trip(
         rounded = pixels.reshape(k, 8, 8)
         fdct._idct_lanes(
             coef,
-            lambda c: _compress_blocks(blocks[at[c]], cfg, smat, qmat, UNCOUNTED),
+            lambda c: _compress_blocks(blocks[at[c]], cfg, UNCOUNTED),
             coef,
             rounded,
             divisors,
@@ -440,7 +439,8 @@ def decode(
     # each coded block is inverted once, in the entropy layer's slices; a
     # skipped block gathers its reference's pixels
     pixel_blocks = (
-        entropy.decode_channel(s, invert)[reuse_index(s.skip_flags)] for s in streams
+        _carried_blocks(entropy.decode_channel(s, invert), s.skip_flags, ~s.skip_flags)
+        for s in streams
     )
     return _decode_image(meta, pixel_blocks)
 
@@ -489,43 +489,40 @@ def _reconstruct_group(
 
     Per plane it holds three things for the whole group: the pixel blocks
     of the union of the levels' processed blocks, the skip flags per
-    level, and each union block's position among the union. A level's
-    carried index is built with its image and goes with it. The last
-    level takes the pixel blocks from the group as it untiles them, so
-    none is left when it is yielded. No local holds a yielded image, so a
-    consumer that drops one frees it."""
-    qmat, smat = _quant_tables(shared)
-    meta = _container_meta(img, shared, qmat, smat)
+    level, and the union's mask. A level's carried index is built with its
+    image and goes with it (_carried_blocks). The last level takes the
+    pixel blocks from the group as it untiles them, so none is left when it
+    is yielded. No local holds a yielded image, so a consumer that drops
+    one frees it."""
+    meta = _container_meta(img, shared)
     divisors = _decode_divisors(meta, decode_matrix)
-    census = None if ops is UNCOUNTED else _chain_census(shared, smat, qmat)
     levels = dict.fromkeys(cfg.skip_level for cfg in group)
-    coded = []  # per plane: (pixel blocks of the union, flags per level, union positions)
+    coded = []  # per plane: (pixel blocks of the union, flags per level, union mask)
     for blocks in tiles:
         flags = _skip_flags(blocks, levels, ops)
         union = ~np.logical_and.reduce(list(flags.values()))
-        coded.append((
-            _round_trip(blocks, np.flatnonzero(union), shared, smat, qmat, divisors, census, ops),
-            flags,
-            np.cumsum(union) - 1,
-        ))
+        coded.append(
+            (_round_trip(blocks, np.flatnonzero(union), shared, divisors, ops), flags, union)
+        )
     for n, cfg in enumerate(group, start=1):
         lv = cfg.skip_level
         stats = _energy_stats(cfg, [flags[lv] for _, flags, _ in coded])
         # the last level empties coded plane by plane as it untiles them
         planes = coded if n < len(group) else (coded.pop(0) for _ in range(len(coded)))
-        yield _decode_image(meta, (_carried_blocks(p, f[lv], at) for p, f, at in planes)), stats
+        yield _decode_image(meta, (_carried_blocks(p, f[lv], u) for p, f, u in planes)), stats
 
 
-def _carried_blocks(pixels: np.ndarray, skipped: np.ndarray, position: np.ndarray) -> np.ndarray:
-    """Every block's pixels at one skip level, from the pixel blocks of a
-    union of levels' processed blocks and each union block's position
-    among them. The carried index is composed into one gather: gathering
-    the level's processed blocks first and then expanding them would copy
-    the pixels twice. A level that skips nothing carries every block in
-    order, and takes the pixels as they are."""
+def _carried_blocks(pixels: np.ndarray, skipped: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """Every block's pixels at one skip level, from the pixel blocks of the
+    blocks in a union mask of processed blocks, in order: those of a
+    skip group's levels in reconstruct, the level's own in decode. The
+    carried index is composed into one gather: gathering the level's
+    processed blocks first and then expanding them would copy the pixels
+    twice. A level that skips nothing carries every block in order, and
+    takes the pixels as they are."""
     if not skipped.any():
         return pixels
-    return pixels[position[np.flatnonzero(~skipped)[reuse_index(skipped)]]]
+    return pixels[reuse_index(~union)[np.flatnonzero(~skipped)[reuse_index(skipped)]]]
 
 
 def reconstruct(

@@ -1,6 +1,7 @@
 """CLI subcommands, file plumbing, and exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,7 @@ def test_decode_pixel_budget(tmp_path, pgm, capsys):
         ["encode", "--input", "x", "--output", "y", "--quality", "400"],
         ["encode", "--input", "x", "--output", "y", "--truncate", "9"],
         ["encode", "--input", "x", "--output", "y", "--skip", "9"],
+        ["encode", "--input", "x", "--output", "y", "--skip", "abc"],
         ["decode", "--input", "x", "--output", "y", "--decode-quant", "odd"],
         ["decode", "--input", "x", "--output", "y", "--max-pixels", "0"],
         ["decode", "--input", "x", "--output", "y", "--max-pixels", "abc"],
@@ -244,13 +246,17 @@ def test_decode_pixel_budget(tmp_path, pgm, capsys):
         ["encode", "--input", "x", "--output", "y", "--dc-exact", "--qmatrix", "QMATRIX"],
     ],
 )
-def test_usage_errors_exit_1(tmp_path, argv):
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
     qmatrix = tmp_path / "q.txt"  # a valid table, read as part of the config
     qmatrix.write_text(" ".join(["16"] * 64))
     argv = [str(qmatrix) if a == "QMATRIX" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert not re.search(r"(?<![\w-])_[a-z]", err)  # no private function names
+    if "abc" in argv:
+        assert f"argument {argv[-2]}:" in err
 
 
 def test_data_errors_exit_2(tmp_path, pgm, capsys):

@@ -194,19 +194,17 @@ def _random_blocks(rng, n):
 def test_channel_round_trip_no_skips():
     rng = np.random.default_rng(3)
     blocks = _random_blocks(rng, 17)
-    stream = encode_channel([blocks], np.zeros(17, dtype=bool), channel_id=1)
-    assert stream.channel_id == 1 and stream.block_count == 17
+    stream = encode_channel([blocks], np.zeros(17, dtype=bool))
+    assert stream.block_count == 17
     assert np.array_equal(decode_channel(stream), blocks)
 
 
 def test_decode_channel_checks_the_stream_header():
     blocks = _random_blocks(np.random.default_rng(5), 4)
     stream = encode_channel([blocks], np.zeros(4, dtype=bool))
-    with pytest.raises(CorruptStreamError, match="skip flag count"):
-        decode_channel(replace(stream, skip_flags=stream.skip_flags[:3]))
     with pytest.raises(CorruptStreamError, match="payload length"):
         decode_channel(replace(stream, bit_length=stream.bit_length + 8))
-    empty = replace(stream, block_count=0, skip_flags=np.zeros(0, dtype=bool), bit_length=0, payload=b"")
+    empty = replace(stream, skip_flags=np.zeros(0, dtype=bool), bit_length=0, payload=b"")
     out = decode_channel(empty)
     assert out.shape == (0, 8, 8) and out.dtype == np.int64
 
@@ -564,7 +562,7 @@ def _fault_stream(blocks, end=None):
         bits += "0110"
     payload = bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
     table = sorted(_FAULT_TABLE, key=lambda e: (e[1], e[0]))
-    return entropy.ChannelStream(0, len(blocks), np.zeros(len(blocks), dtype=bool), table, len(bits), payload)
+    return entropy.ChannelStream(np.zeros(len(blocks), dtype=bool), table, len(bits), payload)
 
 
 @pytest.mark.parametrize("window", [None, _SMALL_WINDOW])
@@ -638,15 +636,15 @@ def test_encode_is_the_same_for_every_slice_layout():
     coded[3, 7, 7] = 1023  # coefficient 63: no EOB
     coded[4, 0, 1], coded[4, 3, 2], coded[4, 7, 7] = -1023, 1023, -1023
     coded[5, 0, 0], coded[6, 0, 0] = -1024, 1023  # the widest DC step, 2047
-    want = encode_channel([coded], flags, channel_id=2)
+    want = encode_channel([coded], flags)
     assert (want.table, want.bit_length, want.payload) == oracle_encode(coded)
     for dtype in (np.int16, np.int64):
         for name, part in _layouts(coded.astype(dtype)).items():
             assert np.array_equal(part, coded)
             for slices in ([part], _slices(part, 7)):
-                got = encode_channel(slices, flags, channel_id=2)
-                assert (got.channel_id, got.block_count, got.table, got.bit_length, got.payload) == (
-                    want.channel_id, want.block_count, want.table, want.bit_length, want.payload
+                got = encode_channel(slices, flags)
+                assert (got.block_count, got.table, got.bit_length, got.payload) == (
+                    want.block_count, want.table, want.bit_length, want.payload
                 ), (dtype, name)
                 assert np.array_equal(got.skip_flags, flags)
 
@@ -818,6 +816,33 @@ def test_container_rewrite_is_byte_identical():
     data = write_container(meta, channels)
     meta2, channels2 = read_container(data)
     assert write_container(meta2, channels2) == data
+
+
+def test_channel_stream_block_count_is_its_flags():
+    _, (stream,), _ = _gray_container(skip_level=1, flags_on=(1,))
+    assert stream.block_count == len(stream.skip_flags) == 4
+    with pytest.raises(TypeError):
+        replace(stream, block_count=5)
+
+
+def test_channel_ids_are_stream_positions():
+    # a 16x16 RGB container: 4 luma blocks and one block per 4:2:0 chroma
+    # plane, each stream numbered by its place in the list
+    rng = np.random.default_rng(8)
+    flags = [np.array([False, True, False, False]), np.zeros(1, bool), np.zeros(1, bool)]
+    channels = [encode_channel([_random_blocks(rng, int((~f).sum()))], f) for f in flags]
+    data = write_container(_meta(color=True, skip_level=2), channels)
+    _, got = read_container(data)
+    assert len(got) == 3
+    for g, w in zip(got, channels):
+        assert np.array_equal(g.skip_flags, w.skip_flags)
+        assert (g.table, g.bit_length, bytes(g.payload)) == (w.table, w.bit_length, w.payload)
+    at = 4 + struct.calcsize(">BBBBBHH") + 64  # the first channel's id byte
+    for cid, ch in enumerate(channels):
+        assert data[at] == cid
+        at += struct.calcsize(">BI") + (ch.block_count + 7) // 8
+        at += struct.calcsize(">H") + 2 * len(ch.table) + struct.calcsize(">I") + len(ch.payload)
+    assert at == len(data)
 
 
 def test_container_magic_and_version():

@@ -181,6 +181,28 @@ def test_qmatrix_is_an_immutable_value():
     assert np.array_equal(cfg.divisor_matrix(), np.full((8, 8), 16))
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [EncodeConfig(), EncodeConfig(quant_mode="div"), EncodeConfig(qmatrix=[[16] * 8] * 8)],
+    ids=["shift", "div", "custom"],
+)
+def test_config_derives_its_quant_tables_once(cfg):
+    qmat, smat = cfg.quant_tables
+    assert cfg.quant_tables[0] is qmat and cfg.quant_tables[1] is smat
+    assert np.array_equal(qmat, cfg.divisor_matrix())
+    assert (smat is None) == (cfg.quant_mode == "div")
+    for table in (t for t in (qmat, smat) if t is not None):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+    # the cache is no field: equal configs stay equal and hash alike
+    fresh = replace(cfg)
+    assert fresh == cfg and hash(fresh) == hash(cfg)
+    assert "quant_tables" not in vars(fresh)  # replace derives them afresh
+    assert fresh.quant_tables[0] is not qmat
+    assert np.array_equal(fresh.quant_tables[0], qmat)
+    assert fresh == cfg and hash(fresh) == hash(cfg)
+
+
 def test_qmatrix_entries_must_be_integral():
     for value in (16.7, 1.1, 255.5):
         with pytest.raises(ValueError, match="integer entries"):
@@ -452,6 +474,32 @@ def test_decode_drops_each_plane_before_the_next_channel(monkeypatch, corpus):
     assert out == reconstruct(img)[0]
 
 
+@pytest.mark.parametrize("skip_level", [None, 3], ids=["no-skips", "skips"])
+def test_decode_gathers_only_channels_that_skip(monkeypatch, corpus, skip_level):
+    # a channel that skips nothing hands untile_blocks the very pixel blocks
+    # decode_channel returned; one that skips hands over their gather
+    img = RasterImage(_rgb_image(corpus).pixels[:96, :128])
+    cfg = EncodeConfig(skip_level=skip_level)
+    data, _ = encode(img, cfg)
+    skips = [s.skip_flags.any() for s in read_container(data)[1]]
+    decoded, untiled = [], []
+    decode_channel, untile_blocks = entropy.decode_channel, pipeline.untile_blocks
+
+    def recording_decode(*args, **kwargs):
+        decoded.append(decode_channel(*args, **kwargs))
+        return decoded[-1]
+
+    def recording_untile(blocks, *args, **kwargs):
+        untiled.append(blocks)
+        return untile_blocks(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(entropy, "decode_channel", recording_decode)
+    monkeypatch.setattr(pipeline, "untile_blocks", recording_untile)
+    assert decode(data) == reconstruct(img, cfg)[0]
+    assert any(skips) == (skip_level is not None)
+    assert [u is d for u, d in zip(untiled, decoded)] == [not s for s in skips]
+
+
 def test_reconstruct_memory_is_bounded_by_image():
     # noise codes every block: its coefficients and float buffers live in
     # one slice at a time, and the tiles are int8
@@ -466,9 +514,9 @@ def test_reconstruct_memory_is_bounded_by_image():
 @pytest.mark.parametrize("kind, bound", [("loop", 6.7), ("trunc", 5.6)])
 def test_qe_curve_working_set_of_a_larger_image(corpus, kind, bound):
     # a 1024x1024 gray sweep: beside the tiles, the reference and one
-    # level's image, a skip group holds its union's pixel blocks and one
-    # int64 position per block, and builds each level's carried index with
-    # its image; the last level of a group takes the pixel blocks with it.
+    # level's image, a skip group holds its union's pixel blocks and its
+    # union mask, and builds each level's carried index with its image;
+    # the last level of a group takes the pixel blocks with it.
     # Every level's index held for the whole group, and pixel blocks that
     # outlived the group's last level, took the curves to 7.26x and 6.29x.
     img = RasterImage(np.tile(corpus[6].pixels, (2, 2)))
@@ -574,6 +622,24 @@ def test_reconstruct_many_equals_reconstruct_per_config(
     img = _image(shape, color, amp, seed)
     shared = list(reconstruct_many(img, configs, decode_matrix))
     assert shared == [reconstruct(img, cfg, decode_matrix) for cfg in configs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(37, 53), (8, 8), (1, 8), (13, 21), (9, 1), (2, 3)]),
+    color=st.booleans(),
+    amp=st.sampled_from([0, 3, 12, 60]),
+    seed=st.integers(0, 2**16),
+    configs=_config_runs(),
+    decode_matrix=st.sampled_from(["matched", "standard"]),
+)
+def test_decode_of_encode_equals_reconstruct_for_any_input(
+    shape, color, amp, seed, configs, decode_matrix
+):
+    img = _image(shape, color, amp, seed)
+    for cfg in configs:
+        data, stats = encode(img, cfg)
+        assert (decode(data, decode_matrix), stats) == reconstruct(img, cfg, decode_matrix)
 
 
 def test_reconstruct_many_is_lazy_and_streams_in_order():
@@ -717,15 +783,13 @@ def test_round_trip_equals_the_stage_chain(cfg, decode_matrix, count, subset, se
     blocks[::5] = -128
     blocks[1::5] = 127
     index = np.flatnonzero(rng.random(count) < 0.7) if subset else np.arange(count)
-    qmat, smat = pipeline._quant_tables(cfg)
-    meta = pipeline._container_meta(RasterImage(np.zeros((8, 8), np.uint8)), cfg, qmat, smat)
+    meta = pipeline._container_meta(RasterImage(np.zeros((8, 8), np.uint8)), cfg)
     divisors = pipeline._decode_divisors(meta, decode_matrix)
     chain, fused = OpCounter(), OpCounter()
-    quantized = pipeline._compress_blocks(blocks[index], cfg, smat, qmat, chain)
+    quantized = pipeline._compress_blocks(blocks[index], cfg, chain)
     assert quantized.dtype == np.int16
     want = pipeline._decode_blocks(quantized, divisors, cfg.trunc_level)
-    census = pipeline._chain_census(cfg, smat, qmat)
-    got = pipeline._round_trip(blocks, index, cfg, smat, qmat, divisors, census, fused)
+    got = pipeline._round_trip(blocks, index, cfg, divisors, fused)
     assert got.dtype == np.uint8 and got.shape == (len(index), 8, 8)
     assert np.array_equal(got, want)
     assert _census(fused) == _census(chain)
@@ -742,11 +806,11 @@ def test_round_trip_reads_tiles_in_either_layout(subset):
     if subset:
         index = np.flatnonzero(np.random.default_rng(15).random(len(tiles)) < 0.6)
     cfg = EncodeConfig(trunc_level=3, dc_exact=True)
-    qmat, smat = pipeline._quant_tables(cfg)
-    args = (index, cfg, smat, qmat, qmat, None, UNCOUNTED)
+    qmat = cfg.divisor_matrix()
+    args = (index, cfg, qmat, UNCOUNTED)
     got = pipeline._round_trip(tiles, *args)
     assert np.array_equal(got, pipeline._round_trip(np.ascontiguousarray(tiles), *args))
-    quantized = pipeline._compress_blocks(tiles[index], cfg, smat, qmat, UNCOUNTED)
+    quantized = pipeline._compress_blocks(tiles[index], cfg, UNCOUNTED)
     assert np.array_equal(got, pipeline._decode_blocks(quantized, qmat, cfg.trunc_level))
 
 
