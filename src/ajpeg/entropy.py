@@ -69,9 +69,17 @@ Container layout (all integers big-endian):
 flags: bit0 = color, bit1 = shift quantization, bit2 = exact-DC mode
 (shift quantization only). skipLevel is 0xFF when perforation is
 disabled. The quant payload holds shift exponents in [0, 7] in shift
-mode, nonzero divisors otherwise. _check_meta holds that header rule:
-write_container refuses a header it breaks, and read_container checks
-every header field, so the decoder trusts the header it returns.
+mode, nonzero divisors otherwise.
+
+Each of the container's rules is stated once, where its value is made.
+ContainerMeta checks the header rule and ChannelStream the stream rule
+(one bool skip flag per block, block 0 coded, a valid Huffman table and a
+payload of bit_length bits) when they are built, and
+ContainerMeta.check_channel holds the channel rule that ties a stream to
+the header (channel i holds plane i's blocks, and none is skipped when
+perforation is disabled). write_container and read_container both call
+check_channel, so the writer refuses every container the reader rejects,
+and the decoder trusts the header and streams the reader returns.
 """
 
 from __future__ import annotations
@@ -218,15 +226,34 @@ def _validate_table(table: list[tuple[int, int]]):
         raise CorruptStreamError("Huffman table violates the Kraft inequality")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelStream:
     """One coded channel: skip flags, table, and the bit payload. Its id is
-    its place in the container, and its block count that of its flags."""
+    its place in the container, and its block count that of its flags.
+
+    The stream checks its rule when it is built: the skip flags are a 1-D
+    bool array (ValueError otherwise), block 0 is coded, the table is a
+    valid Huffman table, and the payload holds bit_length >= 0 bits,
+    zero-padded to a byte (CorruptStreamError otherwise). It keeps a
+    read-only view of the flags."""
 
     skip_flags: np.ndarray
     table: list[tuple[int, int]]  # (symbol, code length), canonical order
     bit_length: int
     payload: bytes  # read_container gives a memoryview of the container
+
+    def __post_init__(self):
+        flags = self.skip_flags
+        if not (isinstance(flags, np.ndarray) and flags.dtype == bool and flags.ndim == 1):
+            raise ValueError("skip flags must be one per block")
+        if len(flags) and flags[0]:
+            raise CorruptStreamError("block 0 cannot be skipped")
+        _validate_table(self.table)
+        if self.bit_length < 0 or len(self.payload) != (self.bit_length + 7) // 8:
+            raise CorruptStreamError("payload length does not match bit count")
+        flags = flags.view()
+        flags.flags.writeable = False
+        object.__setattr__(self, "skip_flags", flags)
 
     @property
     def block_count(self) -> int:
@@ -367,19 +394,15 @@ def _pack(chunks) -> bytes:
 def encode_channel(coded, skip_flags: np.ndarray) -> ChannelStream:
     """Entropy-code a channel from its coded blocks' quantized values, an
     iterable of (k, 8, 8) slices in order, and one skip flag per block.
-    Together the slices hold one block per unset flag; the stream has no id.
+    Together the slices hold one block per unset flag, or ValueError is
+    raised once they run out; the stream has no id, and checks its own rule
+    (see ChannelStream).
 
     Two passes. The first builds each slice's symbols as it arrives,
     carrying the DC predictor, and keeps them as narrow records (3 bytes
     per symbol) and their frequencies; only the records outlive the slice.
     The second packs each slice's codes after the bits of the slices
     before it."""
-    skip_flags = np.asarray(skip_flags, dtype=bool)
-    if skip_flags.ndim != 1:
-        raise ValueError("coded block count must match the unskipped flags")
-    if len(skip_flags) and skip_flags[0]:
-        raise CorruptStreamError("block 0 cannot be skipped")
-
     records = []
     freqs = np.zeros(256, dtype=np.int64)
     dc = count = 0
@@ -647,20 +670,17 @@ def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
     carrying the bit position and the DC sum. Each slice's quantized values
     are an int64 (k, 8, 8) array, since a hostile stream's DC sum can exceed
     int32. Returns step(values) of every slice, one per unset skip flag, in
-    one array of step's dtype, or without a step the values themselves."""
+    one array of step's dtype, or without a step the values themselves.
+
+    It trusts its stream's own rule (see ChannelStream), and checks the
+    payload's block structure as it walks it."""
     n = stream.block_count
     if n == 0:
         return np.zeros((0, 8, 8), dtype=np.int64)
-    if stream.skip_flags[0]:
-        raise CorruptStreamError("block 0 cannot be skipped")
-    _validate_table(stream.table)
-    nbits = stream.bit_length
-    if len(stream.payload) != (nbits + 7) // 8:
-        raise CorruptStreamError("payload length does not match bit count")
     m = n - int(np.count_nonzero(stream.skip_flags))
     payload = np.frombuffer(stream.payload, dtype=np.uint8)
     out, first, dc = None, 0, 0
-    for word, symbols, end in _walk(payload, nbits, stream.table, m):
+    for word, symbols, end in _walk(payload, stream.bit_length, stream.table, m):
         values = _coefficients(word, *symbols, end, dc)
         del symbols  # the symbols go before the slice's values are inverted
         dc = values[-1, 0, 0]
@@ -674,8 +694,14 @@ def decode_channel(stream: ChannelStream, step=None) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContainerMeta:
+    """The container header. It checks the header rule when it is built,
+    raising CorruptStreamError unless every field is one read_container
+    accepts, and keeps quant_payload as 64 read-only int64 entries,
+    row-major, from any array-like of 64 integers (a list, an 8x8 array or
+    the reader's bytes)."""
+
     color: bool
     shift_quant: bool
     dc_exact: bool
@@ -685,6 +711,40 @@ class ContainerMeta:
     width: int
     height: int
     quant_payload: np.ndarray  # 64 entries, row-major
+
+    def __post_init__(self):
+        if self.quality not in QUALITY_LEVELS:
+            raise CorruptStreamError("quality out of range")
+        if self.trunc_level not in TRUNC_LEVELS:
+            raise CorruptStreamError("truncation level out of range")
+        if self.skip_level is not None and self.skip_level not in SKIP_LEVELS:
+            raise CorruptStreamError("skip level out of range")
+        if not (0 < self.width <= 0xFFFF and 0 < self.height <= 0xFFFF):
+            raise CorruptStreamError("image dimension out of range")
+        quant = np.array(self.quant_payload, dtype=np.int64).reshape(64)
+        quant.flags.writeable = False
+        object.__setattr__(self, "quant_payload", quant)
+        if np.any(quant < 0) or np.any(quant > 255):
+            raise CorruptStreamError("quant payload entries must fit one byte")
+        if self.shift_quant:
+            if np.any(quant > 7):
+                raise CorruptStreamError("shift exponent out of range")
+        elif self.dc_exact:
+            raise CorruptStreamError("exact-DC mode without shift quantization")
+        elif not np.all(quant):
+            raise CorruptStreamError("zero divisor")
+
+    def check_channel(self, index: int, block_count: int, skip_flags: np.ndarray | None = None):
+        """The channel rule the writer and the reader share: channel index
+        holds the block count of plane index, and, when its skip flags are
+        given, skips no block if perforation is disabled. The reader checks
+        the count before it unpacks the flags, one bool per claimed block."""
+        h, w = plane_shapes(self.height, self.width, self.color)[index]
+        rows, cols = block_grid(h, w)
+        if block_count != rows * cols:
+            raise CorruptStreamError("block count inconsistent with dimensions")
+        if self.skip_level is None and skip_flags is not None and skip_flags.any():
+            raise CorruptStreamError("skip flags present with perforation disabled")
 
 
 def _pack_bitmap(flags: np.ndarray) -> bytes:
@@ -696,31 +756,16 @@ def _unpack_bitmap(data: bytes, count: int) -> np.ndarray:
     return bits.astype(bool)
 
 
-def _check_meta(meta: ContainerMeta):
-    """The header rule the writer and the reader share: raise
-    CorruptStreamError unless every field is one read_container accepts."""
-    if meta.quality not in QUALITY_LEVELS:
-        raise CorruptStreamError("quality out of range")
-    if meta.trunc_level not in TRUNC_LEVELS:
-        raise CorruptStreamError("truncation level out of range")
-    if meta.skip_level is not None and meta.skip_level not in SKIP_LEVELS:
-        raise CorruptStreamError("skip level out of range")
-    if not (0 < meta.width <= 0xFFFF and 0 < meta.height <= 0xFFFF):
-        raise CorruptStreamError("image dimension out of range")
-    quant = np.asarray(meta.quant_payload, dtype=np.int64).reshape(64)
-    if np.any(quant < 0) or np.any(quant > 255):
-        raise CorruptStreamError("quant payload entries must fit one byte")
-    if meta.shift_quant:
-        if np.any(quant > 7):
-            raise CorruptStreamError("shift exponent out of range")
-    elif meta.dc_exact:
-        raise CorruptStreamError("exact-DC mode without shift quantization")
-    elif not np.all(quant):
-        raise CorruptStreamError("zero divisor")
-
-
 def write_container(meta: ContainerMeta, channels: list[ChannelStream]) -> bytes:
-    _check_meta(meta)
+    """The container of a header and its channel streams, one per plane in
+    plane order. It raises CorruptStreamError for any container that
+    read_container rejects: the records hold the header and stream rules,
+    and check_channel the channel rule. The reader's pixel budget is the
+    reader's own limit, not a rule of the format."""
+    if len(channels) != len(plane_shapes(meta.height, meta.width, meta.color)):
+        raise CorruptStreamError("channel count does not match the header")
+    for cid, ch in enumerate(channels):
+        meta.check_channel(cid, ch.block_count, ch.skip_flags)
     flags = (
         (FLAG_COLOR if meta.color else 0)
         | (FLAG_SHIFT_QUANT if meta.shift_quant else 0)
@@ -739,7 +784,7 @@ def write_container(meta: ContainerMeta, channels: list[ChannelStream]) -> bytes
         meta.width,
         meta.height,
     )
-    out += np.asarray(meta.quant_payload, dtype=np.uint8).reshape(64).tobytes()
+    out += meta.quant_payload.astype(np.uint8).tobytes()
     for cid, ch in enumerate(channels):
         out += struct.pack(">BI", cid, ch.block_count)
         out += _pack_bitmap(ch.skip_flags)
@@ -771,9 +816,12 @@ class _Cursor:
 def read_container(
     data: bytes, max_pixels: int = MAX_PIXELS
 ) -> tuple[ContainerMeta, list[ChannelStream]]:
-    """The header and channel streams of a container. A header of more than
-    max_pixels pixels raises PixelBudgetError before any channel is read, so
-    a few bytes cannot ask the decoder for gigabytes."""
+    """The header and channel streams of a container, each record checked
+    as it is built and each channel against the header (check_channel), so
+    the decoder trusts what it returns. A header of more than max_pixels
+    pixels raises PixelBudgetError before any channel is read, and a
+    channel's block count is checked before its skip bitmap is unpacked,
+    so a few bytes cannot ask the decoder for gigabytes."""
     cur = _Cursor(data)
     if cur.take(4) != MAGIC:
         raise CorruptStreamError("bad magic")
@@ -791,30 +839,23 @@ def read_container(
         skip_level=None if skip_byte == SKIP_DISABLED else skip_byte,
         width=width,
         height=height,
-        quant_payload=np.frombuffer(cur.take(64), dtype=np.uint8).astype(np.int64),
+        quant_payload=np.frombuffer(cur.take(64), dtype=np.uint8),
     )
-    _check_meta(meta)
     if width * height > max_pixels:
         raise PixelBudgetError(f"{width}x{height} image exceeds the pixel budget of {max_pixels}")
 
     channels = []
-    for want_id, (h, w) in enumerate(plane_shapes(height, width, meta.color)):
-        rows, cols = block_grid(h, w)
-        want_blocks = rows * cols
+    for want_id in range(len(plane_shapes(height, width, meta.color))):
         cid, block_count = cur.unpack(">BI")
         if cid != want_id:
             raise CorruptStreamError("unexpected channel id")
-        if block_count != want_blocks:
-            raise CorruptStreamError("block count inconsistent with dimensions")
-        bitmap = cur.take((block_count + 7) // 8)
-        skip_flags = _unpack_bitmap(bitmap, block_count)
-        if meta.skip_level is None and skip_flags.any():
-            raise CorruptStreamError("skip flags present with perforation disabled")
+        meta.check_channel(cid, block_count)
+        skip_flags = _unpack_bitmap(cur.take((block_count + 7) // 8), block_count)
+        meta.check_channel(cid, block_count, skip_flags)
         (table_count,) = cur.unpack(">H")
         if table_count > 256:
             raise CorruptStreamError("Huffman table too large")
         table = [cur.unpack(">BB") for _ in range(table_count)]
-        _validate_table(table)
         (bit_length,) = cur.unpack(">I")
         payload = cur.take((bit_length + 7) // 8)
         channels.append(ChannelStream(skip_flags, table, bit_length, payload))

@@ -332,18 +332,16 @@ def ref_idct_2d(coeffs) -> np.ndarray:
         part = blocks[start : start + _SLICE_BLOCKS]
         lanes = buffer[: 64 * len(part)].reshape(8, 8, len(part))
         np.copyto(lanes, part.transpose(2, 1, 0))
-        _idct_lanes(lanes, part.__getitem__, lanes, out[start : start + len(part)])
+        _idct_lanes(lanes, part.__getitem__, out[start : start + len(part)])
     return out.reshape(c.shape)
 
 
-def _idct_lanes(
-    lanes: np.ndarray, values, scratch: np.ndarray, out: np.ndarray, divisors=None
-) -> None:
+def _idct_lanes(lanes: np.ndarray, values, out: np.ndarray, divisors=None) -> None:
     """The decoder's pixels of k coefficient blocks, rounded, into the
     float64 blocks out (k, 8, 8), from two 8-term matrix products: one
     product batched over the frequency across, (k x 8) @ (8 x 8) each, into
     [freq across, block, row] in out, then one (8k x 8) @ (8 x 8) product
-    into [block, row, col] in scratch.
+    into [block, row, col] over the lanes, which it overwrites.
 
     lanes holds the blocks' values as float64 [freq across, freq down,
     block] lanes. values gives the same values again as (m, 8, 8) blocks,
@@ -351,12 +349,12 @@ def _idct_lanes(
     path reads them after the lanes are overwritten, and only for its
     candidates. The coefficients are those values times divisors (8 x 8,
     entrywise), when given: the dequantization is folded into the first
-    product's matrices. scratch is a contiguous float64 array of lanes'
-    shape, and may be lanes itself. out shares no memory with lanes or
-    scratch, and what values reads stays as it is while both are written.
+    product's matrices. lanes is a contiguous float64 array, out shares no
+    memory with it, and what values reads stays as it is while both are
+    written.
 
     Each product sample is rounded by np.rint, and its signed distance to
-    that integer (a tie is 0.5 away) is left in scratch; the largest and
+    that integer (a tie is 0.5 away) is left in the lanes; the largest and
     the smallest of them find the sample nearest a tie. A block with a
     sample within _TIE_SLACK * sum|c| of a tie is recomputed with the
     einsum and rounded half away from zero (see the module docstring). The
@@ -371,8 +369,8 @@ def _idct_lanes(
         largest *= np.max(divisors)
     rows = out.reshape(8, k, 8)
     np.matmul(lanes.transpose(0, 2, 1), first, out=rows)  # one product per frequency across
-    np.matmul(rows.reshape(8, 8 * k).T, _T, out=scratch.reshape(8 * k, 8))
-    pixels, dist = out.reshape(-1), scratch.reshape(-1)
+    np.matmul(rows.reshape(8, 8 * k).T, _T, out=lanes.reshape(8 * k, 8))
+    pixels, dist = out.reshape(-1), lanes.reshape(-1)
     np.rint(dist, out=pixels)
     np.subtract(dist, pixels, out=dist)  # signed, in [-0.5, 0.5]
     bound = 0.5 - 64 * _TIE_SLACK * largest

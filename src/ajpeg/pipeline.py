@@ -242,7 +242,7 @@ def _container_meta(img: RasterImage, cfg: EncodeConfig) -> entropy.ContainerMet
         skip_level=cfg.skip_level,
         width=img.width,
         height=img.height,
-        quant_payload=(qmat if smat is None else smat).reshape(64),
+        quant_payload=qmat if smat is None else smat,
     )
 
 
@@ -290,12 +290,11 @@ def _decode_divisors(meta: entropy.ContainerMeta, decode_matrix: str) -> np.ndar
     _check_decode_matrix(decode_matrix)
     if decode_matrix == "standard":
         return build_qmatrix(meta.quality)
-    payload = np.asarray(meta.quant_payload, dtype=np.int64).reshape(8, 8)
+    payload = meta.quant_payload.reshape(8, 8)
     if not meta.shift_quant:
         return payload
     divisors = np.int64(1) << payload
     if meta.dc_exact:
-        divisors = divisors.copy()
         divisors[0, 0] = build_qmatrix(meta.quality)[0, 0]
     return divisors
 
@@ -399,11 +398,7 @@ def _round_trip(
         np.rint(coef, out=coef)
         rounded = pixels.reshape(k, 8, 8)
         fdct._idct_lanes(
-            coef,
-            lambda c: _compress_blocks(blocks[at[c]], cfg, UNCOUNTED),
-            coef,
-            rounded,
-            divisors,
+            coef, lambda c: _compress_blocks(blocks[at[c]], cfg, UNCOUNTED), rounded, divisors
         )
         _restore(rounded, cfg.trunc_level, out[start : start + k])
     return out

@@ -5,7 +5,7 @@ import heapq
 import itertools
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -730,12 +730,12 @@ def test_block_zero_cannot_be_skipped():
 
 def test_skip_flag_length_checked():
     cases = [
-        (2, [False, False, False]),  # fewer coded blocks than unskipped flags
-        (3, [False, True, False]),   # more coded blocks than unskipped flags
-        (3, [[False, False, False]]),  # flags not one per block
+        (2, [False, False, False], "coded block count"),  # fewer coded blocks than unskipped flags
+        (3, [False, True, False], "coded block count"),   # more coded blocks than unskipped flags
+        (3, [[False, False, False]], "one per block"),    # flags not one per block
     ]
-    for coded, flags in cases:
-        with pytest.raises(ValueError, match="coded block count"):
+    for coded, flags, message in cases:
+        with pytest.raises(ValueError, match=message):
             encode_channel([np.zeros((coded, 8, 8), dtype=np.int64)], np.array(flags))
 
 
@@ -774,12 +774,12 @@ def _gray_container(skip_level=None, flags_on=()):
 
 
 def test_writer_rejects_header_the_reader_rejects():
-    # quality 0, exact DC in division mode and an all-zero divisor payload
-    meta = _meta(quality=0, shift_quant=False, dc_exact=True,
-                 quant_payload=np.zeros(64, dtype=np.int64))
+    # quality 0, exact DC in division mode and an all-zero divisor payload:
+    # the header itself raises, at its first fault
     _, channels, _ = _gray_container()
     with pytest.raises(CorruptStreamError, match="quality out of range"):
-        write_container(meta, channels)
+        write_container(_meta(quality=0, shift_quant=False, dc_exact=True,
+                              quant_payload=np.zeros(64, dtype=np.int64)), channels)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -870,10 +870,153 @@ def test_container_rejects_structural_damage():
 
 
 def test_container_skip_flags_require_skip_mode():
-    meta, channels, _ = _gray_container(skip_level=None, flags_on=(1,))
-    data = write_container(meta, channels)
+    # a valid skip_level=2 container, its skip-level byte (byte 8) set to
+    # "perforation disabled"
+    meta, channels, _ = _gray_container(skip_level=2, flags_on=(1,))
+    data = bytearray(write_container(meta, channels))
+    data[8] = 0xFF
     with pytest.raises(CorruptStreamError, match="perforation disabled"):
-        read_container(data)
+        read_container(bytes(data))
+    with pytest.raises(CorruptStreamError, match="perforation disabled"):
+        write_container(replace(meta, skip_level=None), channels)
+
+
+_PERTURBATIONS = [None, "drop", "repeat", "short", "long", "skip"]
+
+
+@st.composite
+def _container_case(draw):
+    """A header and its channel streams, perturbed by at most one of: a
+    dropped channel, a repeated channel, a stream one block short or long,
+    or one skipped flag under a perforation-off header."""
+    color, width, height = draw(st.booleans()), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(_PERTURBATIONS))
+    skip_level = None if kind == "skip" else draw(st.one_of(st.none(), st.integers(0, 6)))
+    chroma = [(-(-height // 2), -(-width // 2))] * 2 if color else []
+    counts = [-(-h // 8) * -(-w // 8) for h, w in [(height, width), *chroma]]
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+
+    def stream(n, skips=False):
+        flags = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        flags[:1] = False
+        flags &= skips
+        return encode_channel([_random_blocks(rng, int(np.count_nonzero(~flags)))], flags)
+
+    channels = [stream(n, skip_level is not None) for n in counts]
+    at = draw(st.integers(0, len(channels) - 1))
+    if kind == "drop":
+        del channels[at]
+    elif kind == "repeat":
+        channels.insert(at, channels[at])
+    elif kind in ("short", "long"):
+        channels[at] = stream(counts[at] + (1 if kind == "long" else -1))
+    elif kind == "skip":
+        wide = [i for i, n in enumerate(counts) if n > 1]
+        if not wide:
+            kind = None  # no plane has a block but block 0 to skip
+        else:
+            at = draw(st.sampled_from(wide))
+            flags = np.zeros(counts[at], dtype=bool)
+            flags[draw(st.integers(1, counts[at] - 1))] = True
+            channels[at] = encode_channel([_random_blocks(rng, counts[at] - 1)], flags)
+    return _meta(color=color, width=width, height=height, skip_level=skip_level), channels, kind
+
+
+@given(_container_case())
+@example((_meta(), [encode_channel([np.zeros((3, 8, 8))], np.zeros(3, bool))], "short"))
+def test_the_writer_refuses_every_container_the_reader_rejects(case):
+    meta, channels, kind = case
+    try:
+        data = write_container(meta, channels)
+    except CorruptStreamError:
+        assert kind is not None
+        return
+    assert kind is None
+    meta2, got = read_container(data)
+    for name in ("color", "shift_quant", "dc_exact", "quality",
+                 "trunc_level", "skip_level", "width", "height"):
+        assert getattr(meta2, name) == getattr(meta, name)
+    assert np.array_equal(meta2.quant_payload, meta.quant_payload)
+    assert len(got) == len(channels)
+    for g, w in zip(got, channels):
+        assert np.array_equal(g.skip_flags, w.skip_flags)
+        assert (g.table, g.bit_length, bytes(g.payload)) == (w.table, w.bit_length, w.payload)
+
+
+def test_the_writer_refuses_each_channel_fault_with_the_readers_message():
+    # a 16x16 gray header with perforation off: 4 blocks in one plane
+    meta, (stream,), _ = _gray_container()
+    skipping = encode_channel([_random_blocks(np.random.default_rng(2), 3)],
+                              np.array([False, True, False, False]))
+    three = encode_channel([_random_blocks(np.random.default_rng(3), 3)], np.zeros(3, bool))
+    cases = [
+        ([three], "block count inconsistent with dimensions"),
+        ([skipping], "skip flags present with perforation disabled"),
+        ([stream, stream], "channel count does not match the header"),
+        ([], "channel count does not match the header"),
+    ]
+    for channels, message in cases:
+        with pytest.raises(CorruptStreamError, match=f"^{message}$"):
+            write_container(meta, channels)
+
+
+def test_channel_stream_checks_its_rule_when_built():
+    _, (stream,), _ = _gray_container(skip_level=2, flags_on=(2,))
+    block0 = stream.skip_flags.copy()
+    block0[0] = True
+    cases = [
+        (dict(skip_flags=block0), "block 0 cannot be skipped"),
+        (dict(table=[(0, 1), (1, 1), (2, 2)]), "Kraft"),
+        (dict(payload=stream.payload + b"\x00"), "payload length"),
+        (dict(payload=stream.payload[:-1]), "payload length"),
+        (dict(bit_length=stream.bit_length + 8), "payload length"),
+        (dict(skip_flags=np.zeros(0, bool), bit_length=-3, payload=b""), "payload length"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(CorruptStreamError, match=message):
+            replace(stream, **fields)
+    with pytest.raises(ValueError, match="read-only"):
+        stream.skip_flags[2] = False
+    for flags in (block0.astype(np.uint8), block0[None], list(block0)):
+        with pytest.raises(ValueError, match="one per block"):
+            replace(stream, skip_flags=flags)
+    with pytest.raises(FrozenInstanceError):
+        stream.bit_length = 0
+
+
+def test_container_meta_holds_a_read_only_int64_payload():
+    exponents = [k % 8 for k in range(64)]
+    data = write_container(*_gray_container()[:2])
+    for payload in (exponents, np.array(exponents, dtype=np.uint8).reshape(8, 8),
+                    read_container(data)[0].quant_payload):
+        quant = _meta(quant_payload=payload).quant_payload
+        assert quant.shape == (64,) and quant.dtype == np.int64 and not quant.flags.writeable
+        assert quant.tolist() == exponents
+    meta = _meta()
+    with pytest.raises(FrozenInstanceError):
+        meta.quality = 90
+
+
+def test_reader_rejects_a_skipped_block_zero():
+    # a 16x16 gray skip_level=2 container whose first skip bit is set
+    data = bytearray(write_container(*_gray_container(skip_level=2, flags_on=(1,))[:2]))
+    at = 4 + struct.calcsize(">BBBBBHH") + 64 + struct.calcsize(">BI")  # the skip bitmap
+    data[at] |= 0x80
+    with pytest.raises(CorruptStreamError, match="block 0 cannot be skipped"):
+        read_container(bytes(data))
+
+
+def test_a_huge_block_count_is_refused_before_its_bitmap_is_unpacked():
+    header = write_container(*_gray_container()[:2])[: 4 + struct.calcsize(">BBBBBHH") + 64]
+    data = header + struct.pack(">BI", 0, 2**32 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError, match="block count inconsistent with dimensions"):
+            read_container(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pixel_budget_refuses_a_huge_header_before_any_channel():
